@@ -6,7 +6,7 @@ BENCH_JSON ?= BENCH_$(shell date +%F).json
 SHELL := /usr/bin/env bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build vet test race race-irq race-parallel fuzz-smoke bench bench-smoke profile serve smoke crash-smoke example-smoke ci clean
+.PHONY: all build vet test race race-irq race-parallel determinism memo-guard fuzz-smoke bench bench-smoke perfbench-check profile serve smoke crash-smoke example-smoke fleet-smoke ci clean
 
 all: build vet test
 
@@ -40,18 +40,25 @@ race-parallel:
 	$(GO) test -race -run 'Parallel|ExploreWorkers|SnapPool|FuzzExplore|EnginesAgree' \
 		./internal/symx/... ./internal/gsim/... ./peakpower/...
 
-# Memo-soundness guard: the memo tables (whole-step default, per-level
-# opt-in) are pure execution-speed mechanisms, so sealed Reports must be
-# byte-identical with memoization on or off — across engines, worker
+# The determinism suites twenty times over: an assertion that depends on
+# goroutine scheduling fails here in review instead of intermittently on
+# main.
+determinism:
+	$(GO) test -count=20 -run 'TestMemoDeterminism|Determinism|TestParallel' ./peakpower/ ./internal/symx/
+
+# Memo-soundness guard: the whole-step memo table is a pure
+# execution-speed mechanism, so sealed Reports must be byte-identical
+# with memoization on or off — across engines, worker
 # counts, SIGKILL-resume, and a 2-worker fleet, all diffed against the
 # committed golden hashes. CI fails here if a memo change ever leaks
 # into Report bytes.
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
 
-# Short native-fuzz session over the sequential-vs-parallel differential
-# target: generated programs and interrupt windows, trees and power
-# reductions required to agree exactly. CI's fuzz smoke.
+# Short native-fuzz session over the differential target: Explore and
+# ExploreParallel against the test suite's reference explorer on
+# generated programs and interrupt windows, trees and power reductions
+# required to agree exactly. CI's fuzz smoke.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzExplore -fuzztime=10s ./internal/symx/
 
@@ -64,6 +71,12 @@ bench:
 # One-iteration smoke form of the same run — CI's per-commit artifact.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . | tee /dev/stderr | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
+
+# perfbench is its own Go module, so the root `go build ./...` never
+# compiles it; vet and test it here so an API change in the packages it
+# calls cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # CPU/heap profile of the packed engine under the end-to-end macro
 # benchmark; the recipe PERFORMANCE.md documents.
@@ -122,7 +135,7 @@ fleet-smoke:
 	$(GO) test -count=1 -v -run 'TestFleet' ./cmd/peakpowerd/
 	./scripts/fleet_smoke.sh
 
-ci: build vet race race-irq race-parallel memo-guard fuzz-smoke smoke crash-smoke fleet-smoke example-smoke
+ci: build vet race race-irq race-parallel determinism memo-guard fuzz-smoke perfbench-check smoke crash-smoke fleet-smoke example-smoke
 
 clean:
 	$(GO) clean ./...

@@ -495,8 +495,9 @@ func BenchmarkEngineExploreSymbolic(b *testing.B) {
 // BenchmarkEngineCoAnalysis is the end-to-end macro-benchmark behind
 // PERFORMANCE.md's headline number: a fresh, uncached peakpower
 // co-analysis of three representative Table 4.1 benchmarks per
-// iteration, per engine. The packed/scalar ns/op ratio is the engine
-// speedup.
+// iteration, per engine, pinned to one explore worker so the numbers
+// measure engine speed, not parallelism. The packed/scalar ns/op ratio
+// is the engine speedup.
 func BenchmarkEngineCoAnalysis(b *testing.B) {
 	a, err := peakpower.New()
 	if err != nil {
@@ -507,7 +508,8 @@ func BenchmarkEngineCoAnalysis(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, name := range apps {
-					if _, err := a.AnalyzeBench(context.Background(), name, peakpower.WithEngine(v.engine)); err != nil {
+					if _, err := a.AnalyzeBench(context.Background(), name,
+						peakpower.WithEngine(v.engine), peakpower.WithExploreWorkers(1)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -523,7 +525,7 @@ func BenchmarkEngineCoAnalysis(b *testing.B) {
 // captures only the replay speedup. sensorDuty and adcSample are the
 // convergent, loop-heavy explorations the step table targets; tHold and
 // binSearch are path-divergent controls where probation must cut the
-// table's overhead to noise.
+// table's overhead to noise. Runs are pinned to one explore worker.
 func BenchmarkMemo(b *testing.B) {
 	a, err := peakpower.New()
 	if err != nil {
@@ -534,7 +536,7 @@ func BenchmarkMemo(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/memo=%v", app, memo), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := a.AnalyzeBench(context.Background(), app,
-						peakpower.WithMemo(memo)); err != nil {
+						peakpower.WithMemo(memo), peakpower.WithExploreWorkers(1)); err != nil {
 						b.Fatal(err)
 					}
 				}

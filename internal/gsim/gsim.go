@@ -658,23 +658,6 @@ func (s *Simulator) EnableMemo(maxBytes int) bool {
 	return true
 }
 
-// EnableLevelMemo additionally turns on the fine-grained per-level memo
-// tier (memo.go) with the given byte budget (<= 0 selects the default).
-// The per-level grain catches partial state repeats the whole-step
-// table misses, at a per-dirty-level hash cost that only pays off when
-// replays dominate; see memo.go. Like EnableMemo it never changes
-// simulation results and reports false on the scalar engine.
-func (s *Simulator) EnableLevelMemo(maxBytes int) bool {
-	if s.pk == nil {
-		return false
-	}
-	if maxBytes <= 0 {
-		maxBytes = defaultMemoBytes
-	}
-	s.pk.memo = newMemoTable(s.pk.plan, maxBytes)
-	return true
-}
-
 // MemoStats returns the cumulative memoization hit/miss counters. Safe
 // to call from any goroutine.
 func (s *Simulator) MemoStats() (hits, misses int64) {

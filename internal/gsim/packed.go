@@ -51,10 +51,8 @@ type packedSim struct {
 	// next live activity pass runs full to refresh it.
 	eBatchStale bool
 
-	// memo, when non-nil, replays per-level evaluations whose source
-	// words have been seen before (see memo.go). stepMemo replays whole
-	// settle+activity phases for revisited states (see stepmemo.go).
-	memo     *memoTable
+	// stepMemo, when non-nil, replays whole settle+activity phases for
+	// revisited states (see stepmemo.go).
 	stepMemo *stepTable
 
 	// anchor/since/epoch back copy-on-write fork snapshots (delta.go):
@@ -349,7 +347,6 @@ func (s *Simulator) stepPacked() {
 	// activity/energy pass — is a pure function of the five planes now
 	// in hand (every external write has landed); a whole-step memo hit
 	// replays it outright (see stepmemo.go).
-	memo := p.memo
 	st := p.stepMemo
 	if st == nil || !st.lookup(p) {
 		// Settle level by level in topological order, skipping any
@@ -361,17 +358,11 @@ func (s *Simulator) stepPacked() {
 			if !force && !p.maskDirty(lv.ReadMask) {
 				continue
 			}
-			if memo != nil && !force && memo.lookup(p, li) {
-				continue // verified hit replayed the level's outputs
-			}
 			for bi := range lv.Batches {
 				b := &lv.Batches[bi]
 				if force || p.maskDirty(b.ReadMask) {
 					p.evalBatch(b)
 				}
-			}
-			if memo != nil && !force {
-				memo.record(p)
 			}
 		}
 		p.settled = true
@@ -393,11 +384,6 @@ func (s *Simulator) stepPacked() {
 		for i, d := range p.dirty {
 			p.since[i] |= d | d0[i]
 		}
-	}
-	if memo != nil && memo.stepHits|memo.stepMisses != 0 {
-		s.memoHits.Add(int64(memo.stepHits))
-		s.memoMisses.Add(int64(memo.stepMisses))
-		memo.stepHits, memo.stepMisses = 0, 0
 	}
 	if st != nil && st.stepHits|st.stepMisses != 0 {
 		s.memoHits.Add(int64(st.stepHits))

@@ -2,14 +2,11 @@ package gsim
 
 // Whole-step memoization. Loop-heavy explorations revisit whole
 // processor states: a wait loop polling a symbolic input, a search loop
-// whose live registers cycle through a short orbit. Per-level
-// memoization (memo.go) replays such repeats one level at a time but
-// still pays a hash per dirty level per cycle — ~96 overlapping read
-// sets on the ULP430 plan. The step table instead keys the entire
-// post-capture phase of a cycle — combinational settling plus the
-// activity/energy pass — on one hash of the five planes that determine
-// it, and replays the final planes, activity flags and energy bound in
-// a single masked copy.
+// whose live registers cycle through a short orbit. The step table keys
+// the entire post-capture phase of a cycle — combinational settling
+// plus the activity/energy pass — on one hash of the five planes that
+// determine it, and replays the final planes, activity flags and energy
+// bound in a single masked copy.
 //
 // Soundness (DESIGN.md "Memoization and copy-on-write soundness"):
 //
@@ -36,9 +33,13 @@ package gsim
 //   - Collisions cannot corrupt state: the full source planes are
 //     compared before a hit is taken.
 const (
-	// stepProbationLookups / stepProbationHits mirror the per-level
-	// probation: a simulator whose program never revisits a state
-	// (straight-line code) must stop paying the hash-and-record tax.
+	// memoBasis and memoPrime seed and step the FNV-style plane hash.
+	memoBasis = 0x9E3779B97F4A7C15
+	memoPrime = 1099511628211
+
+	// stepProbationLookups / stepProbationHits: a simulator whose
+	// program never revisits a state (straight-line code) must stop
+	// paying the hash-and-record tax.
 	// The window is long enough to span several iterations of the
 	// slowest loops in the benchmark suite. stepProbationEarly cuts a
 	// simulator with no hits at all off sooner — path-divergent
@@ -51,8 +52,8 @@ const (
 	stepProbationHits    = 8
 
 	// defaultStepMemoBytes bounds one simulator's step table. Entries
-	// are large (eight plane-sized arrays), so the budget is above the
-	// level table's; when full, existing entries still serve hits.
+	// are large (eight plane-sized arrays); when full, existing entries
+	// still serve hits.
 	defaultStepMemoBytes = 24 << 20
 )
 

@@ -113,8 +113,16 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// MergeParallelReplay is MergeParallel plus replayed observations: blobs
-// journaled by MarshalTask in a previous (crashed) run, keyed by task ID.
+// MergeParallelReplay folds the workers' sinks into the single-worker
+// result: Best and TopK by canonical-order replay of the recorded
+// candidates through the sequential fold/insertion code, ISRPeakMW by
+// maximum, and the activity union by set union. nodeID resolves a
+// candidate's (task, stream) coordinates to its final tree-node ID
+// (symx.ParallelResult provides it); k is the TopK capacity and must
+// match the sinks'.
+//
+// replayed holds observations journaled by MarshalTask in a previous
+// (crashed) run, keyed by task ID; nil when nothing was replayed.
 // Replayed candidates carry their recorded (task, stream) coordinates, so
 // the canonical sort interleaves them with this run's live candidates
 // exactly where the uninterrupted run would have produced them, and the

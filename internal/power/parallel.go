@@ -11,7 +11,7 @@
 // arrival order) — cannot be folded live without making the Report
 // depend on worker interleaving. Instead each observation that could
 // matter is materialized at observation time as a candidate tagged with
-// its (task, stream) coordinates, and MergeParallel replays all
+// its (task, stream) coordinates, and MergeParallelReplay replays all
 // candidates in canonical order — ascending (final tree-node ID,
 // within-task stream index), which is exactly the order the sequential
 // engine visits observations in — through the very same fold/insertion
@@ -182,18 +182,6 @@ func (s *Sink) recordCandidates(p float64, pos int, fc fetchCtx, sim *gsim.Simul
 		t.ActiveCells = nil
 		s.topkCands = append(s.topkCands, PeakCand{Peak: t, Task: s.task, Stream: s.curStream})
 	}
-}
-
-// MergeParallel folds the workers' sinks into the sequential result:
-// Best and TopK by canonical-order replay of the recorded candidates
-// through the sequential fold/insertion code, ISRPeakMW by maximum, and
-// the activity union by set union. nodeID resolves a candidate's (task,
-// stream) coordinates to its final tree-node ID (symx.ParallelResult
-// provides it); k is the TopK capacity and must match the sinks'.
-func MergeParallel(sinks []*Sink, k int, nodeID func(task, stream int) int) (best Peak, topK []Peak, isrPeakMW float64, union []bool) {
-	// No replayed blobs, so the replay-capable form cannot fail.
-	best, topK, isrPeakMW, union, _ = MergeParallelReplay(sinks, k, nodeID, nil)
-	return best, topK, isrPeakMW, union
 }
 
 // sortCanonical orders candidates by (final node ID, stream index) —

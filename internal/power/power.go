@@ -204,8 +204,8 @@ type Sink struct {
 	// stay absolute via base), the order-sensitive reductions (Best,
 	// TopK) are deferred — candidate peaks are recorded with their
 	// (task, stream) coordinates and folded canonically by
-	// MergeParallel — and the path context at a task's start comes from
-	// a TaskSeed instead of history.
+	// MergeParallelReplay — and the path context at a task's start
+	// comes from a TaskSeed instead of history.
 	taskMode  bool
 	shared    *Shared
 	base      int
@@ -427,7 +427,7 @@ func (s *Sink) maybeInsertTopK(p float64, pos int, fc fetchCtx, sim *gsim.Simula
 }
 
 // insertTopK is the top-k insertion step, shared verbatim by the live
-// sequential sink and MergeParallel's canonical replay — one algorithm,
+// sequential sink and MergeParallelReplay's canonical replay — one algorithm,
 // so the two paths cannot drift apart. It keeps at most one entry per
 // fetch address, sorted descending, materializing (mk) only when the
 // cycle actually enters the list.

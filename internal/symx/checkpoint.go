@@ -123,39 +123,42 @@ func (ck *Checkpointer) Err() error {
 	return ck.werr
 }
 
-// ckptRec is one journal line. Kind "hdr" opens the journal, "pub"
-// records a published task, "done" a finished one.
-type ckptRec struct {
-	T  string `json:"t"`
-	ID int    `json:"id,omitempty"`
-
-	// hdr
-	Tag string `json:"tag,omitempty"`
-
-	// pub
-	Parent  int    `json:"parent,omitempty"` // publisher task; -1 for the root
-	Seq     int    `json:"seq,omitempty"`    // branch index inside the publisher's chain
-	BasePos int    `json:"base,omitempty"`
-	BrEn    bool   `json:"bre,omitempty"`
-	BrVal   bool   `json:"brv,omitempty"`
-	IrqEn   bool   `json:"ire,omitempty"`
-	IrqVal  bool   `json:"irv,omitempty"`
-	Seed    []byte `json:"seed,omitempty"`
-	State   []byte `json:"state,omitempty"` // gzipped ulp430.EncodePortable; empty for the root
-
-	// done
-	Cycles int        `json:"cycles,omitempty"`
-	Sink   []byte     `json:"sink,omitempty"`
-	Nodes  []ckptNode `json:"nodes,omitempty"`
-	// Kids names the task published at each branch of the chain, in
-	// branch order — the liveness witness that supersedes children
-	// published by earlier crashed incarnations of this task.
-	Kids []int `json:"kids,omitempty"`
+// RemoteForces is the record form of the accumulated fork forces a
+// task's first cycle is re-stepped under: nested in a RemoteTask on the
+// fleet wire, flattened into a journal pub record.
+type RemoteForces struct {
+	BrEn   bool `json:"bre,omitempty"`
+	BrVal  bool `json:"brv,omitempty"`
+	IrqEn  bool `json:"ire,omitempty"`
+	IrqVal bool `json:"irv,omitempty"`
 }
 
-// ckptNode is one segment of a done task's chain, in creation order: every
-// node but the last is a KindBranch whose NotTaken is the next entry.
-type ckptNode struct {
+func (f RemoteForces) forces() forkForces {
+	return forkForces{brEn: f.BrEn, brVal: f.BrVal, irqEn: f.IrqEn, irqVal: f.IrqVal}
+}
+
+func wireForces(f forkForces) RemoteForces {
+	return RemoteForces{BrEn: f.brEn, BrVal: f.brVal, IrqEn: f.irqEn, IrqVal: f.irqVal}
+}
+
+// RemoteTask is one published unit of exploration work, as a fleet
+// worker leases it and a journal pub record stores it. State is the
+// gzipped ulp430.EncodePortable start state (empty for the root task,
+// which resets instead); Seed is the sink seed marshaled through the
+// run's CheckpointCodec.
+type RemoteTask struct {
+	ID      int          `json:"id"`
+	BasePos int          `json:"base,omitempty"`
+	Forces  RemoteForces `json:"forces"`
+	Seed    []byte       `json:"seed,omitempty"`
+	State   []byte       `json:"state,omitempty"`
+}
+
+// RemoteNode is one segment of a completed task's chain, payload
+// pre-marshaled through the codec. In a done record's chain (creation
+// order) every node but the last is a KindBranch whose NotTaken is the
+// next entry.
+type RemoteNode struct {
 	Len         int    `json:"len"`
 	Kind        int    `json:"kind"`
 	IRQ         bool   `json:"irq,omitempty"`
@@ -166,11 +169,49 @@ type ckptNode struct {
 	Payload     []byte `json:"data,omitempty"`
 }
 
+// RemoteResult is a completed task, as a fleet worker returns it and a
+// journal done record stores it: its segment chain in creation order,
+// the IDs of the tasks it published (one per branch, in branch order),
+// its simulated cycle count, and the sink's per-task observation blob.
+type RemoteResult struct {
+	Cycles int          `json:"cycles"`
+	Nodes  []RemoteNode `json:"nodes"`
+	Kids   []int        `json:"kids,omitempty"`
+	Sink   []byte       `json:"sink,omitempty"`
+}
+
+// ckptRec is one journal line. Kind "hdr" opens the journal, "pub"
+// records a published task, "done" a finished one.
+type ckptRec struct {
+	T  string `json:"t"`
+	ID int    `json:"id,omitempty"`
+
+	// hdr
+	Tag string `json:"tag,omitempty"`
+
+	// pub
+	Parent  int `json:"parent,omitempty"` // publisher task; -1 for the root
+	Seq     int `json:"seq,omitempty"`    // branch index inside the publisher's chain
+	BasePos int `json:"base,omitempty"`
+	RemoteForces
+	Seed  []byte `json:"seed,omitempty"`
+	State []byte `json:"state,omitempty"` // gzipped ulp430.EncodePortable; empty for the root
+
+	// done
+	Cycles int          `json:"cycles,omitempty"`
+	Sink   []byte       `json:"sink,omitempty"`
+	Nodes  []RemoteNode `json:"nodes,omitempty"`
+	// Kids names the task published at each branch of the chain, in
+	// branch order — the liveness witness that supersedes children
+	// published by earlier crashed incarnations of this task.
+	Kids []int `json:"kids,omitempty"`
+}
+
 // resumeState is what a journal replay hands back to ExploreParallel.
 type resumeState struct {
-	nodes    []*Node          // reconstructed segments of live done tasks
-	pending  []*ptask         // live tasks awaiting (re-)execution, by ID
-	replayed map[int][]byte   // task ID -> sink blob, live done tasks
+	nodes    []*Node           // reconstructed segments of live done tasks
+	pending  []*ptask          // live tasks awaiting (re-)execution, by ID
+	replayed map[int][]byte    // task ID -> sink blob, live done tasks
 	claims   map[ForkKey]*Node // branch-key claims to seed
 	cycles   int64
 	paths    int64
@@ -270,46 +311,52 @@ func (ck *Checkpointer) append(rec *ckptRec) {
 }
 
 // writePub journals a task publication. Must complete before the task is
-// handed to the scheduler (the pub-before-done prefix invariant).
-func (ck *Checkpointer) writePub(t *ptask, parent, seq int) error {
-	rec := &ckptRec{
-		T: "pub", ID: t.id, Parent: parent, Seq: seq, BasePos: t.basePos,
-		BrEn: t.forces.brEn, BrVal: t.forces.brVal,
-		IrqEn: t.forces.irqEn, IrqVal: t.forces.irqVal,
-	}
-	seed, err := ck.cfg.Codec.MarshalSeed(t.seed)
-	if err != nil {
-		return fmt.Errorf("symx: checkpoint seed marshal: %w", err)
-	}
-	rec.Seed = seed
-	if t.state != nil {
-		rec.State = gzipBytes(ulp430.EncodePortable(t.state))
-	}
-	ck.append(rec)
-	return nil
+// handed to a worker (the pub-before-done prefix invariant).
+func (ck *Checkpointer) writePub(t RemoteTask, parent, seq int) {
+	ck.append(&ckptRec{
+		T: "pub", ID: t.ID, Parent: parent, Seq: seq, BasePos: t.BasePos,
+		RemoteForces: t.Forces, Seed: t.Seed, State: t.State,
+	})
 }
 
 // writeDone journals a finished task: its cycle count, segment chain,
 // published children, and the sink's per-task observations.
-func (ck *Checkpointer) writeDone(id, cycles int, nodes []*Node, kids []int, sinkBlob []byte) error {
-	rec := &ckptRec{T: "done", ID: id, Cycles: cycles, Sink: sinkBlob}
-	if len(kids) > 0 {
-		rec.Kids = append([]int(nil), kids...)
+func (ck *Checkpointer) writeDone(id int, res *RemoteResult) {
+	ck.append(&ckptRec{T: "done", ID: id, Cycles: res.Cycles, Sink: res.Sink, Nodes: res.Nodes, Kids: res.Kids})
+}
+
+// encodeTask is t's record form: seed marshaled through codec, start
+// state gzipped.
+func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
+	seed, err := codec.MarshalSeed(t.seed)
+	if err != nil {
+		return RemoteTask{}, fmt.Errorf("symx: checkpoint seed marshal: %w", err)
 	}
-	rec.Nodes = make([]ckptNode, len(nodes))
-	for i, n := range nodes {
-		payload, err := ck.cfg.Codec.MarshalPayload(n.Data)
+	rt := RemoteTask{ID: t.id, BasePos: t.basePos, Forces: wireForces(t.forces), Seed: seed}
+	if t.state != nil {
+		rt.State = gzipBytes(ulp430.EncodePortable(t.state))
+	}
+	return rt, nil
+}
+
+// decodeTask turns a task record back into a runnable task.
+func decodeTask(rt RemoteTask, codec CheckpointCodec) (*ptask, error) {
+	t := &ptask{id: rt.ID, basePos: rt.BasePos, forces: rt.Forces.forces()}
+	if len(rt.State) > 0 {
+		raw, err := gunzipBytes(rt.State)
+		if err == nil {
+			t.state, err = ulp430.DecodePortable(raw)
+		}
 		if err != nil {
-			return fmt.Errorf("symx: checkpoint payload marshal: %w", err)
-		}
-		rec.Nodes[i] = ckptNode{
-			Len: n.Len, Kind: int(n.Kind), IRQ: n.IRQ, PC: n.BranchPC,
-			Key: n.key.Lo, Key2: n.key.Hi,
-			StreamStart: n.streamStart, Payload: payload,
+			return nil, fmt.Errorf("task %d state: %w", rt.ID, err)
 		}
 	}
-	ck.append(rec)
-	return nil
+	seed, err := codec.UnmarshalSeed(rt.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("task %d seed: %w", rt.ID, err)
+	}
+	t.seed = seed
+	return t, nil
 }
 
 // load parses the journal and computes the resume state. A missing file is
@@ -475,29 +522,11 @@ parse:
 	sort.Ints(pendingIDs)
 	for _, id := range pendingIDs {
 		rec := pubs[id].rec
-		t := &ptask{
-			id:      id,
-			basePos: rec.BasePos,
-			forces: forkForces{
-				brEn: rec.BrEn, brVal: rec.BrVal,
-				irqEn: rec.IrqEn, irqVal: rec.IrqVal,
-			},
-		}
-		seed, err := ck.cfg.Codec.UnmarshalSeed(rec.Seed)
+		t, err := decodeTask(RemoteTask{
+			ID: id, BasePos: rec.BasePos, Forces: rec.RemoteForces, Seed: rec.Seed, State: rec.State,
+		}, ck.cfg.Codec)
 		if err != nil {
-			return nil, fmt.Errorf("symx: checkpoint journal %s: task %d seed: %w", ck.cfg.Path, id, err)
-		}
-		t.seed = seed
-		if len(rec.State) > 0 {
-			raw, err := gunzipBytes(rec.State)
-			if err != nil {
-				return nil, fmt.Errorf("symx: checkpoint journal %s: task %d state: %w", ck.cfg.Path, id, err)
-			}
-			st, err := ulp430.DecodePortable(raw)
-			if err != nil {
-				return nil, fmt.Errorf("symx: checkpoint journal %s: task %d state: %w", ck.cfg.Path, id, err)
-			}
-			t.state = st
+			return nil, fmt.Errorf("symx: checkpoint journal %s: %w", ck.cfg.Path, err)
 		}
 		if rec.Parent >= 0 {
 			t.branch = byTask[rec.Parent][rec.Seq]

@@ -6,14 +6,16 @@
 // ulp430.PortableState to one terminal, identified before any work
 // happens. This file exposes that task stream over a process boundary:
 //
-//   - RemoteTask / RemoteResult are wire-encodable forms of the journal's
-//     pub and done records (state bytes gzipped EncodePortable, seeds and
-//     payloads pre-marshaled through the run's CheckpointCodec).
+//   - RemoteTask / RemoteResult (checkpoint.go) are the task records the
+//     journal's pub and done records are made of (state bytes gzipped
+//     EncodePortable, seeds and payloads pre-marshaled through the run's
+//     CheckpointCodec).
 //   - RunRemoteTask executes one task on a remote worker's private System
-//     and WorkerSink, mirroring the in-process worker.runTask loop in
-//     checkpoint mode statement for statement — except that fork claims go
-//     through a RemoteClaimer RPC instead of the in-process claim table,
-//     and newly discovered fork points travel back inside the claim call.
+//     and WorkerSink with the same runner as the in-process workers
+//     (worker.runTask), under a remote fork host: fork claims go through a
+//     RemoteClaimer RPC instead of the in-process claim table, and the
+//     taken direction of a won fork travels to the coordinator inside the
+//     claim call.
 //   - RemoteQueue is the coordinator side: it owns the journal (through
 //     the ordinary Checkpointer), leases pending tasks out, registers
 //     claims idempotently, and accepts first-wins completions. When every
@@ -54,59 +56,6 @@ func NodeBudgetError(max int) error { return nodeBudgetErr(max) }
 // task; its live incarnation is re-issued from the journal.
 var ErrStaleTask = errors.New("symx: stale fleet task")
 
-// RemoteForces is the wire form of the accumulated fork forces a task's
-// first cycle is re-stepped under.
-type RemoteForces struct {
-	BrEn   bool `json:"bre,omitempty"`
-	BrVal  bool `json:"brv,omitempty"`
-	IrqEn  bool `json:"ire,omitempty"`
-	IrqVal bool `json:"irv,omitempty"`
-}
-
-func (f RemoteForces) forces() forkForces {
-	return forkForces{brEn: f.BrEn, brVal: f.BrVal, irqEn: f.IrqEn, irqVal: f.IrqVal}
-}
-
-func wireForces(f forkForces) RemoteForces {
-	return RemoteForces{BrEn: f.brEn, BrVal: f.brVal, IrqEn: f.irqEn, IrqVal: f.irqVal}
-}
-
-// RemoteTask is one leased unit of exploration work — the wire form of a
-// journal pub record. State is the gzipped ulp430.EncodePortable start
-// state (empty for the root task, which resets instead); Seed is the
-// sink seed marshaled through the run's CheckpointCodec.
-type RemoteTask struct {
-	ID      int          `json:"id"`
-	BasePos int          `json:"base,omitempty"`
-	Forces  RemoteForces `json:"forces"`
-	Seed    []byte       `json:"seed,omitempty"`
-	State   []byte       `json:"state,omitempty"`
-}
-
-// RemoteNode is one segment of a completed task's chain — the wire form
-// of a journal done record's ckptNode, payload pre-marshaled through the
-// codec.
-type RemoteNode struct {
-	Len         int    `json:"len"`
-	Kind        int    `json:"kind"`
-	IRQ         bool   `json:"irq,omitempty"`
-	PC          uint16 `json:"pc,omitempty"`
-	Key         uint64 `json:"key,omitempty"`
-	Key2        uint64 `json:"key2,omitempty"` // ForkKey.Hi (Key is .Lo)
-	StreamStart int    `json:"ss,omitempty"`
-	Payload     []byte `json:"data,omitempty"`
-}
-
-// RemoteResult is a completed task: its segment chain in creation order,
-// the IDs of the tasks it published (one per branch, in branch order),
-// its simulated cycle count, and the sink's per-task observation blob.
-type RemoteResult struct {
-	Cycles int          `json:"cycles"`
-	Nodes  []RemoteNode `json:"nodes"`
-	Kids   []int        `json:"kids,omitempty"`
-	Sink   []byte       `json:"sink,omitempty"`
-}
-
 // RemoteClaim answers a fork-point claim: whether the claiming task owns
 // the subtree (and must keep exploring its not-taken direction), and the
 // identity assigned to the published taken-direction child when it does.
@@ -125,218 +74,61 @@ type RemoteClaimer interface {
 	Claim(key ForkKey, parent, seq int, child RemoteTask) (RemoteClaim, error)
 }
 
-// RunRemoteTask executes one leased task to its terminal, mirroring the
-// in-process checkpoint-mode worker loop: a linear segment chain (every
-// fork is either claimed — chain continues down the not-taken direction,
-// taken direction published via the claimer — or merged, ending the
-// task). baseCycles/baseNodes are the coordinator's committed totals at
-// lease time; they make the budget guards conservative (a trip implies
-// the true total exceeds the cap — the coordinator's completion-time
-// check is authoritative).
+// RunRemoteTask executes one leased task to its terminal: decode its
+// start state and seed, run one segment chain, encode the result. In a
+// fleet every fork is either claimed — the chain continues down the
+// not-taken direction, the taken direction published via the claimer —
+// or merged, ending the task. baseCycles/baseNodes are the coordinator's
+// committed totals at lease time; the task's tally starts from them, which
+// makes the budget guards conservative (a trip implies the true total
+// exceeds the cap — the coordinator's completion-time check is
+// authoritative).
 func RunRemoteTask(sys *ulp430.System, sink WorkerSink, opts Options, codec CheckpointCodec, t RemoteTask, claimer RemoteClaimer, baseCycles, baseNodes int64) (*RemoteResult, error) {
-	opts = opts.withDefaults()
-
-	if len(t.State) > 0 {
-		raw, err := gunzipBytes(t.State)
-		if err != nil {
-			return nil, fmt.Errorf("symx: remote task %d state: %w", t.ID, err)
-		}
-		st, err := ulp430.DecodePortable(raw)
-		if err != nil {
-			return nil, fmt.Errorf("symx: remote task %d state: %w", t.ID, err)
-		}
-		sys.RestorePortable(st)
-	} else {
-		sys.Reset()
-	}
-	seed, err := codec.UnmarshalSeed(t.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("symx: remote task %d seed: %w", t.ID, err)
-	}
-	sink.BeginTask(t.ID, t.BasePos, seed)
-	defer sink.EndTask()
-
-	marshaler, ok := sink.(TaskMarshaler)
-	if !ok {
+	if _, ok := sink.(TaskMarshaler); !ok {
 		return nil, fmt.Errorf("symx: remote tasks require the sink to implement TaskMarshaler (%T does not)", sink)
 	}
-
-	var (
-		nodes      []*Node
-		kids       []int
-		stream     int
-		taskCycles int
-		nextCancel = cancelCheckEvery
-	)
-	newNode := func() *Node {
-		n := &Node{task: t.ID, streamStart: stream, seq: len(nodes)}
-		nodes = append(nodes, n)
-		return n
-	}
-	cur := newNode()
-	segStart := t.BasePos
-	pending := t.Forces.forces()
-	roll := &ulp430.SysSnapshot{}
-	done := false
-
-	finishSegment := func(kind NodeKind) {
-		cur.Kind = kind
-		cur.Len = sink.Pos() - segStart
-		cur.Data = sink.Segment(segStart)
-	}
-	applyForces := func() {
-		if pending.brEn {
-			sys.ForceBranch(pending.brVal)
-		}
-		if pending.irqEn {
-			sys.ForceIRQ(pending.irqVal)
-		}
-	}
-
-outer:
-	for !done {
-		if err := sys.Err(); err != nil {
-			return nil, err
-		}
-		if opts.Ctx != nil && taskCycles >= nextCancel {
-			nextCancel = taskCycles + cancelCheckEvery
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("symx: exploration aborted after %d cycles: %w",
-					baseCycles+int64(taskCycles), err)
-			}
-		}
-		if sys.Halted() {
-			finishSegment(KindEnd)
-			break
-		}
-		// Conservative budget guards (see the function comment): committed
-		// base plus own work, ignoring in-flight peers.
-		if baseCycles+int64(taskCycles) > int64(opts.MaxCycles) {
-			return nil, cycleBudgetErr(opts.MaxCycles)
-		}
-		if baseNodes+int64(len(nodes)) > int64(opts.MaxNodes) {
-			return nil, nodeBudgetErr(opts.MaxNodes)
-		}
-
-		sys.SnapshotInto(roll)
-		rollPos := sink.Pos()
-
-		for {
-			applyForces()
-			sys.Step()
-			sys.ClearForce()
-			taskCycles++
-			if baseCycles+int64(taskCycles) > int64(opts.MaxCycles) {
-				return nil, cycleBudgetErr(opts.MaxCycles)
-			}
-
-			isIRQ := false
-			if sys.JumpCondUnknown() {
-			} else if sys.IRQCondUnknown() {
-				isIRQ = true
-			} else {
-				break // fully resolved
-			}
-
-			sys.Restore(roll)
-			pc, _ := sys.PC()
-			key := stateKey(sys, pending)
-			cur.key = key
-			cur.BranchPC = pc
-			cur.IRQ = isIRQ
-
-			// The taken direction travels inside the claim: if the claim
-			// wins, the coordinator assigns it an identity and journals it
-			// before answering, so the fork is durable before either
-			// direction is explored (the pub-before-done invariant).
-			st := &ulp430.PortableState{}
-			sys.CapturePortableAt(roll, st)
-			seedBytes, err := codec.MarshalSeed(sink.SpawnSeed(rollPos))
-			if err != nil {
-				return nil, fmt.Errorf("symx: checkpoint seed marshal: %w", err)
-			}
-			child := RemoteTask{
-				BasePos: rollPos,
-				Forces:  wireForces(pending.with(isIRQ, true)),
-				Seed:    seedBytes,
-				State:   gzipBytes(ulp430.EncodePortable(st)),
-			}
-			cl, err := claimer.Claim(key, t.ID, cur.seq, child)
-			if err != nil {
-				return nil, err
-			}
-			if !cl.Won {
-				// Someone owns this subtree; the chain ends here.
-				// Assembly decides the canonical winner.
-				finishSegment(KindMerge)
-				done = true
-				break outer
-			}
-			finishSegment(KindBranch)
-			kids = append(kids, cl.ChildID)
-			sink.NewSegment()
-			cur = newNode()
-			segStart = rollPos
-			pending = pending.with(isIRQ, false)
-		}
-
-		sink.OnCycle(sys)
-		stream++
-		pending = forkForces{}
-
-		if _, known := sys.Sim.PortUint("pc"); !known {
-			return nil, fmt.Errorf("symx: PC became X at cycle %d — input-dependent branch target (computed jump/call on input data) is not supported", sys.Sim.Cycle())
-		}
-	}
-
-	blob, err := marshaler.MarshalTask()
+	pt, err := decodeTask(t, codec)
 	if err != nil {
-		return nil, fmt.Errorf("symx: checkpoint sink marshal: %w", err)
+		return nil, fmt.Errorf("symx: remote %w", err)
 	}
-	res := &RemoteResult{Cycles: taskCycles, Kids: kids, Sink: blob}
-	res.Nodes = make([]RemoteNode, len(nodes))
-	for i, n := range nodes {
-		payload, err := codec.MarshalPayload(n.Data)
-		if err != nil {
-			return nil, fmt.Errorf("symx: checkpoint payload marshal: %w", err)
-		}
-		res.Nodes[i] = RemoteNode{
-			Len: n.Len, Kind: int(n.Kind), IRQ: n.IRQ, PC: n.BranchPC,
-			Key: n.key.Lo, Key2: n.key.Hi,
-			StreamStart: n.streamStart, Payload: payload,
-		}
+	tl := &tally{}
+	tl.cycles.Store(baseCycles)
+	tl.nodes.Store(baseNodes)
+	w := newWorker(sys, sink, opts.withDefaults(), remoteHost{claimer, codec}, tl)
+	defer sink.EndTask()
+	if err := w.runTask(pt); err != nil {
+		return nil, err
 	}
-	return res, nil
+	return w.result(codec)
 }
 
-// writePubWire journals a task publication whose seed and state are
-// already wire-encoded (they came off a worker's claim RPC in journal
-// encoding).
-func (ck *Checkpointer) writePubWire(t *RemoteTask, parent, seq int) {
-	ck.append(&ckptRec{
-		T: "pub", ID: t.ID, Parent: parent, Seq: seq, BasePos: t.BasePos,
-		BrEn: t.Forces.BrEn, BrVal: t.Forces.BrVal,
-		IrqEn: t.Forces.IrqEn, IrqVal: t.Forces.IrqVal,
-		Seed: t.Seed, State: t.State,
-	})
+// remoteHost is the fleet worker's fork host: the coordinator owns every
+// fork key, and a won fork's taken direction is journaled by the
+// coordinator before the claim is answered.
+type remoteHost struct {
+	claimer RemoteClaimer
+	codec   CheckpointCodec
 }
 
-// writeDoneWire journals a completed task from its wire result.
-func (ck *Checkpointer) writeDoneWire(id int, res *RemoteResult) {
-	rec := &ckptRec{T: "done", ID: id, Cycles: res.Cycles, Sink: res.Sink}
-	if len(res.Kids) > 0 {
-		rec.Kids = append([]int(nil), res.Kids...)
+func (h remoteHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
+	// The taken direction travels inside the claim: if the claim wins,
+	// the coordinator assigns it an identity and journals it before
+	// answering, so the fork is durable before either direction is
+	// explored (the pub-before-done invariant).
+	child, err := encodeTask(w.spawn(pf, &w.roll), h.codec)
+	if err != nil {
+		return false, err
 	}
-	rec.Nodes = make([]ckptNode, len(res.Nodes))
-	for i, n := range res.Nodes {
-		rec.Nodes[i] = ckptNode{
-			Len: n.Len, Kind: n.Kind, IRQ: n.IRQ, PC: n.PC,
-			Key: n.Key, Key2: n.Key2,
-			StreamStart: n.StreamStart, Payload: n.Payload,
-		}
+	cl, err := h.claimer.Claim(key, w.task.id, pf.branch.seq, child)
+	if err != nil || !cl.Won {
+		return false, err
 	}
-	ck.append(rec)
+	w.taskKids = append(w.taskKids, cl.ChildID)
+	return true, nil
 }
+
+// donate is never reached: a fleet task keeps no local forks.
+func (remoteHost) donate(*worker) error { return nil }
 
 type remoteClaimRec struct {
 	parent, seq, child int
@@ -408,18 +200,10 @@ func OpenRemoteQueue(cfg CheckpointConfig, opts Options) (*RemoteQueue, error) {
 	}
 
 	for _, t := range rs.pending {
-		wt := RemoteTask{
-			ID:      t.id,
-			BasePos: t.basePos,
-			Forces:  wireForces(t.forces),
-		}
-		seed, err := cfg.Codec.MarshalSeed(t.seed)
+		wt, err := encodeTask(t, cfg.Codec)
 		if err != nil {
-			return nil, fmt.Errorf("symx: checkpoint seed marshal: %w", err)
-		}
-		wt.Seed = seed
-		if t.state != nil {
-			wt.State = gzipBytes(ulp430.EncodePortable(t.state))
+			ck.close()
+			return nil, err
 		}
 		q.enqueue(wt)
 		if t.branch != nil {
@@ -436,14 +220,15 @@ func OpenRemoteQueue(cfg CheckpointConfig, opts Options) (*RemoteQueue, error) {
 	}
 
 	if !rs.rootPub {
-		root := RemoteTask{ID: q.nextID}
-		q.nextID++
-		// Reuses the in-process pub writer so a fleet-started journal is
-		// indistinguishable from a locally started one.
-		if err := ck.writePub(&ptask{id: root.ID}, -1, 0); err != nil {
+		// Encoded exactly like the in-process root, so a fleet-started
+		// journal is indistinguishable from a locally started one.
+		root, err := encodeTask(&ptask{id: q.nextID}, cfg.Codec)
+		if err != nil {
 			ck.close()
 			return nil, err
 		}
+		q.nextID++
+		ck.writePub(root, -1, 0)
 		q.enqueue(root)
 	}
 	if werr := ck.Err(); werr != nil {
@@ -512,7 +297,7 @@ func (q *RemoteQueue) Claim(key ForkKey, parent, seq int, child RemoteTask) (Rem
 	}
 	child.ID = q.nextID
 	q.nextID++
-	q.ck.writePubWire(&child, parent, seq)
+	q.ck.writePub(child, parent, seq)
 	if werr := q.ck.Err(); werr != nil {
 		// The journal is the fleet's only result substrate; a write
 		// failure must fail the job rather than silently drop a task.
@@ -550,7 +335,7 @@ func (q *RemoteQueue) Complete(id int, res *RemoteResult) (accepted bool, err er
 		q.failLocked(nodeBudgetErr(q.opts.MaxNodes))
 		return false, q.err
 	}
-	q.ck.writeDoneWire(id, res)
+	q.ck.writeDone(id, res)
 	if werr := q.ck.Err(); werr != nil {
 		q.failLocked(fmt.Errorf("symx: checkpoint journal write: %w", werr))
 		return false, q.err

@@ -12,16 +12,18 @@ import (
 	"repro/internal/ulp430"
 )
 
-// FuzzExplore cross-checks the sequential and parallel exploration
-// engines over generated programs and interrupt windows: the execution
-// trees must match node for node and the full power reduction — Best,
-// TopK, ISR peak, activity union — must agree exactly. Budget
-// exhaustion must produce the identical error. Snapshot double-frees
-// are caught as a side effect: the free pool panics on a repeated put,
-// and a pooled snapshot panics on Restore/CapturePortableAt (use after
-// free), either of which fails the fuzz run; fuzzPoolInvariants then
-// asserts the pool and copy-on-write invariants explicitly on the
-// fuzzed program's own state.
+// FuzzExplore cross-checks the production explorers against the
+// reference explorer (ref_test.go) over generated programs and interrupt
+// windows: Explore and ExploreParallel, both on memoized systems, must
+// build the reference tree node for node (IDs, kinds, wiring, payloads,
+// Paths, Cycles), and the full power reduction — Best, TopK, ISR peak,
+// activity union — must agree exactly with the reference run's power
+// sink. Budget exhaustion must produce the identical error. Snapshot
+// double-frees are caught as a side effect: the free pool panics on a
+// repeated put, and a pooled snapshot panics on Restore/CapturePortableAt
+// (use after free), either of which fails the fuzz run;
+// fuzzPoolInvariants then asserts the pool and copy-on-write invariants
+// explicitly on the fuzzed program's own state.
 //
 // The corpus entry layout: nIn selects 1-3 symbolic input words, t1/t2
 // the two branch thresholds, lat/width the interrupt arrival window,
@@ -75,7 +77,7 @@ skip2:
 		model := power.Model{Lib: cell.ULP65(), ClockHz: 100e6}
 		const k = 4
 
-		newSys := func() *ulp430.System {
+		newSys := func(memo bool) *ulp430.System {
 			sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -83,10 +85,17 @@ skip2:
 			if irq != nil {
 				sys.EnableInterrupts(*irq)
 			}
+			if memo {
+				sys.Sim.EnableMemo(0)
+			}
 			return sys
 		}
 
-		seqSys := newSys()
+		refSys := newSys(false)
+		refSink := power.NewSink(refSys, model, img, k)
+		refTree, refErr := refExplore(refSys, refSink, opts)
+
+		seqSys := newSys(true)
 		seqSink := power.NewSink(seqSys, model, img, k)
 		seqTree, seqErr := Explore(seqSys, seqSink, opts)
 
@@ -96,7 +105,7 @@ skip2:
 			Options: opts,
 			Workers: w,
 			NewWorker: func(worker int) (*ulp430.System, WorkerSink, error) {
-				wsys := newSys()
+				wsys := newSys(true)
 				wsink := power.NewSink(wsys, model, img, k)
 				wsink.EnableTasks(shared)
 				sinks[worker] = wsink
@@ -104,31 +113,17 @@ skip2:
 			},
 		})
 
-		if seqErr != nil {
-			if parErr == nil || parErr.Error() != seqErr.Error() {
-				t.Fatalf("error mismatch:\nseq: %v\npar: %v", seqErr, parErr)
+		if refErr != nil || seqErr != nil || parErr != nil {
+			for _, err := range []error{seqErr, parErr} {
+				if refErr == nil || err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("error mismatch:\nref: %v\nseq: %v\npar: %v", refErr, seqErr, parErr)
+				}
 			}
 			return
 		}
-		if parErr != nil {
-			t.Fatalf("parallel failed where sequential succeeded: %v", parErr)
-		}
+		requireTreesEqual(t, refTree, seqTree, "Explore")
+		requireTreesEqual(t, refTree, pres.Tree, fmt.Sprintf("workers=%d", w))
 
-		got := pres.Tree
-		if len(seqTree.Nodes) != len(got.Nodes) || seqTree.Paths != got.Paths ||
-			seqTree.Cycles != got.Cycles || seqTree.IRQForks() != got.IRQForks() {
-			t.Fatalf("tree mismatch: nodes %d/%d paths %d/%d cycles %d/%d irqForks %d/%d",
-				len(seqTree.Nodes), len(got.Nodes), seqTree.Paths, got.Paths,
-				seqTree.Cycles, got.Cycles, seqTree.IRQForks(), got.IRQForks())
-		}
-
-		best, topK, isrPeak, union := power.MergeParallel(sinks, k, pres.NodeID)
-		if !reflect.DeepEqual(seqSink.Best, best) {
-			t.Fatalf("Best mismatch:\nseq: %+v\npar: %+v", seqSink.Best, best)
-		}
-		if isrPeak != seqSink.ISRPeakMW {
-			t.Fatalf("ISRPeakMW mismatch: seq %v par %v", seqSink.ISRPeakMW, isrPeak)
-		}
 		stripCells := func(ps []power.Peak) []power.Peak {
 			out := make([]power.Peak, len(ps))
 			for i, p := range ps {
@@ -137,14 +132,35 @@ skip2:
 			}
 			return out
 		}
-		if !reflect.DeepEqual(stripCells(seqSink.TopK), stripCells(topK)) {
-			t.Fatalf("TopK mismatch:\nseq: %+v\npar: %+v", stripCells(seqSink.TopK), stripCells(topK))
+		best, topK, isrPeak, union, err := power.MergeParallelReplay(sinks, k, pres.NodeID, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seqSink.UnionActive, union) {
-			t.Fatalf("activity union mismatch")
+		for _, got := range []struct {
+			engine  string
+			best    power.Peak
+			topK    []power.Peak
+			isrPeak float64
+			union   []bool
+		}{
+			{"Explore", seqSink.Best, seqSink.TopK, seqSink.ISRPeakMW, seqSink.UnionActive},
+			{"ExploreParallel", best, topK, isrPeak, union},
+		} {
+			if !reflect.DeepEqual(refSink.Best, got.best) {
+				t.Fatalf("%s: Best mismatch:\nref: %+v\ngot: %+v", got.engine, refSink.Best, got.best)
+			}
+			if got.isrPeak != refSink.ISRPeakMW {
+				t.Fatalf("%s: ISRPeakMW mismatch: ref %v got %v", got.engine, refSink.ISRPeakMW, got.isrPeak)
+			}
+			if !reflect.DeepEqual(stripCells(refSink.TopK), stripCells(got.topK)) {
+				t.Fatalf("%s: TopK mismatch:\nref: %+v\ngot: %+v", got.engine, stripCells(refSink.TopK), stripCells(got.topK))
+			}
+			if !reflect.DeepEqual(refSink.UnionActive, got.union) {
+				t.Fatalf("%s: activity union mismatch", got.engine)
+			}
 		}
 
-		fuzzPoolInvariants(t, newSys())
+		fuzzPoolInvariants(t, newSys(false))
 	})
 }
 

@@ -1,47 +1,49 @@
-// Work-stealing parallel symbolic exploration.
+// The Algorithm-1 runner and work-stealing parallel exploration.
 //
-// ExploreParallel runs Algorithm 1 over a bounded pool of worker
-// goroutines, each owning a private System and sink. Work is partitioned
-// at fork points: when a worker forks it continues depth-first down the
-// not-taken direction (exactly like the sequential engine) and either
-// keeps the taken direction on a worker-local LIFO stack (cheap
-// journal-relative snapshot, per-worker free pool) or — when the shared
-// queue is starving — publishes it as a portable task any worker can
-// steal (self-contained ulp430.PortableState, O(memory) capture). A
-// worker whose local stack still holds old forks donates its oldest one
-// when it notices idle peers: the oldest fork roots the largest
-// unexplored subtree, the classic steal-granularity rule.
+// worker.runTask is the exploration loop; every entry point runs it.
+// ExploreParallel runs it over a bounded pool of worker goroutines, each
+// owning a private System and sink, with the in-process fork host
+// (localHost). Work is partitioned at fork points: when a worker forks it
+// continues depth-first down the not-taken direction and either keeps the
+// taken direction on a worker-local LIFO stack (copy-on-write snapshot,
+// per-worker free pool) or — when the shared queue is starving — publishes
+// it as a portable task any worker can steal (self-contained
+// ulp430.PortableState, O(memory) capture). A worker whose local stack
+// still holds old forks donates its oldest one when it notices idle peers:
+// the oldest fork roots the largest unexplored subtree, the classic
+// steal-granularity rule. A lone worker has no peers and never publishes
+// outside checkpoint mode, so Explore (one worker) keeps every fork local.
 //
-// Determinism. The sealed Report must be bit-identical to the sequential
-// walk at any worker count, which two mechanisms guarantee:
+// Determinism. The sealed Report must be bit-identical at any worker
+// count, which two mechanisms guarantee:
 //
 //  1. Every fork key (pre-branch state hash x accumulated forces) is
 //     CLAIMED in a sharded concurrent table before either direction is
 //     explored. Exactly one encounter — whichever raced first — wins and
 //     explores both children; every other encounter records the key and
 //     stops. No subtree is ever explored twice, so total simulated
-//     cycles and node counts equal the sequential run's exactly (which
+//     cycles and node counts are the same at every worker count (which
 //     is also what lets the cycle/node budgets be enforced with plain
-//     global atomics and sequential error semantics).
+//     shared atomics).
 //
 //  2. Which encounter *canonically* owns the subtree is decided after
-//     the workers join, by re-walking the fork graph in the sequential
-//     engine's exact order (not-taken first, LIFO resumption of taken
-//     directions) with a fresh seen-map: the canonically-first encounter
-//     of each key becomes the KindBranch node — grafting the claimant's
-//     children if a later encounter had won the race — and the rest
-//     become KindMerge nodes pointing at it. Because gate simulation is
-//     deterministic, a subtree's segments depend only on the (state,
-//     forces) pair at its root, so grafting is exact: the assembled
-//     tree, including creation-order node IDs, Paths, and Cycles, is
-//     bit-identical to what Explore would have built.
+//     the workers join, by re-walking the fork graph in depth-first
+//     order (not-taken first, LIFO resumption of taken directions) with
+//     a fresh seen-map: the canonically-first encounter of each key
+//     becomes the KindBranch node — grafting the claimant's children if
+//     a later encounter had won the race — and the rest become KindMerge
+//     nodes pointing at it. Because gate simulation is deterministic, a
+//     subtree's segments depend only on the (state, forces) pair at its
+//     root, so grafting is exact: the assembled tree, including
+//     creation-order node IDs, Paths, and Cycles, is the one a
+//     single-worker run builds.
 //
 // The same canonical order also serializes the sink: observations are
 // ordered by (final node ID, within-task stream index), which is exactly
-// the sequential observation order, so an order-sensitive reduction
+// the single-worker observation order, so an order-sensitive reduction
 // (peak records with first-wins tie-breaking, top-k insertion) replays
-// per-task candidates in canonical order and reproduces the sequential
-// result bit for bit. See power.MergeParallel.
+// per-task candidates in canonical order and reproduces the single-worker
+// result bit for bit. See power.MergeParallelReplay.
 package symx
 
 import (
@@ -104,17 +106,19 @@ type ParallelOptions struct {
 // ParallelResult is the assembled exploration plus the observation-order
 // index the sink reduction needs.
 type ParallelResult struct {
-	// Tree is the canonical execution tree, bit-identical to the
-	// sequential Explore result.
+	// Tree is the canonical execution tree, bit-identical to the Explore
+	// result.
 	Tree *Tree
-	// order maps a task ID to its segments' (streamStart, final node ID)
-	// pairs, sorted by streamStart.
-	order map[int]taskOrder
 	// Replayed maps task ID to the serialized sink observations of tasks
 	// restored from a checkpoint journal instead of executed this run
 	// (nil unless a resume replayed work). The sink's package folds these
 	// into its canonical merge (e.g. power.MergeParallelReplay).
 	Replayed map[int][]byte
+
+	// order maps a task ID to its segments' (streamStart, final node ID)
+	// pairs, sorted by streamStart; built on the first NodeID call.
+	order     map[int]taskOrder
+	orderOnce sync.Once
 }
 
 type taskOrder struct {
@@ -124,9 +128,10 @@ type taskOrder struct {
 
 // NodeID resolves a task-local observation stream index to the final
 // (canonical) ID of the tree node whose segment contains it. Canonical
-// observation order — the order the sequential engine would have visited
-// observations in — is ascending (NodeID, stream index).
+// observation order — the order a single worker visits observations
+// in — is ascending (NodeID, stream index).
 func (r *ParallelResult) NodeID(task, stream int) int {
+	r.orderOnce.Do(r.indexOrder)
 	o, ok := r.order[task]
 	if !ok {
 		return -1
@@ -138,6 +143,28 @@ func (r *ParallelResult) NodeID(task, stream int) int {
 		return -1
 	}
 	return o.ids[i]
+}
+
+// indexOrder builds the observation-order index: per task, (streamStart,
+// final ID) of every segment that recorded observations, sorted by
+// stream position.
+func (r *ParallelResult) indexOrder() {
+	byTask := make(map[int][]*Node)
+	for _, n := range r.Tree.Nodes {
+		if n.Len > 0 {
+			byTask[n.task] = append(byTask[n.task], n)
+		}
+	}
+	r.order = make(map[int]taskOrder, len(byTask))
+	for task, nodes := range byTask {
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i].streamStart < nodes[j].streamStart })
+		o := taskOrder{starts: make([]int, len(nodes)), ids: make([]int, len(nodes))}
+		for i, n := range nodes {
+			o.starts[i] = n.streamStart
+			o.ids[i] = n.ID
+		}
+		r.order[task] = o
+	}
 }
 
 // snapPool is a free list of fork snapshots with a double-free guard:
@@ -223,10 +250,41 @@ type ptask struct {
 	seed    interface{}
 }
 
-// sched is the shared scheduler: a queue of published tasks plus the
+// pendingFork is a won fork's taken direction kept on a worker's local
+// stack: the copy-on-write snapshot of the pre-branch state, the sink
+// position to rewind to, and the forces to re-step the cycle under.
+type pendingFork struct {
+	snap    *ulp430.SysSnapshot // state before the forked cycle
+	sinkPos int
+	branch  *Node
+	forces  forkForces // full force set for the direction still to explore
+}
+
+// tally is what one exploration charges its budgets to. In-process every
+// worker shares the scheduler's tally, so the atomics count the whole
+// run; a fleet task gets a private tally preloaded with the
+// coordinator's committed totals, so its guards see committed work plus
+// its own.
+type tally struct {
+	cycles  atomic.Int64 // simulated cycles
+	nodes   atomic.Int64 // tree nodes created
+	paths   atomic.Int64 // terminals reached
+	stopped atomic.Bool  // a peer failed the run
+
+	progMu       sync.Mutex
+	nextProgress atomic.Int64
+}
+
+func (t *tally) progress() Progress {
+	return Progress{Cycles: int(t.cycles.Load()), Nodes: int(t.nodes.Load()), Paths: int(t.paths.Load())}
+}
+
+// sched is the in-process scheduler: a queue of published tasks plus the
 // bookkeeping that detects termination (no queued work and no task being
 // executed) and propagates the first error.
 type sched struct {
+	tally
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []*ptask
@@ -234,16 +292,8 @@ type sched struct {
 	nextID  int
 	done    bool
 	err     error
-	stopped atomic.Bool
 	queued  atomic.Int64 // len(queue) mirror, read lock-free by workers
 	waiting atomic.Int64 // workers blocked in take()
-
-	cycles atomic.Int64 // total simulated cycles, all workers
-	nodes  atomic.Int64 // total tree nodes created
-	paths  atomic.Int64 // total terminals reached
-
-	progMu       sync.Mutex
-	nextProgress atomic.Int64
 }
 
 // reserveID allocates a task ID. IDs are reserved before publication so a
@@ -321,80 +371,83 @@ func (s *sched) hungry(workers int) bool {
 	return s.queued.Load() < int64(workers) || s.waiting.Load() > 0
 }
 
-// worker drives one goroutine: steal a task, explore its subtree
-// depth-first with the exact sequential mechanics (shared atomics for
-// budgets/progress, claim table instead of a private seen-map), repeat.
+// forkHost is what the runner delegates to the process it runs in. Its
+// two methods cover who owns a fork key and where a won fork's taken
+// direction goes; the third difference, which budget the work is charged
+// to, is the worker's tally.
+type forkHost interface {
+	// fork settles a fork point whose pre-branch state has merge key
+	// key. It reports whether this encounter owns the subtree, and if so
+	// sends the taken direction pf on: to the worker's local stack, to
+	// the in-process queue (journaled in checkpoint mode), or to the
+	// coordinator inside the claim RPC. The system sits at pf's
+	// pre-branch state (the worker's roll snapshot).
+	fork(w *worker, key ForkKey, pf pendingFork) (won bool, err error)
+	// donate is offered the worker's local forks after every resolved
+	// cycle while it holds any.
+	donate(w *worker) error
+}
+
+// worker is one Algorithm-1 runner: a private System and sink, the fork
+// host it reports to, and the tally it charges. It explores one task at
+// a time with runTask.
 type worker struct {
-	id    int
 	sys   *ulp430.System
 	sink  WorkerSink
-	opts  ParallelOptions
-	sc    *sched
-	seen  *claimTable
-	nodes *[]*Node // worker-local node list, merged for assembly
+	opts  Options
+	host  forkHost
+	tally *tally
 
-	roll  *ulp430.SysSnapshot
+	roll  ulp430.SysSnapshot // one-cycle-back rolling snapshot
 	pool  snapPool
-	local []pendingFork // worker-local LIFO of unpublished forks
+	local []pendingFork // LIFO of won forks whose taken direction waits here
 
+	nodes      []*Node // every segment this worker created, in creation order
 	task       *ptask
-	stream     int // observations made by the current task
+	taskFirst  int   // index in nodes of the current task's first segment
+	taskKids   []int // IDs of tasks the current task published, in branch order
+	taskCycles int   // cycles simulated by the current task
+	stream     int   // observations made by the current task
+	ownCycles  int   // cycles simulated by this worker (cancel pacing)
 	nextCancel int
-	ownCycles  int // cycles simulated by this worker (cancel pacing)
+}
 
-	taskCycles int     // cycles simulated by the current task (checkpointing)
-	taskNodes  []*Node // current task's nodes in creation order
-	taskKids   []int   // IDs of tasks the current task published, in branch order
+func newWorker(sys *ulp430.System, sink WorkerSink, opts Options, host forkHost, tl *tally) *worker {
+	return &worker{sys: sys, sink: sink, opts: opts, host: host, tally: tl, nextCancel: cancelCheckEvery}
 }
 
 func (w *worker) newNode() *Node {
-	n := &Node{task: w.task.id, streamStart: w.stream, seq: len(w.taskNodes)}
-	*w.nodes = append(*w.nodes, n)
-	w.taskNodes = append(w.taskNodes, n)
-	w.sc.nodes.Add(1)
+	n := &Node{task: w.task.id, streamStart: w.stream, seq: len(w.nodes) - w.taskFirst}
+	w.nodes = append(w.nodes, n)
+	w.tally.nodes.Add(1)
 	return n
 }
 
-// publishTask reserves an identity for the task rooted at st, journals it
-// if checkpointing, and hands it to the scheduler — in that order, so the
-// journal's pub record always precedes any record a stealer could write.
-func (w *worker) publishTask(st *ulp430.PortableState, sinkPos int, branch *Node, forces forkForces) error {
-	t := &ptask{
-		id:      w.sc.reserveID(),
-		state:   st,
-		forces:  forces,
-		branch:  branch,
-		basePos: sinkPos,
-		seed:    w.sink.SpawnSeed(sinkPos),
-	}
-	if ck := w.opts.Checkpoint; ck != nil {
-		if err := ck.writePub(t, branch.task, branch.seq); err != nil {
-			return err
-		}
-		w.taskKids = append(w.taskKids, t.id)
-	}
-	w.sc.publish(t)
-	return nil
-}
-
-// publishFork captures pf as a portable task. pf's snapshot must still be
-// LIFO-reachable on w.sys (it is: published forks come from the current
-// journal position or from the bottom of the local stack).
-func (w *worker) publishFork(pf pendingFork) error {
+// spawn captures the taken direction of pf as a self-contained task. at
+// is pf's pre-branch state; it must still be LIFO-reachable on w.sys.
+func (w *worker) spawn(pf pendingFork, at *ulp430.SysSnapshot) *ptask {
 	st := &ulp430.PortableState{}
-	w.sys.CapturePortableAt(pf.snap, st)
-	w.pool.put(pf.snap)
-	return w.publishTask(st, pf.sinkPos, pf.branch, pf.forces)
+	w.sys.CapturePortableAt(at, st)
+	return &ptask{state: st, forces: pf.forces, branch: pf.branch, basePos: pf.sinkPos, seed: w.sink.SpawnSeed(pf.sinkPos)}
 }
 
-// runTask explores one task's whole subtree (minus published forks). It
-// mirrors Explore's loop statement for statement; divergences are the
-// claim table, the shared budgets, and the publish/donate policy.
+// runTask is Algorithm 1, the only copy of it: explore task t's subtree
+// depth-first, not-taken direction first. At each cycle whose control
+// condition is X it rewinds, ends the segment at a fork, and asks the
+// host whether this encounter owns the fork key; the owner continues down
+// the not-taken direction, every other encounter ends as a merge. Forks
+// kept on the local stack resume in LIFO order once a terminal is
+// reached; the task is done when the stack is empty.
+//
+// Budgets are exact: exploration fails if and only if the tally exceeds
+// a cap, detected the moment a counter crosses it. Claim-first ownership
+// makes the totals equal at any worker count, so every entry point
+// reaches the same success-or-failure decision with the same text.
 func (w *worker) runTask(t *ptask) error {
 	w.task = t
 	w.stream = 0
 	w.taskCycles = 0
-	w.taskNodes = w.taskNodes[:0]
+	w.taskFirst = len(w.nodes)
 	w.taskKids = w.taskKids[:0]
 	if t.state != nil {
 		w.sys.RestorePortable(t.state)
@@ -403,24 +456,26 @@ func (w *worker) runTask(t *ptask) error {
 	}
 	w.sink.BeginTask(t.id, t.basePos, t.seed)
 
-	var cur *Node
+	cur := w.newNode()
 	if t.branch != nil {
-		cur = w.newNode()
 		t.branch.Taken = cur
-	} else {
-		cur = w.newNode() // root segment
 	}
 	segStart := t.basePos
+	// pending is the force set for the cycle about to be (re-)stepped:
+	// the task's or popped fork's accumulated directions, empty once a
+	// cycle resolves.
 	pending := t.forces
-	opts := w.opts
 
-	sys, sink, sc := w.sys, w.sink, w.sc
+	sys, sink, tl, opts := w.sys, w.sink, w.tally, w.opts
 
 	finishSegment := func(kind NodeKind) {
 		cur.Kind = kind
 		cur.Len = sink.Pos() - segStart
 		cur.Data = sink.Segment(segStart)
 	}
+	// applyForces stages every accumulated override before a re-step.
+	// They must all be re-applied each time — Restore resets the force
+	// nets and the one-shot IRQ override alike.
 	applyForces := func() {
 		if pending.brEn {
 			sys.ForceBranch(pending.brVal)
@@ -429,19 +484,22 @@ func (w *worker) runTask(t *ptask) error {
 			sys.ForceIRQ(pending.irqVal)
 		}
 	}
+	// pop resumes the newest local fork's taken direction, or returns
+	// false. The outer loop re-snapshots and re-steps the forked cycle
+	// under the restored force set.
 	pop := func() bool {
-		if len(w.local) == 0 {
+		n := len(w.local)
+		if n == 0 {
 			return false
 		}
-		pf := w.local[len(w.local)-1]
-		w.local = w.local[:len(w.local)-1]
+		pf := w.local[n-1]
+		w.local = w.local[:n-1]
 		sys.Restore(pf.snap)
 		w.pool.put(pf.snap)
 		sink.Rewind(pf.sinkPos)
 		sink.NewSegment()
-		child := w.newNode()
-		pf.branch.Taken = child
-		cur = child
+		cur = w.newNode()
+		pf.branch.Taken = cur
 		segStart = pf.sinkPos
 		pending = pf.forces
 		return true
@@ -449,7 +507,7 @@ func (w *worker) runTask(t *ptask) error {
 
 outer:
 	for {
-		if sc.stopped.Load() {
+		if tl.stopped.Load() {
 			// Another worker failed; it holds the error. The current task is
 			// abandoned mid-segment — the sentinel keeps it out of the
 			// checkpoint journal (it must not be recorded as done).
@@ -462,46 +520,47 @@ outer:
 			w.nextCancel = w.ownCycles + cancelCheckEvery
 			if err := opts.Ctx.Err(); err != nil {
 				return fmt.Errorf("symx: exploration aborted after %d cycles (%d paths): %w",
-					sc.cycles.Load(), sc.paths.Load(), err)
+					tl.cycles.Load(), tl.paths.Load(), err)
 			}
 		}
 		if opts.Progress != nil {
-			if c := sc.cycles.Load(); c >= sc.nextProgress.Load() {
-				if sc.nextProgress.CompareAndSwap(sc.nextProgress.Load(), c+int64(opts.ProgressEvery)) {
-					sc.progMu.Lock()
-					opts.Progress(Progress{Cycles: int(c), Nodes: int(sc.nodes.Load()), Paths: int(sc.paths.Load())})
-					sc.progMu.Unlock()
+			if c := tl.cycles.Load(); c >= tl.nextProgress.Load() {
+				if tl.nextProgress.CompareAndSwap(tl.nextProgress.Load(), c+int64(opts.ProgressEvery)) {
+					tl.progMu.Lock()
+					opts.Progress(Progress{Cycles: int(c), Nodes: int(tl.nodes.Load()), Paths: int(tl.paths.Load())})
+					tl.progMu.Unlock()
 				}
 			}
 		}
 		if sys.Halted() {
 			finishSegment(KindEnd)
-			sc.paths.Add(1)
+			tl.paths.Add(1)
 			if !pop() {
 				return nil
 			}
 			continue
 		}
-		// Budgets mirror the sequential engine exactly: claim-first work
-		// partitioning makes the parallel totals equal the sequential
-		// ones, and budgets are exact (fail iff the total exceeds the
-		// cap), so the shared atomic counters reach the same
-		// success-or-failure decision at any worker count.
-		if sc.cycles.Load() > int64(opts.MaxCycles) {
+		// The cycle counter is also checked inside the resolve loop, where
+		// fork re-steps accumulate between visits here.
+		if tl.cycles.Load() > int64(opts.MaxCycles) {
 			return cycleBudgetErr(opts.MaxCycles)
 		}
-		if sc.nodes.Load() > int64(opts.MaxNodes) {
+		if tl.nodes.Load() > int64(opts.MaxNodes) {
 			return nodeBudgetErr(opts.MaxNodes)
 		}
 
-		sys.SnapshotInto(w.roll)
+		sys.SnapshotInto(&w.roll)
 		rollPos := sink.Pos()
 
+		// Resolve loop: re-step the cycle until every control condition is
+		// concrete. Jump conditions resolve before interrupt arrival, so a
+		// double-forked cycle always forks in the same order — the tree
+		// shape (and the sealed report derived from it) is deterministic.
 		for {
 			applyForces()
 			sys.Step()
 			sys.ClearForce()
-			if sc.cycles.Add(1) > int64(opts.MaxCycles) {
+			if tl.cycles.Add(1) > int64(opts.MaxCycles) {
 				return cycleBudgetErr(opts.MaxCycles)
 			}
 			w.ownCycles++
@@ -509,58 +568,42 @@ outer:
 
 			isIRQ := false
 			if sys.JumpCondUnknown() {
+				// The cycle just simulated is the EXEC of an
+				// input-dependent jump.
 			} else if sys.IRQCondUnknown() {
 				isIRQ = true
 			} else {
 				break // fully resolved
 			}
 
-			sys.Restore(w.roll)
+			// Rewind the cycle; this segment terminates at a fork.
+			sys.Restore(&w.roll)
 			pc, _ := sys.PC()
-			key := stateKey(sys, pending)
-			cur.key = key
+			cur.key = stateKey(sys, pending)
 			cur.BranchPC = pc
 			cur.IRQ = isIRQ
-			if !opts.DisableMerge && !w.seen.claim(key, cur) {
+			finishSegment(KindBranch)
+			won, err := w.host.fork(w, cur.key, pendingFork{
+				sinkPos: rollPos, branch: cur, forces: pending.with(isIRQ, true),
+			})
+			if err != nil {
+				return err
+			}
+			if !won {
 				// Someone owns this subtree. Provisionally a merge;
 				// assembly decides the canonical winner.
-				finishSegment(KindMerge)
-				sc.paths.Add(1)
+				cur.Kind = KindMerge
+				tl.paths.Add(1)
 				if !pop() {
 					return nil
 				}
 				continue outer
 			}
-			finishSegment(KindBranch)
-			branch := cur
-
-			pf := pendingFork{
-				sinkPos: rollPos, branch: branch,
-				forces: pending.with(isIRQ, true),
-			}
-			if w.opts.Checkpoint != nil || sc.hungry(opts.Workers) {
-				// The taken direction becomes stealable work. The system
-				// sits exactly at the rolled-back fork state, so the
-				// capture is a plain memory copy (empty journal suffix).
-				// Checkpoint mode always takes this path: only published
-				// tasks reach the journal, so a worker-local fork would
-				// be invisible to a resume.
-				st := &ulp430.PortableState{}
-				sys.CapturePortableAt(w.roll, st)
-				if err := w.publishTask(st, pf.sinkPos, pf.branch, pf.forces); err != nil {
-					return err
-				}
-			} else {
-				// The system sits at the rolled-back fork state, so the
-				// capture is a copy-on-write delta against the current
-				// anchor — O(words changed), not O(nets).
-				pf.snap = w.pool.take()
-				sys.CaptureFork(pf.snap)
-				w.local = append(w.local, pf)
-			}
+			// Continue depth-first down the not-taken / not-arrived
+			// direction: re-step this same cycle with the extended forces.
 			sink.NewSegment()
 			child := w.newNode()
-			branch.NotTaken = child
+			cur.NotTaken = child
 			cur = child
 			segStart = rollPos
 			pending = pending.with(isIRQ, false)
@@ -570,65 +613,165 @@ outer:
 		w.stream++
 		pending = forkForces{}
 
+		// A fully unknown PC that is not a forkable jump condition means
+		// an input-dependent computed branch target — out of scope for
+		// the fork rule, and an analysis error rather than silence.
 		if _, known := sys.Sim.PortUint("pc"); !known {
 			return fmt.Errorf("symx: PC became X at cycle %d — input-dependent branch target (computed jump/call on input data) is not supported", sys.Sim.Cycle())
 		}
-
-		// Donate the oldest local fork — the biggest pending subtree —
-		// when peers are starving.
-		if len(w.local) > 0 && sc.hungry(opts.Workers) {
-			pf := w.local[0]
-			w.local = w.local[1:]
-			if err := w.publishFork(pf); err != nil {
+		if len(w.local) > 0 {
+			if err := w.host.donate(w); err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// taskDone journals the finished task: the sink's per-task observations
-// plus the segment chain and cycle count runTask accumulated.
-func (w *worker) taskDone(t *ptask) error {
+// result encodes the task runTask just finished — its segment chain
+// (payloads through codec), published children, cycle count and the
+// sink's per-task observations — as the done record a checkpoint journal
+// stores and a fleet worker sends back.
+func (w *worker) result(codec CheckpointCodec) (*RemoteResult, error) {
 	blob, err := w.sink.(TaskMarshaler).MarshalTask()
 	if err != nil {
-		return fmt.Errorf("symx: checkpoint sink marshal: %w", err)
+		return nil, fmt.Errorf("symx: checkpoint sink marshal: %w", err)
 	}
-	return w.opts.Checkpoint.writeDone(t.id, w.taskCycles, w.taskNodes, w.taskKids, blob)
+	chain := w.nodes[w.taskFirst:]
+	res := &RemoteResult{
+		Cycles: w.taskCycles,
+		Nodes:  make([]RemoteNode, len(chain)),
+		Kids:   append([]int(nil), w.taskKids...),
+		Sink:   blob,
+	}
+	for i, n := range chain {
+		payload, err := codec.MarshalPayload(n.Data)
+		if err != nil {
+			return nil, fmt.Errorf("symx: checkpoint payload marshal: %w", err)
+		}
+		res.Nodes[i] = RemoteNode{
+			Len: n.Len, Kind: int(n.Kind), IRQ: n.IRQ, PC: n.BranchPC,
+			Key: n.key.Lo, Key2: n.key.Hi,
+			StreamStart: n.streamStart, Payload: payload,
+		}
+	}
+	return res, nil
 }
 
 // errWorkerStopped marks a task abandoned because a peer already failed
 // the run: not an error of its own, but not a completed task either.
 var errWorkerStopped = errors.New("symx: internal: worker stopped")
 
-func (w *worker) run() {
+// localHost is the in-process fork host: fork keys are claimed in the
+// shared claim table, and a won fork's taken direction stays on the
+// worker's local stack unless the queue is starving or the run is
+// checkpointed, in which case it is published as a task.
+type localHost struct {
+	sc      *sched
+	seen    *claimTable
+	ck      *Checkpointer
+	workers int
+	merge   bool
+}
+
+func (h *localHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
+	if h.merge && !h.seen.claim(key, pf.branch) {
+		return false, nil
+	}
+	if h.ck != nil || h.starving() {
+		// The system sits exactly at the rolled-back fork state, so the
+		// portable capture is a plain memory copy (empty journal suffix).
+		// Checkpoint mode always publishes: only published tasks reach
+		// the journal, so a worker-local fork would be invisible to a
+		// resume.
+		return true, h.publishKid(w, w.spawn(pf, &w.roll))
+	}
+	// A copy-on-write delta against the current anchor — O(words
+	// changed), not O(nets).
+	pf.snap = w.pool.take()
+	w.sys.CaptureFork(pf.snap)
+	w.local = append(w.local, pf)
+	return true, nil
+}
+
+// donate publishes the oldest local fork — the biggest pending subtree —
+// when peers are starving.
+func (h *localHost) donate(w *worker) error {
+	if !h.starving() {
+		return nil
+	}
+	pf := w.local[0]
+	w.local = w.local[1:]
+	t := w.spawn(pf, pf.snap)
+	w.pool.put(pf.snap)
+	return h.publishKid(w, t)
+}
+
+// starving reports whether a published fork would feed an idle peer.
+// A lone worker has no peers, so it never publishes outside checkpoint
+// mode.
+func (h *localHost) starving() bool {
+	return h.workers > 1 && h.sc.hungry(h.workers)
+}
+
+// publishKid publishes t as a child of the worker's current task.
+func (h *localHost) publishKid(w *worker, t *ptask) error {
+	if err := h.publish(t, t.branch.task, t.branch.seq); err != nil {
+		return err
+	}
+	w.taskKids = append(w.taskKids, t.id)
+	return nil
+}
+
+// publish reserves an identity for t, journals it if checkpointing, and
+// hands it to the scheduler — in that order, so the journal's pub record
+// always precedes any record a stealer could write.
+func (h *localHost) publish(t *ptask, parent, seq int) error {
+	t.id = h.sc.reserveID()
+	if h.ck != nil {
+		rt, err := encodeTask(t, h.ck.cfg.Codec)
+		if err != nil {
+			return err
+		}
+		h.ck.writePub(rt, parent, seq)
+	}
+	h.sc.publish(t)
+	return nil
+}
+
+// run feeds w queued tasks until the run finishes or fails, journaling
+// each finished task in checkpoint mode.
+func (h *localHost) run(w *worker) {
 	for {
-		t := w.sc.take()
+		t := h.sc.take()
 		if t == nil {
 			return
 		}
 		err := w.runTask(t)
-		if err == nil && w.opts.Checkpoint != nil {
-			err = w.taskDone(t)
+		if err == nil && h.ck != nil {
+			var res *RemoteResult
+			if res, err = w.result(h.ck.cfg.Codec); err == nil {
+				h.ck.writeDone(t.id, res)
+			}
 		}
 		w.sink.EndTask()
 		if err == errWorkerStopped {
-			w.sc.finish()
+			h.sc.finish()
 			return
 		}
 		if err != nil {
-			w.sc.fail(err)
+			h.sc.fail(err)
 			return
 		}
-		w.sc.finish()
+		h.sc.finish()
 	}
 }
 
-// ExploreParallel runs Algorithm 1 across opts.Workers goroutines and
-// assembles a tree bit-identical to the sequential Explore result (same
-// node IDs, kinds, merge targets, payloads, Paths, and Cycles — asserted
-// continuously by the determinism suite and FuzzExplore). Budget, bus,
-// and cancellation errors carry the sequential error text and wrap the
-// same sentinels.
+// ExploreParallel runs Algorithm 1 across opts.Workers workers and
+// assembles a tree bit-identical at every worker count (same node IDs,
+// kinds, merge targets, payloads, Paths, and Cycles — asserted against
+// the reference explorer of the tests by the determinism suite and
+// FuzzExplore). Budget, bus, and cancellation errors carry the same text
+// and wrap the same sentinels at every worker count.
 func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 	opts.Options = opts.Options.withDefaults()
 	if opts.Workers < 1 {
@@ -642,7 +785,7 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 	sc := &sched{}
 	sc.cond = sync.NewCond(&sc.mu)
 	sc.nextProgress.Store(int64(opts.ProgressEvery))
-	seen := newClaimTable()
+	h := &localHost{sc: sc, seen: newClaimTable(), ck: ck, workers: opts.Workers, merge: !opts.DisableMerge}
 
 	var rs *resumeState
 	if ck != nil {
@@ -661,14 +804,12 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 		sc.nodes.Store(int64(len(rs.nodes)))
 		sc.paths.Store(rs.paths)
 		for key, n := range rs.claims {
-			seen.claim(key, n)
+			h.seen.claim(key, n)
 		}
 	}
 
 	if opts.Progress != nil {
-		defer func() {
-			opts.Progress(Progress{Cycles: int(sc.cycles.Load()), Nodes: int(sc.nodes.Load()), Paths: int(sc.paths.Load())})
-		}()
+		defer func() { opts.Progress(sc.progress()) }()
 	}
 
 	if rs != nil && rs.rootPub {
@@ -677,42 +818,38 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 		for _, t := range rs.pending {
 			sc.publish(t)
 		}
-	} else {
-		// The root task: whole-program exploration from reset.
-		root := &ptask{id: sc.reserveID()}
-		if ck != nil {
-			if err := ck.writePub(root, -1, 0); err != nil {
-				return nil, err
-			}
-		}
-		sc.publish(root)
+	} else if err := h.publish(&ptask{}, -1, 0); err != nil { // the root task: explore from reset
+		return nil, err
 	}
 
+	// Worker 0 runs on the calling goroutine, so a one-worker run (Explore)
+	// starts no goroutine.
 	nodeLists := make([][]*Node, opts.Workers)
+	runWorker := func(i int) {
+		sys, sink, err := opts.NewWorker(i)
+		if err != nil {
+			sc.fail(fmt.Errorf("symx: worker %d: %w", i, err))
+			return
+		}
+		if ck != nil {
+			if _, ok := sink.(TaskMarshaler); !ok {
+				sc.fail(fmt.Errorf("symx: checkpointing requires the sink to implement TaskMarshaler (%T does not)", sink))
+				return
+			}
+		}
+		w := newWorker(sys, sink, opts.Options, h, &sc.tally)
+		h.run(w)
+		nodeLists[i] = w.nodes
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < opts.Workers; i++ {
+	for i := 1; i < opts.Workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sys, sink, err := opts.NewWorker(i)
-			if err != nil {
-				sc.fail(fmt.Errorf("symx: worker %d: %w", i, err))
-				return
-			}
-			if ck != nil {
-				if _, ok := sink.(TaskMarshaler); !ok {
-					sc.fail(fmt.Errorf("symx: checkpointing requires the sink to implement TaskMarshaler (%T does not)", sink))
-					return
-				}
-			}
-			w := &worker{
-				id: i, sys: sys, sink: sink, opts: opts, sc: sc, seen: seen,
-				nodes: &nodeLists[i], roll: &ulp430.SysSnapshot{},
-				nextCancel: cancelCheckEvery,
-			}
-			w.run()
+			runWorker(i)
 		}(i)
 	}
+	runWorker(0)
 	wg.Wait()
 
 	sc.mu.Lock()
@@ -722,48 +859,46 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 		return nil, err
 	}
 
-	var all []*Node
+	lists := nodeLists
 	if rs != nil {
-		all = append(all, rs.nodes...)
+		lists = append([][]*Node{rs.nodes}, nodeLists...)
 	}
-	for _, l := range nodeLists {
-		all = append(all, l...)
-	}
-	res, err := assemble(all, seen, opts)
+	tree, err := assemble(lists, h.seen, h.merge)
 	if err != nil {
 		return nil, err
 	}
+	res := &ParallelResult{Tree: tree}
 	if rs != nil && len(rs.replayed) > 0 {
 		res.Replayed = rs.replayed
 	}
 	return res, nil
 }
 
-// assemble canonicalizes the provisional fork graph: a fresh walk in the
-// sequential engine's exact order (not-taken first, LIFO resumption)
-// decides branch-versus-merge per key with a fresh seen-map, reassigns
-// creation-order IDs, and recomputes Paths and Cycles. Every simulated
-// segment appears exactly once, so the totals equal the parallel run's
-// live counters — checked, since a mismatch means the claim discipline
-// was violated.
-func assemble(all []*Node, seen *claimTable, opts ParallelOptions) (*ParallelResult, error) {
-	if len(all) == 0 {
-		return nil, fmt.Errorf("symx: internal: empty parallel exploration")
-	}
+// assemble canonicalizes the provisional fork graph: a fresh walk in
+// depth-first order (not-taken first, LIFO resumption) decides
+// branch-versus-merge per key with a fresh seen-map, reassigns
+// creation-order IDs, and recomputes Paths and Cycles. lists holds every
+// explored segment; each list is in creation order. Every simulated
+// segment appears exactly once, so the walk must reach them all —
+// checked, since a miss means the claim discipline was violated.
+func assemble(lists [][]*Node, seen *claimTable, merge bool) (*Tree, error) {
 	// The root is task 0's first-created node: task IDs are assigned at
 	// publish time and the root task is published first.
 	var root *Node
-	for _, n := range all {
-		if n.task == 0 {
-			root = n
-			break
+	total := 0
+	for _, l := range lists {
+		for _, n := range l {
+			if root == nil && n.task == 0 {
+				root = n
+			}
 		}
+		total += len(l)
 	}
 	if root == nil {
 		return nil, fmt.Errorf("symx: internal: root task produced no nodes")
 	}
 
-	tree := &Tree{Root: root}
+	tree := &Tree{Root: root, Nodes: make([]*Node, 0, total)}
 	canon := make(map[ForkKey]*Node)
 	var stack []*Node
 	cur := root
@@ -775,17 +910,15 @@ func assemble(all []*Node, seen *claimTable, opts ParallelOptions) (*ParallelRes
 		if isFork {
 			tree.Cycles++ // the rewound fork-detection step
 			winner, dup := canon[cur.key]
-			if dup && !opts.DisableMerge {
+			if dup && merge {
 				cur.Kind = KindMerge
 				cur.MergeTo = winner
 				cur.NotTaken, cur.Taken = nil, nil
 				tree.Paths++
 			} else {
-				if !opts.DisableMerge {
-					canon[cur.key] = cur
-				}
 				owner := cur
-				if !opts.DisableMerge {
+				if merge {
+					canon[cur.key] = cur
 					owner = seen.owner(cur.key)
 				}
 				cur.Kind = KindBranch
@@ -811,27 +944,8 @@ func assemble(all []*Node, seen *claimTable, opts ParallelOptions) (*ParallelRes
 		cur = b.Taken
 	}
 
-	if len(tree.Nodes) != len(all) {
-		return nil, fmt.Errorf("symx: internal: canonical walk reached %d of %d explored segments", len(tree.Nodes), len(all))
+	if len(tree.Nodes) != total {
+		return nil, fmt.Errorf("symx: internal: canonical walk reached %d of %d explored segments", len(tree.Nodes), total)
 	}
-
-	// Observation-order index: per task, (streamStart, final ID) of every
-	// segment that recorded observations, sorted by stream position.
-	order := make(map[int]taskOrder)
-	byTask := make(map[int][]*Node)
-	for _, n := range tree.Nodes {
-		if n.Len > 0 {
-			byTask[n.task] = append(byTask[n.task], n)
-		}
-	}
-	for task, nodes := range byTask {
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].streamStart < nodes[j].streamStart })
-		o := taskOrder{starts: make([]int, len(nodes)), ids: make([]int, len(nodes))}
-		for i, n := range nodes {
-			o.starts[i] = n.streamStart
-			o.ids[i] = n.ID
-		}
-		order[task] = o
-	}
-	return &ParallelResult{Tree: tree, order: order}, nil
+	return tree, nil
 }

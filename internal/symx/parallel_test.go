@@ -173,28 +173,63 @@ j2:
 ` + haltSeq},
 }
 
+// exploreTree runs the production sequential Explore on src (irq
+// non-nil attaches the peripheral bus).
+func exploreTree(t *testing.T, src string, irq *periph.Config, opts Options) (*Tree, error) {
+	t.Helper()
+	img, err := isa.Assemble("t", src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if irq != nil {
+		sys.EnableInterrupts(*irq)
+	}
+	return Explore(sys, &countSink{}, opts)
+}
+
+// requireMatchesReference runs Explore and ExploreParallel at each worker
+// count on src and requires each to reproduce the reference explorer:
+// the same tree (IDs, kinds, wiring, payloads, Paths, Cycles), or the
+// same error text.
+func requireMatchesReference(t *testing.T, label, src string, irq *periph.Config, opts Options, workers ...int) {
+	t.Helper()
+	want, wantErr := refTree(t, src, irq, opts)
+	check := func(engine string, got *Tree, err error) {
+		t.Helper()
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s %s: error mismatch:\nref: %v\ngot: %v", label, engine, wantErr, err)
+			}
+			return
+		}
+		requireTreesEqual(t, want, got, label+" "+engine)
+	}
+	got, err := exploreTree(t, src, irq, opts)
+	check("Explore", got, err)
+	for _, w := range workers {
+		got, err := exploreParallelTree(t, src, irq, w, opts)
+		check(fmt.Sprintf("workers=%d", w), got, err)
+	}
+}
+
 // TestParallelTreeMatchesSequential is the core determinism contract at
-// the tree level: ExploreParallel must assemble a tree structurally
-// identical to the sequential Explore result — same creation-order IDs,
-// kinds, fork wiring, payloads, Paths, and Cycles — at every worker
-// count.
+// the tree level: Explore and ExploreParallel at every worker count must
+// build the reference explorer's tree — same creation-order IDs, kinds,
+// fork wiring, payloads, Paths, and Cycles.
 func TestParallelTreeMatchesSequential(t *testing.T) {
 	for _, prog := range parallelTreePrograms {
-		seq, _ := explore(t, prog.src, Options{})
-		for _, w := range []int{1, 2, 4, 8} {
-			got, err := exploreParallelTree(t, prog.src, nil, w, Options{})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", prog.name, w, err)
-			}
-			requireTreesEqual(t, seq, got, fmt.Sprintf("%s workers=%d", prog.name, w))
-		}
+		requireMatchesReference(t, prog.name, prog.src, nil, Options{}, 1, 2, 4, 8)
 	}
 }
 
 // TestParallelIRQTreeMatchesSequential extends the contract to
 // interrupt forks: the symbolic arrival window multiplies the tree, and
-// the parallel walk must reproduce it exactly, including IRQ fork flags
-// and arrival-order node IDs.
+// every engine must reproduce it exactly, including IRQ fork flags and
+// arrival-order node IDs.
 func TestParallelIRQTreeMatchesSequential(t *testing.T) {
 	cfgs := []periph.Config{
 		{MinLatency: 6, MaxLatency: 14},
@@ -202,16 +237,30 @@ func TestParallelIRQTreeMatchesSequential(t *testing.T) {
 		{MinLatency: 3, MaxLatency: 4},
 	}
 	for _, cfg := range cfgs {
-		seq := exploreIRQ(t, irqIdleProg, cfg, Options{})
-		for _, w := range []int{2, 4, 8} {
-			got, err := exploreParallelTree(t, irqIdleProg, &cfg, w, Options{})
-			if err != nil {
-				t.Fatalf("window [%d,%d] workers=%d: %v", cfg.MinLatency, cfg.MaxLatency, w, err)
-			}
-			requireTreesEqual(t, seq, got,
-				fmt.Sprintf("window [%d,%d] workers=%d", cfg.MinLatency, cfg.MaxLatency, w))
-			if seq.IRQForks() != got.IRQForks() {
-				t.Fatalf("IRQ fork counts differ: %d vs %d", seq.IRQForks(), got.IRQForks())
+		cfg := cfg
+		label := fmt.Sprintf("window [%d,%d]", cfg.MinLatency, cfg.MaxLatency)
+		requireMatchesReference(t, label, irqIdleProg, &cfg, Options{}, 1, 2, 4, 8)
+		if ref, _ := refTree(t, irqIdleProg, &cfg, Options{}); ref.IRQForks() == 0 {
+			t.Fatalf("%s: no IRQ forks", label)
+		}
+	}
+}
+
+// TestParallelOneWorkerNeverPublishes: without a checkpoint a lone worker
+// has no peer to feed, so it keeps every fork on its local stack and the
+// whole tree is one task — the path Explore relies on for its speed.
+func TestParallelOneWorkerNeverPublishes(t *testing.T) {
+	for _, prog := range parallelTreePrograms[3:] {
+		tree, err := exploreParallelTree(t, prog.src, nil, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.CountKind(KindBranch) == 0 {
+			t.Fatalf("%s: no forks to publish", prog.name)
+		}
+		for _, n := range tree.Nodes {
+			if n.task != 0 {
+				t.Fatalf("%s: node %d belongs to task %d: a one-worker run published a fork", prog.name, n.ID, n.task)
 			}
 		}
 	}
@@ -235,74 +284,38 @@ func TestParallelRepeatedRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelBudgetErrorParity: budget exhaustion must fail identically
-// — same sentinel, same message — at any worker count.
+// TestParallelBudgetErrorParity: budget exhaustion must fail exactly as
+// the reference explorer does — same sentinel, same message — in every
+// engine at any worker count.
 func TestParallelBudgetErrorParity(t *testing.T) {
 	spin := `
 .org 0xf000
 .entry main
 main: jmp main
 `
-	img, err := isa.Assemble("t", spin)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := refTree(t, spin, nil, Options{MaxCycles: 500}); !errors.Is(err, ErrCycleBudget) {
+		t.Fatalf("reference: want ErrCycleBudget, got %v", err)
 	}
-	sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqErr := Explore(sys, &countSink{}, Options{MaxCycles: 500})
-	if !errors.Is(seqErr, ErrCycleBudget) {
-		t.Fatalf("sequential: want ErrCycleBudget, got %v", seqErr)
-	}
-	for _, w := range []int{1, 2, 4} {
-		_, parErr := exploreParallelTree(t, spin, nil, w, Options{MaxCycles: 500})
-		if !errors.Is(parErr, ErrCycleBudget) {
-			t.Fatalf("workers=%d: want ErrCycleBudget, got %v", w, parErr)
-		}
-		if parErr.Error() != seqErr.Error() {
-			t.Fatalf("workers=%d: message differs:\nseq: %s\npar: %s", w, seqErr, parErr)
-		}
-	}
+	requireMatchesReference(t, "cycle budget", spin, nil, Options{MaxCycles: 500}, 1, 2, 4)
 
 	// Node budget, on a forking program.
 	forky := parallelTreePrograms[3].src
-	img2, err := isa.Assemble("t", forky)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := refTree(t, forky, nil, Options{MaxNodes: 3}); !errors.Is(err, ErrNodeBudget) {
+		t.Fatalf("reference: want ErrNodeBudget, got %v", err)
 	}
-	sys2, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img2, ulp430.SymbolicInputs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seqErr = Explore(sys2, &countSink{}, Options{MaxNodes: 3})
-	if !errors.Is(seqErr, ErrNodeBudget) {
-		t.Fatalf("sequential: want ErrNodeBudget, got %v", seqErr)
-	}
-	for _, w := range []int{1, 2, 4} {
-		_, parErr := exploreParallelTree(t, forky, nil, w, Options{MaxNodes: 3})
-		if !errors.Is(parErr, ErrNodeBudget) {
-			t.Fatalf("workers=%d: want ErrNodeBudget, got %v", w, parErr)
-		}
-		if parErr.Error() != seqErr.Error() {
-			t.Fatalf("workers=%d: message differs:\nseq: %s\npar: %s", w, seqErr, parErr)
-		}
-	}
+	requireMatchesReference(t, "node budget", forky, nil, Options{MaxNodes: 3}, 1, 2, 4)
 }
 
 // TestParallelDisableMerge: with merging off the exploration degenerates
-// to a pure tree in both modes; the countedLoop program stays finite.
+// to a pure tree in every engine; the countedLoop program stays finite.
 func TestParallelDisableMerge(t *testing.T) {
 	src := parallelTreePrograms[3].src
-	seq, _ := explore(t, src, Options{DisableMerge: true})
-	for _, w := range []int{2, 4} {
-		got, err := exploreParallelTree(t, src, nil, w, Options{DisableMerge: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		requireTreesEqual(t, seq, got, fmt.Sprintf("disableMerge workers=%d", w))
+	requireMatchesReference(t, "disableMerge", src, nil, Options{DisableMerge: true}, 1, 2, 4)
+	ref, err := refTree(t, src, nil, Options{DisableMerge: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seq.CountKind(KindMerge) != 0 {
+	if ref.CountKind(KindMerge) != 0 {
 		t.Fatal("DisableMerge left merge nodes in the tree")
 	}
 }

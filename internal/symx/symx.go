@@ -28,12 +28,18 @@
 // caller-supplied Sink (package power provides the peak-power sink), and
 // branch/end/merge terminals.
 //
+// The loop exists once: worker.runTask (parallel.go) explores one task's
+// subtree, and every entry point runs it. Explore runs it at one worker,
+// ExploreParallel across a worker pool, and RunRemoteTask (fleet.go) for
+// one leased fleet task. What differs between them is the runner's
+// forkHost — who owns a fork key and where a won fork's taken direction
+// goes — and the tally its cycles and nodes are charged to.
+//
 // Exploration is engineered around the gate engine's snapshot costs:
 // the one-cycle-back rolling snapshot reuses one buffer set
-// (SnapshotInto), and fork snapshots are recycled through a
-// per-exploration pool (CloneInto) the moment the pending direction has
-// been restored — with the packed engine's bit-plane state, a fork
-// costs a ~3 KB copy and no allocation in steady state.
+// (SnapshotInto), and local fork snapshots are copy-on-write deltas
+// (CaptureFork) recycled through a per-worker pool the moment the
+// pending direction has been restored.
 package symx
 
 import (
@@ -110,19 +116,18 @@ type Node struct {
 
 	// key is the merge key of a fork terminal (KindBranch/KindMerge):
 	// the 128-bit pre-branch state key mixed with the accumulated fork
-	// forces. The sequential engine resolves keys against its seen map
-	// immediately; the parallel engine records them here and resolves
-	// branch-versus-merge in canonical order during assembly.
+	// forces. The runner claims keys as it explores and records them
+	// here; assembly resolves branch-versus-merge in canonical order.
 	key ForkKey
 	// seq is the node's index in its task's creation order — the
 	// coordinate checkpoint pub records use to graft a published task
 	// onto its publisher's branch node across a restart.
 	seq int
-	// task and streamStart locate the segment inside the parallel
-	// exploration that produced it: the owning task and the index of the
-	// segment's first observation in that task's observation stream.
-	// Canonical observation order is (final ID, stream index) — the
-	// sort key the sink merge uses. Zero for sequential exploration.
+	// task and streamStart locate the segment inside the exploration
+	// that produced it: the owning task and the index of the segment's
+	// first observation in that task's observation stream. Canonical
+	// observation order is (final ID, stream index) — the sort key the
+	// sink merge uses. A one-worker run without a checkpoint is one task.
 	task        int
 	streamStart int
 }
@@ -253,8 +258,8 @@ func stateKey(sys *ulp430.System, pending forkForces) ForkKey {
 	return ForkKey{Lo: lo ^ fk.Lo, Hi: hi ^ fk.Hi}
 }
 
-// Budget errors are built in one place so the sequential and parallel
-// engines fail with byte-identical text.
+// Budget errors are built in one place so every entry point and the
+// fleet coordinator fail with byte-identical text.
 func cycleBudgetErr(max int) error {
 	return fmt.Errorf("symx: exceeded %d cycles (unbounded exploration? add smaller inputs or check for un-merged input-dependent loops): %w", max, ErrCycleBudget)
 }
@@ -263,211 +268,34 @@ func nodeBudgetErr(max int) error {
 	return fmt.Errorf("symx: exceeded %d tree nodes: %w", max, ErrNodeBudget)
 }
 
-type pendingFork struct {
-	snap    *ulp430.SysSnapshot // state before the forked cycle
-	sinkPos int
-	branch  *Node
-	forces  forkForces // full force set for the direction still to explore
-}
-
-// Explore runs Algorithm 1 to completion. The system must be freshly
-// created in SymbolicInputs mode; Explore performs the reset itself.
+// Explore runs Algorithm 1 to completion on the calling goroutine. It is
+// ExploreParallel at one worker — the same runner, which at one worker
+// keeps every fork on its local stack — with sink adapted to the task
+// protocol by no-op task methods. The system must be freshly created in
+// SymbolicInputs mode; Explore performs the reset itself.
 func Explore(sys *ulp430.System, sink Sink, opts Options) (*Tree, error) {
-	opts = opts.withDefaults()
-	sys.Reset()
-
-	tree := &Tree{}
-	if opts.Progress != nil {
-		// Final snapshot on every exit path, success or failure.
-		defer func() {
-			opts.Progress(Progress{Cycles: tree.Cycles, Nodes: len(tree.Nodes), Paths: tree.Paths})
-		}()
+	res, err := ExploreParallel(ParallelOptions{
+		Options: opts,
+		Workers: 1,
+		NewWorker: func(int) (*ulp430.System, WorkerSink, error) {
+			return sys, oneTask{sink}, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	nextProgress := opts.ProgressEvery
-	nextCancel := cancelCheckEvery
-	newNode := func() *Node {
-		n := &Node{ID: len(tree.Nodes)}
-		tree.Nodes = append(tree.Nodes, n)
-		return n
-	}
-	tree.Root = newNode()
-
-	seen := make(map[ForkKey]*Node)
-	var stack []pendingFork
-
-	cur := tree.Root
-	segStart := sink.Pos()
-
-	// Rolling one-cycle-back snapshot (reused buffers, cloned only at
-	// fork points).
-	roll := &ulp430.SysSnapshot{}
-
-	// Fork snapshots come from a free pool: a pending fork's snapshot is
-	// dead as soon as pop has restored it, so its buffers (the packed
-	// engine's bit-planes) are recycled for the next fork instead of
-	// reallocating per branch. The pool is local to this exploration —
-	// per-goroutine state, never shared (the parallel engine gives each
-	// worker its own).
-	var snapPool snapPool
-
-	finishSegment := func(kind NodeKind) {
-		cur.Kind = kind
-		cur.Len = sink.Pos() - segStart
-		cur.Data = sink.Segment(segStart)
-	}
-
-	// pending is the force set for the cycle about to be (re-)stepped:
-	// empty on the mainline, the popped fork's accumulated directions
-	// right after pop.
-	var pending forkForces
-
-	// applyForces stages every accumulated override before a re-step.
-	// They must all be re-applied each time — Restore resets the force
-	// nets and the one-shot IRQ override alike.
-	applyForces := func() {
-		if pending.brEn {
-			sys.ForceBranch(pending.brVal)
-		}
-		if pending.irqEn {
-			sys.ForceIRQ(pending.irqVal)
-		}
-	}
-
-	// pop resumes the next pending fork direction, or returns false. The
-	// outer loop re-snapshots and re-steps the forked cycle under the
-	// restored force set.
-	pop := func() bool {
-		if len(stack) == 0 {
-			return false
-		}
-		pf := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		sys.Restore(pf.snap)
-		snapPool.put(pf.snap)
-		sink.Rewind(pf.sinkPos)
-		child := newNode()
-		pf.branch.Taken = child
-		cur = child
-		segStart = pf.sinkPos
-		pending = pf.forces
-		return true
-	}
-
-outer:
-	for {
-		if err := sys.Err(); err != nil {
-			return nil, err
-		}
-		if opts.Ctx != nil && tree.Cycles >= nextCancel {
-			nextCancel = tree.Cycles + cancelCheckEvery
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("symx: exploration aborted after %d cycles (%d paths): %w",
-					tree.Cycles, tree.Paths, err)
-			}
-		}
-		if opts.Progress != nil && tree.Cycles >= nextProgress {
-			nextProgress = tree.Cycles + opts.ProgressEvery
-			opts.Progress(Progress{Cycles: tree.Cycles, Nodes: len(tree.Nodes), Paths: tree.Paths})
-		}
-		if sys.Halted() {
-			finishSegment(KindEnd)
-			tree.Paths++
-			if !pop() {
-				return tree, nil
-			}
-			continue
-		}
-		// Budgets are exact: exploration fails if and only if the total
-		// exceeds the cap, detected the moment a counter crosses it (the
-		// cycle counter is also checked inside the resolve loop, where
-		// fork re-steps accumulate between visits here). Exactness is
-		// what lets the parallel engine — whose workers interleave
-		// nondeterministically — reproduce the same success-or-failure
-		// decision from shared atomic counters.
-		if tree.Cycles > opts.MaxCycles {
-			return nil, cycleBudgetErr(opts.MaxCycles)
-		}
-		if len(tree.Nodes) > opts.MaxNodes {
-			return nil, nodeBudgetErr(opts.MaxNodes)
-		}
-
-		sys.SnapshotInto(roll)
-		rollPos := sink.Pos()
-
-		// Resolve loop: re-step the cycle until every control condition is
-		// concrete. Jump conditions resolve before interrupt arrival, so a
-		// double-forked cycle always forks in the same order — the tree
-		// shape (and the sealed report derived from it) is deterministic.
-		for {
-			applyForces()
-			sys.Step()
-			sys.ClearForce()
-			tree.Cycles++
-			if tree.Cycles > opts.MaxCycles {
-				return nil, cycleBudgetErr(opts.MaxCycles)
-			}
-
-			isIRQ := false
-			if sys.JumpCondUnknown() {
-				// The cycle just simulated is the EXEC of an
-				// input-dependent jump.
-			} else if sys.IRQCondUnknown() {
-				isIRQ = true
-			} else {
-				break // fully resolved
-			}
-
-			// Rewind the cycle; this segment terminates at a fork.
-			sys.Restore(roll)
-			pc, _ := sys.PC()
-			key := stateKey(sys, pending)
-			if prior, ok := seen[key]; ok && !opts.DisableMerge {
-				finishSegment(KindMerge)
-				cur.BranchPC = pc
-				cur.IRQ = isIRQ
-				cur.MergeTo = prior
-				tree.Paths++
-				if !pop() {
-					return tree, nil
-				}
-				continue outer
-			}
-			finishSegment(KindBranch)
-			cur.BranchPC = pc
-			cur.IRQ = isIRQ
-			seen[key] = cur
-			branch := cur
-
-			// The system is at the roll state here (just restored), so
-			// the fork snapshot is captured copy-on-write from the live
-			// planes — O(words changed since the anchor), not a full
-			// plane copy.
-			snap := snapPool.take()
-			sys.CaptureFork(snap)
-			stack = append(stack, pendingFork{
-				snap: snap, sinkPos: rollPos, branch: branch,
-				forces: pending.with(isIRQ, true),
-			})
-			// Continue depth-first down the not-taken / not-arrived
-			// direction: re-step this same cycle with the extended forces.
-			child := newNode()
-			branch.NotTaken = child
-			cur = child
-			segStart = rollPos
-			pending = pending.with(isIRQ, false)
-		}
-
-		sink.OnCycle(sys)
-		pending = forkForces{}
-
-		// A fully unknown PC that is not a forkable jump condition means
-		// an input-dependent computed branch target — out of scope for
-		// the fork rule, and an analysis error rather than silence.
-		if _, known := sys.Sim.PortUint("pc"); !known {
-			return nil, fmt.Errorf("symx: PC became X at cycle %d — input-dependent branch target (computed jump/call on input data) is not supported", sys.Sim.Cycle())
-		}
-	}
+	return res.Tree, nil
 }
+
+// oneTask adapts a plain Sink to WorkerSink for a one-worker exploration:
+// a single root task at position 0, no seeds, and no per-segment
+// reduction filters.
+type oneTask struct{ Sink }
+
+func (oneTask) BeginTask(task, basePos int, seed interface{}) {}
+func (oneTask) EndTask()                                      {}
+func (oneTask) NewSegment()                                   {}
+func (oneTask) SpawnSeed(pos int) interface{}                 { return nil }
 
 // IRQForks counts the branch nodes that fork on interrupt arrival — the
 // number of distinct arrival decisions the exploration covered.

@@ -15,7 +15,7 @@ import (
 )
 
 // These tests pin the memoization soundness contract (DESIGN.md,
-// "Memoization and copy-on-write soundness"): per-level replay is a pure
+// "Memoization and copy-on-write soundness"): whole-step replay is a pure
 // engine-internal speedup, so the sealed Report must be byte-identical
 // with memo on or off, at any worker count, across a crash/resume, and
 // when the exploration is distributed over a fleet. The existing golden
@@ -24,8 +24,12 @@ import (
 
 // TestMemoDeterminism: a loop-heavy analysis with memoization enabled
 // seals the same bytes as the memo-off baseline at every worker count,
-// and actually exercises the cache (nonzero hits and misses) — a suite
-// where the memo never fires would vacuously pass the identity checks.
+// and actually exercises the cache — a suite where the memo never fires
+// would vacuously pass the identity checks. Lookups happen at every
+// worker count; hits are asserted only at one worker, because with more
+// workers each simulator has its own table and probation window, and
+// whether any of them ever hits depends on how the scheduler spreads the
+// tree.
 func TestMemoDeterminism(t *testing.T) {
 	a := analyzer(t)
 	ctx := context.Background()
@@ -50,8 +54,11 @@ func TestMemoDeterminism(t *testing.T) {
 			if res.Hash != base.Hash {
 				t.Fatalf("memoized hash %s != baseline %s", res.Hash, base.Hash)
 			}
-			if res.MemoHits == 0 || res.MemoMisses == 0 {
-				t.Fatalf("memo never exercised on tHold: hits=%d misses=%d", res.MemoHits, res.MemoMisses)
+			if res.MemoHits+res.MemoMisses == 0 {
+				t.Fatalf("memo never consulted on tHold: hits=%d misses=%d", res.MemoHits, res.MemoMisses)
+			}
+			if w == 1 && res.MemoHits == 0 {
+				t.Fatalf("memo never hit on tHold: hits=%d misses=%d", res.MemoHits, res.MemoMisses)
 			}
 		})
 	}

@@ -37,11 +37,11 @@ type Result struct {
 	// Elapsed is the wall-clock analysis time. It lives outside the
 	// Report so that reports stay deterministic and content-addressable.
 	Elapsed time.Duration
-	// MemoHits / MemoMisses count the packed engine's memoization
-	// lookups (whole-step table, plus the per-level table when enabled)
-	// during this analysis, summed across explore workers. Like Elapsed they live outside the Report: the memo is a
-	// pure execution-speed mechanism (Reports are byte-identical with it
-	// on or off), while the counters vary with engine, worker count, and
+	// MemoHits / MemoMisses count the packed engine's whole-step memo
+	// lookups during this analysis, summed across explore workers. Like
+	// Elapsed they live outside the Report: the memo is a pure
+	// execution-speed mechanism (Reports are byte-identical with it on
+	// or off), while the counters vary with engine, worker count, and
 	// checkpoint replay.
 	MemoHits   int64
 	MemoMisses int64
