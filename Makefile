@@ -58,9 +58,16 @@ memo-guard:
 # Short native-fuzz session over the differential target: Explore and
 # ExploreParallel against the test suite's reference explorer on
 # generated programs and interrupt windows, trees and power reductions
-# required to agree exactly. CI's fuzz smoke.
+# required to agree exactly. Then the two decoders that read bytes from
+# disk or the network (checkpoint portable states, sealed Reports) on
+# arbitrary input: an error, never a panic or a hang. Their real seeds
+# are large (a portable state carries the whole memory image), so
+# minimizing each new corpus entry is capped at 100 runs; uncapped, it
+# would take the whole session. CI's fuzz smoke.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzExplore -fuzztime=10s ./internal/symx/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePortable$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/ulp430/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeReport$$' -fuzztime=5s -fuzzminimizetime=100x ./peakpower/
 
 # The table/figure-regenerating benchmark harness plus the gate-engine
 # benchmarks; results are captured as a BENCH_*.json trajectory point

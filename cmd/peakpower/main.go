@@ -203,7 +203,7 @@ func main() {
 
 	switch {
 	case *benchName != "" && strings.Contains(*benchName, ","):
-		analyzeBatch(ctx, an, strings.Split(*benchName, ","), callOpts, *jsonOut)
+		analyzeList(ctx, an, strings.Split(*benchName, ","), callOpts, *jsonOut)
 	case *benchName != "":
 		res, err := an.AnalyzeBench(ctx, *benchName, callOpts...)
 		if err != nil {
@@ -266,10 +266,10 @@ func printJSON(v interface{}) {
 	fmt.Printf("%s\n", data)
 }
 
-// analyzeBatch runs the comma-separated benchmarks concurrently through
+// analyzeList runs the comma-separated benchmarks concurrently through
 // the shared analyzer, prints a summary table (or a JSON report array),
 // and reports the combined multi-programmed requirement.
-func analyzeBatch(ctx context.Context, an *peakpower.Analyzer, names []string, callOpts []peakpower.Option, jsonOut bool) {
+func analyzeList(ctx context.Context, an *peakpower.Analyzer, names []string, callOpts []peakpower.Option, jsonOut bool) {
 	var apps []peakpower.App
 	for _, n := range names {
 		if n = strings.TrimSpace(n); n != "" {

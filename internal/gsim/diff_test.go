@@ -91,9 +91,16 @@ func randomTrit(r *rand.Rand) logic.Trit {
 	}
 }
 
+// closeFJ compares energy bounds across engines: they sum identical
+// per-gate energies in different orders (per-cell vs popcount-grouped),
+// so bounds agree to float association, not bit-exactly.
+func closeFJ(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
 // compareEngines asserts the two simulators agree symbol for symbol on
 // every net's value, previous value, and activity flag, plus the
-// derived state hash and concrete dynamic energy.
+// derived state hash, concrete dynamic energy and Algorithm 2 bound.
 func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator, cycle int) {
 	t.Helper()
 	for id := 0; id < n.NumNets(); id++ {
@@ -115,50 +122,69 @@ func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator,
 	if se, pe := scalar.DynamicEnergyFJ(), packed.DynamicEnergyFJ(); se != pe {
 		t.Fatalf("cycle %d: dynamic energy %v vs %v", cycle, se, pe)
 	}
+	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !closeFJ(se, pe) {
+		t.Fatalf("cycle %d: energy bound %v vs %v", cycle, se, pe)
+	}
 }
 
 // TestEnginesAgreeOnRandomNetlists is the packed engine's differential
 // property test: many random designs, many cycles of random three-valued
 // stimulus, bit-identical values and activity flags required throughout,
-// including across snapshot/restore rewinds.
+// including across snapshot/restore rewinds. A third simulator runs the
+// packed engine with the whole-step memo on; a stretch of held-constant
+// input makes states repeat, so its replays are checked cycle by cycle.
 func TestEnginesAgreeOnRandomNetlists(t *testing.T) {
 	designs := 60
 	cycles := 80
 	if testing.Short() {
 		designs, cycles = 15, 40
 	}
+	var memoHits int64
 	for d := 0; d < designs; d++ {
 		r := rand.New(rand.NewSource(int64(1_000_003 * (d + 1))))
 		n := randomNetlist(t, r)
 		scalar := NewEngine(n, cell.ULP65(), nil, EngineScalar)
 		packed := NewEngine(n, cell.ULP65(), nil, EnginePacked)
+		memo := NewEngine(n, cell.ULP65(), nil, EnginePacked)
+		memo.EnableMemo(0)
 		ins := n.Port("in")
 
-		var snapS, snapP *Snapshot
+		var snapS, snapP, snapM *Snapshot
 		snapCycle := -1
+		w := make(logic.Word, len(ins))
 		for c := 0; c < cycles; c++ {
-			w := make(logic.Word, len(ins))
-			for i := range w {
-				w[i] = randomTrit(r)
+			if hold := c >= cycles/4 && c < cycles/2; !hold {
+				for i := range w {
+					w[i] = randomTrit(r)
+				}
 			}
-			scalar.SetPort("in", w)
-			packed.SetPort("in", w)
-			scalar.Step()
-			packed.Step()
+			for _, s := range []*Simulator{scalar, packed, memo} {
+				s.SetPort("in", w)
+				s.Step()
+			}
 			compareEngines(t, n, scalar, packed, c)
+			compareEngines(t, n, scalar, memo, c)
 
 			switch {
 			case snapS == nil && r.Intn(10) == 0:
-				snapS, snapP = scalar.Snapshot(), packed.Snapshot()
+				snapS, snapP, snapM = scalar.Snapshot(), packed.Snapshot(), memo.Snapshot()
 				snapCycle = c
 			case snapS != nil && r.Intn(12) == 0:
 				scalar.Restore(snapS)
 				packed.Restore(snapP)
+				memo.Restore(snapM)
 				compareEngines(t, n, scalar, packed, snapCycle)
-				snapS, snapP = nil, nil
+				compareEngines(t, n, scalar, memo, snapCycle)
+				snapS, snapP, snapM = nil, nil, nil
 			}
 		}
+		hits, _ := memo.MemoStats()
+		memoHits += hits
 	}
+	if memoHits == 0 {
+		t.Fatal("step memo never replayed a cycle: the held-input stretch no longer repeats states")
+	}
+	t.Logf("step-memo replays: %d", memoHits)
 }
 
 // TestEnginesAgreeFromColdStart checks the initial all-X condition and
@@ -232,21 +258,15 @@ func TestBoundEnergyAfterRestore(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		step()
 	}
-	// The engines sum identical per-gate energies in different orders
-	// (per-cell vs popcount-grouped), so bounds agree to float
-	// association, not bit-exactly.
-	close := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-	}
 	scalar.Restore(snapS)
 	packed.Restore(snapP)
-	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !close(se, pe) {
+	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !closeFJ(se, pe) {
 		t.Fatalf("post-restore bound: scalar %v, packed %v", se, pe)
 	}
 	// And the cached path re-engages after the next Step.
 	step()
 	compareEngines(t, n, scalar, packed, 0)
-	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !close(se, pe) {
+	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !closeFJ(se, pe) {
 		t.Fatalf("post-step bound: scalar %v, packed %v", se, pe)
 	}
 }

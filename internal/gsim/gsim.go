@@ -347,12 +347,6 @@ type Snapshot struct {
 	Settled bool
 	Staged  []stagedInput
 	Cycle   uint64
-
-	// anchor/epoch record the copy-on-write anchor state at capture
-	// time: Restore keeps the simulator's anchor valid only when both
-	// still match (see delta.go for the invariant).
-	anchor *planeAnchor
-	epoch  uint64
 }
 
 // Snapshot captures the current simulator state, including any staged
@@ -374,8 +368,6 @@ func (s *Simulator) SnapshotInto(sn *Snapshot) {
 		sn.PrevPlaneV = append(sn.PrevPlaneV[:0], p.prevV...)
 		sn.PrevPlaneK = append(sn.PrevPlaneK[:0], p.prevK...)
 		sn.Settled = p.settled
-		sn.anchor = p.anchor
-		sn.epoch = p.epoch
 	} else {
 		sn.Vals = append(sn.Vals[:0], s.vals...)
 		sn.Prev = append(sn.Prev[:0], s.prev...)
@@ -397,8 +389,6 @@ func (sn *Snapshot) CloneInto(dst *Snapshot) {
 	dst.Settled = sn.Settled
 	dst.Staged = append(dst.Staged[:0], sn.Staged...)
 	dst.Cycle = sn.Cycle
-	dst.anchor = sn.anchor
-	dst.epoch = sn.epoch
 }
 
 // Clone returns an independent deep copy of sn.
@@ -444,18 +434,8 @@ func (s *Simulator) Restore(sn *Snapshot) {
 		copy(p.prevK, sn.PrevPlaneK)
 		p.settled = sn.Settled
 		p.boundValid = false
-		p.actValid = false
 		for i := range p.act {
 			p.act[i] = 0
-		}
-		// The anchor survives only when the snapshot was captured on
-		// this simulator against the same anchor at the same epoch —
-		// then since has only grown since the capture and still covers
-		// the restored words' anchor diffs. Any other provenance
-		// (portable state, pre-anchor capture) invalidates it; the next
-		// fork capture re-anchors.
-		if p.anchor != nil && (sn.anchor != p.anchor || sn.epoch != p.epoch) {
-			p.anchor = nil
 		}
 	} else {
 		copy(s.vals, sn.Vals)

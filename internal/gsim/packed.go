@@ -30,37 +30,11 @@ type packedSim struct {
 	prevV, prevK []uint64 // settled values of the previous cycle
 	act, prevAct []uint64 // activity flags, one bit per net position
 
-	dirty     []uint64 // per-plane-word dirty bits for the cycle in flight
-	dirtyPrev []uint64 // the previous cycle's settled dirty bits
-
-	// actDirty marks act-plane words whose flags changed during the
-	// current activity pass (relative to the previous cycle's flags);
-	// actDirtyPrev is the previous pass's set. Together with the dirty
-	// masks they let batchActivity replay a batch's cached energy
-	// contribution when nothing it reads or writes moved (see activity).
-	// eBatch caches each batch's last computed energy, indexed in
-	// activity-pass order; actValid is false after Restore/reset, forcing
-	// one full recomputing pass.
-	actDirty     []uint64
-	actDirtyPrev []uint64
-	eBatch       []float64
-	actValid     bool
-
-	// eBatchStale is set by a whole-step replay (stepmemo.go), which
-	// reproduces the pass's planes and bookkeeping but not eBatch; the
-	// next live activity pass runs full to refresh it.
-	eBatchStale bool
+	dirty []uint64 // per-plane-word dirty bits for the cycle in flight
 
 	// stepMemo, when non-nil, replays whole settle+activity phases for
 	// revisited states (see stepmemo.go).
 	stepMemo *stepTable
-
-	// anchor/since/epoch back copy-on-write fork snapshots (delta.go):
-	// since marks every plane word possibly differing from the anchor,
-	// and epoch invalidates full snapshots taken before a since reset.
-	anchor *planeAnchor
-	since  []uint64
-	epoch  uint64
 
 	// settled is false until the first settle after New or a restore to
 	// virgin state; the first settle force-evaluates every level so
@@ -77,23 +51,15 @@ type packedSim struct {
 
 func newPackedSim(plan *netlist.PackedPlan) *packedSim {
 	nw := plan.Words
-	nb := len(plan.Seq)
-	for li := range plan.Levels {
-		nb += len(plan.Levels[li].Batches)
-	}
 	return &packedSim{
-		plan:         plan,
-		curV:         make([]uint64, nw),
-		curK:         make([]uint64, nw), // known = 0 everywhere: all nets X
-		prevV:        make([]uint64, nw),
-		prevK:        make([]uint64, nw),
-		act:          make([]uint64, nw),
-		prevAct:      make([]uint64, nw),
-		dirty:        make([]uint64, plan.MaskWords),
-		dirtyPrev:    make([]uint64, plan.MaskWords),
-		actDirty:     make([]uint64, plan.MaskWords),
-		actDirtyPrev: make([]uint64, plan.MaskWords),
-		eBatch:       make([]float64, nb),
+		plan:    plan,
+		curV:    make([]uint64, nw),
+		curK:    make([]uint64, nw), // known = 0 everywhere: all nets X
+		prevV:   make([]uint64, nw),
+		prevK:   make([]uint64, nw),
+		act:     make([]uint64, nw),
+		prevAct: make([]uint64, nw),
+		dirty:   make([]uint64, plan.MaskWords),
 	}
 }
 
@@ -114,10 +80,6 @@ func (p *packedSim) isActive(id netlist.NetID) bool {
 
 func (p *packedSim) markDirty(w int32) {
 	p.dirty[w>>6] |= 1 << uint(w&63)
-}
-
-func (p *packedSim) markActDirty(w int32) {
-	p.actDirty[w>>6] |= 1 << uint(w&63)
 }
 
 func (p *packedSim) maskDirty(mask []uint64) bool {
@@ -234,26 +196,15 @@ func (p *packedSim) store(pos int32, n int, ov, ok uint64) {
 	}
 }
 
-// storeAct writes n activity lanes to act positions [pos, pos+n),
-// marking changed words act-dirty (each lane is written at most once
-// per pass, so compare-on-write detects exactly the words whose flags
-// differ from the previous cycle's).
+// storeAct writes n activity lanes to act positions [pos, pos+n).
 func (p *packedSim) storeAct(pos int32, n int, a uint64) {
 	w, b := pos>>6, uint(pos&63)
 	m := laneMask(n)
 	lm := m << b
-	na := p.act[w]&^lm | a<<b&lm
-	if na != p.act[w] {
-		p.act[w] = na
-		p.markActDirty(w)
-	}
+	p.act[w] = p.act[w]&^lm | a<<b&lm
 	if b != 0 && int(b)+n > 64 {
 		hm := m >> (64 - b)
-		ha := p.act[w+1]&^hm | a>>(64-b)&hm
-		if ha != p.act[w+1] {
-			p.act[w+1] = ha
-			p.markActDirty(w + 1)
-		}
+		p.act[w+1] = p.act[w+1]&^hm | a>>(64-b)&hm
 	}
 }
 
@@ -279,10 +230,10 @@ func (p *packedSim) evalBatch(b *netlist.PackedBatch) {
 	}
 }
 
-// captureBatch computes one flip-flop batch's next state from the
+// clockBatch computes one flip-flop batch's next state from the
 // previous cycle's planes (the clock edge) and writes it into the
 // current planes.
-func (p *packedSim) captureBatch(b *netlist.PackedBatch) {
+func (p *packedSim) clockBatch(b *netlist.PackedBatch) {
 	nin := b.NIn
 	lanes := len(b.Cells)
 	for c, lane0 := 0, 0; lane0 < lanes; c, lane0 = c+1, lane0+64 {
@@ -310,7 +261,6 @@ func (s *Simulator) stepPacked() {
 	p := s.pk
 	copy(p.prevV, p.curV)
 	copy(p.prevK, p.curK)
-	p.dirty, p.dirtyPrev = p.dirtyPrev, p.dirty
 	for i := range p.dirty {
 		p.dirty[i] = 0
 	}
@@ -323,19 +273,8 @@ func (s *Simulator) stepPacked() {
 	s.staged = s.staged[:0]
 
 	// 1. Clock edge: flip-flop batches capture from the previous planes.
-	// A batch whose fan-in and output words took no write last cycle
-	// reads exactly what its previous capture read and would re-store
-	// the values its outputs already hold (nothing else writes flip-flop
-	// positions between captures; a bus write there lands in dirtyPrev
-	// and blocks the skip), so the gathers are elided. actValid is false
-	// right after Restore/reset, when dirtyPrev predates the restored
-	// planes and proves nothing.
 	for bi := range p.plan.Seq {
-		b := &p.plan.Seq[bi]
-		if p.actValid && !p.seqTouched(b) {
-			continue
-		}
-		p.captureBatch(b)
+		p.clockBatch(&p.plan.Seq[bi])
 	}
 
 	// 2. External bus observes registered outputs and drives read data.
@@ -376,15 +315,6 @@ func (s *Simulator) stepPacked() {
 		}
 	}
 
-	// Copy-on-write bookkeeping: the cycle's writes (dirty) plus the
-	// anchor's own cur/prev skew (d0, introduced by the prev <- cur
-	// latch) are the only words that can newly diverge from the anchor.
-	if p.anchor != nil {
-		d0 := p.anchor.d0
-		for i, d := range p.dirty {
-			p.since[i] |= d | d0[i]
-		}
-	}
 	if st != nil && st.stepHits|st.stepMisses != 0 {
 		s.memoHits.Add(int64(st.stepHits))
 		s.memoMisses.Add(int64(st.stepMisses))
@@ -399,32 +329,13 @@ func (s *Simulator) stepPacked() {
 // primary inputs, then combinational gates in topological order
 // (X-activity from current flags). Toggles are one packed XOR pair per
 // word; only unchanged-X outputs need per-gate fan-in checks.
-//
-// Like the settle loop, the pass is change-driven: a batch whose output
-// words stayed clean this cycle AND last cycle, and whose fan-in
-// activity flags did not move since it last read them, provably
-// reproduces last cycle's flags and energy, so it replays its cached
-// contribution instead of re-running the gathers (the X cascade is by
-// far the pass's dominant cost in the symbolic steady state, where the
-// flags are static). actDirty tracks flag changes word-by-word, exactly
-// as dirty tracks value changes; see DESIGN.md "Memoization and
-// copy-on-write soundness" for why the skip is exact.
 func (p *packedSim) activity(s *Simulator) {
-	full := !p.actValid || p.eBatchStale
-	p.actValid = true
-	p.eBatchStale = false
-	p.actDirty, p.actDirtyPrev = p.actDirtyPrev, p.actDirty
-	for i := range p.actDirty {
-		p.actDirty[i] = 0
-	}
 	copy(p.prevAct, p.act)
 	plan := p.plan
 	e := s.clkTotalFJ
-	idx := 0
 
 	for bi := range plan.Seq {
-		e += p.batchActivity(s, &plan.Seq[bi], true, full, idx)
-		idx++
+		e += p.batchActivity(s, &plan.Seq[bi], true)
 	}
 
 	// Primary inputs occupy positions [0, InputBits), word-aligned at
@@ -433,74 +344,17 @@ func (p *packedSim) activity(s *Simulator) {
 		n := min(64, plan.InputBits-bit)
 		mask := laneMask(n)
 		t := (p.prevV[w] ^ p.curV[w]) | (p.prevK[w] ^ p.curK[w])
-		na := p.act[w]&^mask | (t|^p.curK[w])&mask
-		if na != p.act[w] {
-			p.act[w] = na
-			p.markActDirty(w)
-		}
+		p.act[w] = p.act[w]&^mask | (t|^p.curK[w])&mask
 	}
 
 	for li := range plan.Levels {
 		lv := &plan.Levels[li]
 		for bi := range lv.Batches {
-			e += p.batchActivity(s, &lv.Batches[bi], false, full, idx)
-			idx++
+			e += p.batchActivity(s, &lv.Batches[bi], false)
 		}
 	}
 	p.boundFJ = e
 	p.boundValid = true
-}
-
-// seqTouched reports whether any word a flip-flop batch's capture reads
-// — its gather fan-in or its own output region (the q feedback) — was
-// written during the previous cycle.
-func (p *packedSim) seqTouched(b *netlist.PackedBatch) bool {
-	lo := b.FirstPos >> 6
-	hi := (b.FirstPos + int32(len(b.Cells)) - 1) >> 6
-	for w := lo; w <= hi; w++ {
-		if p.dirtyPrev[w>>6]>>uint(w&63)&1 != 0 {
-			return true
-		}
-	}
-	for i, m := range b.ReadMask {
-		if p.dirtyPrev[i]&m != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// actReplayable reports whether a batch's activity flags and energy are
-// provably last cycle's: its output words took no value write this
-// cycle (toggles zero) or last cycle (the cached flags hold no stale
-// toggle bits), and the activity flags its cascade gathers have not
-// changed since the batch last read them — the current pass's changes
-// for combinational batches (lower levels are final by the time the
-// batch runs), the previous pass's for flip-flops (which read prevAct).
-// Flip-flops also require their fan-in VALUE words unmoved last cycle:
-// the Dffre held-enable refinement reads the previous planes.
-func (p *packedSim) actReplayable(b *netlist.PackedBatch, seq bool) bool {
-	lo := b.FirstPos >> 6
-	hi := (b.FirstPos + int32(len(b.Cells)) - 1) >> 6
-	for w := lo; w <= hi; w++ {
-		if (p.dirty[w>>6]|p.dirtyPrev[w>>6])>>uint(w&63)&1 != 0 {
-			return false
-		}
-	}
-	if seq {
-		for i, m := range b.ReadMask {
-			if (p.actDirtyPrev[i]|p.dirtyPrev[i])&m != 0 {
-				return false
-			}
-		}
-	} else {
-		for i, m := range b.ReadMask {
-			if p.actDirty[i]&m != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // batchActivity applies the activity rule to one batch, fully
@@ -512,12 +366,8 @@ func (p *packedSim) actReplayable(b *netlist.PackedBatch, seq bool) bool {
 //
 // It returns the batch's Algorithm 2 energy bound for the cycle,
 // computed from the words already in hand (see batchBoundFJ for the
-// standalone form of the same classification) and cached under idx for
-// the replay fast path (actReplayable).
-func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq, full bool, idx int) float64 {
-	if !full && p.actReplayable(b, seq) {
-		return p.eBatch[idx]
-	}
+// standalone form of the same classification).
+func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq bool) float64 {
 	nin := b.NIn
 	lanes := len(b.Cells)
 	rise, fall, maxE := s.riseFJ[b.Kind], s.fallFJ[b.Kind], s.maxFJ[b.Kind]
@@ -559,7 +409,6 @@ func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq, ful
 		// Energy bound, from the same words.
 		e += chunkBoundFJ(pv, pk, cv, ck, actW, m, rise, fall, maxE)
 	}
-	p.eBatch[idx] = e
 	return e
 }
 

@@ -6,9 +6,9 @@ package gsim
 // the entire post-capture phase of a cycle — combinational settling
 // plus the activity/energy pass — on one hash of the five planes that
 // determine it, and replays the final planes, activity flags and energy
-// bound in a single masked copy.
+// bound in three plain copies.
 //
-// Soundness (DESIGN.md "Memoization and copy-on-write soundness"):
+// Soundness (DESIGN.md "Memoization soundness"):
 //
 //   - By the time the step table is consulted, every external input to
 //     the cycle has already landed in the planes: staged inputs and bus
@@ -23,13 +23,12 @@ package gsim
 //     means force-settling, dirty-driven settling, and replay all reach
 //     the same fixpoint for identical planes. Replay therefore also
 //     sets settled, exactly as the settle loop would.
-//   - Replay reconstructs the cycle's observable bookkeeping: dirty and
-//     actDirty are marked by compare-on-copy (exactly the words a live
-//     settle/activity pass would have marked), prevAct receives the
-//     pre-pass flags, and the cached energy bound is the very float64
-//     the live pass produced for these planes. The one cache replay
-//     cannot refresh is the per-batch energy array (eBatch), so a hit
-//     sets eBatchStale and the next live activity pass runs full.
+//   - Replay writes only what a later reader sees: the final current
+//     planes, the activity flags and the cached energy bound (the very
+//     float64 the live pass produced for these planes). The dirty mask
+//     and prevAct are scratch of the phase being skipped: nothing reads
+//     dirty after the lookup (the next Step zeroes it first), and the
+//     next activity pass overwrites prevAct before reading it.
 //   - Collisions cannot corrupt state: the full source planes are
 //     compared before a hit is taken.
 const (
@@ -155,40 +154,16 @@ func (st *stepTable) verify(p *packedSim, e *stepEntry) bool {
 	return true
 }
 
-// replay applies a recorded cycle phase: final current planes with
-// compare-on-copy dirty marking (the same dirt a live settle would
-// produce), then the activity pass's bookkeeping — flag swap and
-// prevAct latch — with compare-on-copy actDirty marking, and finally
-// the cached energy bound. eBatch is not refreshed by a replay, so the
-// next live activity pass must run full (eBatchStale).
+// replay applies a recorded cycle phase: the final current planes,
+// activity flags and energy bound.
 func (st *stepTable) replay(p *packedSim, e *stepEntry) {
 	n := len(p.curV)
-	for w := 0; w < n; w++ {
-		nv, nk := e.out[w], e.out[n+w]
-		if nv != p.curV[w] || nk != p.curK[w] {
-			p.curV[w] = nv
-			p.curK[w] = nk
-			p.markDirty(int32(w))
-		}
-	}
+	copy(p.curV, e.out[:n])
+	copy(p.curK, e.out[n:2*n])
+	copy(p.act, e.out[2*n:])
 	p.settled = true
-	p.actDirty, p.actDirtyPrev = p.actDirtyPrev, p.actDirty
-	for i := range p.actDirty {
-		p.actDirty[i] = 0
-	}
-	copy(p.prevAct, p.act)
-	for w := 0; w < n; w++ {
-		if na := e.out[2*n+w]; na != p.act[w] {
-			p.act[w] = na
-			p.markActDirty(int32(w))
-		}
-	}
 	p.boundFJ = e.bound
 	p.boundValid = true
-	// The replayed cycle's dirty sets are exactly a live cycle's, so
-	// next cycle's capture skip and activity replay proofs hold.
-	p.actValid = true
-	p.eBatchStale = true
 }
 
 // record stores the just-computed cycle phase for the pending miss.

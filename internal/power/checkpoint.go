@@ -62,6 +62,30 @@ type taskWire struct {
 	Active []int32    `json:"active,omitempty"`
 }
 
+// validate rejects a record (from the journal or a fleet worker) whose
+// indices would overrun the merge or a later Report step: a cell ID
+// outside [0, ncells), or a module split not nmod wide.
+func (w *taskWire) validate(ncells, nmod int) error {
+	for _, ci := range w.Active {
+		if ci < 0 || int(ci) >= ncells {
+			return fmt.Errorf("active cell %d outside [0, %d)", ci, ncells)
+		}
+	}
+	for _, cands := range [2][]candWire{w.Best, w.TopK} {
+		for _, c := range cands {
+			if len(c.Mod) != nmod {
+				return fmt.Errorf("candidate at stream %d has %d module powers, want %d", c.Stream, len(c.Mod), nmod)
+			}
+			for _, ci := range c.Cells {
+				if ci < 0 || int(ci) >= ncells {
+					return fmt.Errorf("candidate at stream %d: cell %d outside [0, %d)", c.Stream, ci, ncells)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func toWire(pk Peak) peakWire {
 	w := peakWire{
 		P: pk.PowerMW, Pos: pk.PathPos, Fetch: pk.FetchAddr, Prev: pk.PrevFetch,
@@ -130,6 +154,10 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 // per-task sets directly.
 func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int, replayed map[int][]byte) (best Peak, topK []Peak, isrPeakMW float64, union []bool, err error) {
 	var bestC, topC []PeakCand
+	nmod := 0
+	if len(sinks) > 0 {
+		nmod = len(sinks[0].Modules())
+	}
 	for _, s := range sinks {
 		bestC = append(bestC, s.bestCands...)
 		topC = append(topC, s.topkCands...)
@@ -152,6 +180,9 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 				return best, topK, isrPeakMW, union, fmt.Errorf("power: replay of task %d: %w", task, uerr)
 			}
 		}
+		if verr := w.validate(len(union), nmod); verr != nil {
+			return best, topK, isrPeakMW, union, fmt.Errorf("power: replay of task %d: %w", task, verr)
+		}
 		for _, c := range w.Best {
 			bestC = append(bestC, PeakCand{Peak: fromWire(c.peakWire), Task: task, Stream: c.Stream})
 		}
@@ -162,9 +193,7 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 			isrPeakMW = w.ISR
 		}
 		for _, ci := range w.Active {
-			if int(ci) < len(union) {
-				union[ci] = true
-			}
+			union[ci] = true
 		}
 	}
 	sortCanonical(bestC, nodeID)

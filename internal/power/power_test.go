@@ -409,3 +409,37 @@ main:
 		}
 	}
 }
+
+// TestMergeParallelReplayRejectsMalformedRecords: a replayed task record
+// comes from the on-disk journal or a fleet worker, so an index that
+// would overrun the union or a later module lookup must be an error
+// naming the task, never a panic.
+func TestMergeParallelReplayRejectsMalformedRecords(t *testing.T) {
+	img, err := isa.Assemble("p", branchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := []*Sink{NewSink(sys, model(), img, 4)}
+	nodeID := func(task, stream int) int { return stream }
+	fullMod := strings.TrimSuffix(strings.Repeat("0,", len(sinks[0].Modules())), ",")
+	for _, tc := range []struct {
+		name, rec, want string
+	}{
+		{"negative active cell", `{"active":[-1]}`, "active cell -1"},
+		{"candidate cell out of range",
+			`{"best":[{"s":0,"p":1,"pos":0,"f":0,"mod":[` + fullMod + `],"cells":[2147483647]}]}`,
+			"cell 2147483647"},
+		{"short module split", `{"topk":[{"s":0,"p":1,"pos":0,"f":0,"mod":[1]}]}`, "1 module powers"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, _, err := MergeParallelReplay(sinks, 4, nodeID, map[int][]byte{7: []byte(tc.rec)})
+			if err == nil || !strings.Contains(err.Error(), "task 7") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got err %v, want an error naming task 7 and %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -22,13 +22,15 @@ import (
 // double-frees are caught as a side effect: the free pool panics on a
 // repeated put, and a pooled snapshot panics on Restore/CapturePortableAt
 // (use after free), either of which fails the fuzz run;
-// fuzzPoolInvariants then asserts the pool and copy-on-write invariants
-// explicitly on the fuzzed program's own state.
+// fuzzPoolInvariants then asserts the pool invariants explicitly on the
+// fuzzed program's own state.
 //
 // The corpus entry layout: nIn selects 1-3 symbolic input words, t1/t2
 // the two branch thresholds, lat/width the interrupt arrival window,
 // workers the parallel worker count (1-4), useIRQ switches between the
 // branchy arithmetic program and the interrupt-driven idle program.
+// testdata/fuzz/FuzzExplore keeps inputs that once failed; go test
+// replays them.
 func FuzzExplore(f *testing.F) {
 	f.Add(uint8(2), uint8(40), uint8(60), uint8(6), uint8(8), uint8(2), false)
 	f.Add(uint8(3), uint8(50), uint8(50), uint8(6), uint8(8), uint8(3), false)
@@ -165,10 +167,10 @@ skip2:
 }
 
 // fuzzPoolInvariants drives the fork-snapshot free pool directly on the
-// fuzzed program's state, asserting the copy-on-write invariants the
+// fuzzed program's state, asserting the snapshot-reuse invariants the
 // explorations above rely on implicitly:
 //
-//   - interleaved delta captures restore independently (a recycled
+//   - interleaved captures restore independently (a recycled
 //     snapshot must not share plane words with a live capture),
 //   - a snapshot returned to the pool refuses Restore (use after free),
 //   - a repeated put panics (double free),
@@ -203,33 +205,39 @@ func fuzzPoolInvariants(t *testing.T, sys *ulp430.System) {
 
 	var pool snapPool
 	a := pool.take()
-	sys.CaptureFork(a)
+	sys.SnapshotInto(a)
 	hashA, hashA2 := sys.StateKey()
 	step()
 	b := pool.take()
-	sys.CaptureFork(b)
+	sys.SnapshotInto(b)
 	hashB, hashB2 := sys.StateKey()
 
-	sys.Restore(a)
-	if lo, hi := sys.StateKey(); lo != hashA || hi != hashA2 {
-		t.Fatal("pool: restoring capture A did not reproduce its state")
-	}
+	// Restores keep the LIFO discipline, newest first: restoring an
+	// older capture rewinds the memory journal past the newer ones.
 	sys.Restore(b)
 	if lo, hi := sys.StateKey(); lo != hashB || hi != hashB2 {
-		t.Fatal("pool: restoring capture B after A corrupted B (aliased snapshots)")
+		t.Fatal("pool: restoring capture B did not reproduce its state")
+	}
+	sys.Restore(a)
+	if lo, hi := sys.StateKey(); lo != hashA || hi != hashA2 {
+		t.Fatal("pool: restoring capture A after capturing B corrupted A (aliased snapshots)")
 	}
 
-	// Recycle A; the reissued snapshot must capture fresh state without
-	// disturbing the still-live B.
+	// Recycle A. Stepping is deterministic, so re-stepping from A makes
+	// B valid again; one more cycle on, the reissued snapshot must
+	// capture fresh state without disturbing the still-live B.
 	pool.put(a)
 	c := pool.take()
 	step()
-	sys.CaptureFork(c)
+	if lo, hi := sys.StateKey(); lo != hashB || hi != hashB2 {
+		t.Fatal("pool: re-stepping from capture A did not reach B's state")
+	}
+	step()
+	sys.SnapshotInto(c)
 	sys.Restore(b)
 	if lo, hi := sys.StateKey(); lo != hashB || hi != hashB2 {
 		t.Fatal("pool: capture into a recycled snapshot corrupted a live capture")
 	}
-	sys.Restore(c)
 
 	pool.put(b)
 	mustPanic(t, "double free", func() { pool.put(b) })
@@ -240,7 +248,7 @@ func fuzzPoolInvariants(t *testing.T, sys *ulp430.System) {
 	if d != b {
 		t.Fatal("pool: expected LIFO reuse of the freed snapshot")
 	}
-	sys.CaptureFork(d)
+	sys.SnapshotInto(d)
 	sys.Restore(d)
 }
 

@@ -5,7 +5,7 @@
 // owning a private System and sink, with the in-process fork host
 // (localHost). Work is partitioned at fork points: when a worker forks it
 // continues depth-first down the not-taken direction and either keeps the
-// taken direction on a worker-local LIFO stack (copy-on-write snapshot,
+// taken direction on a worker-local LIFO stack (pooled snapshot,
 // per-worker free pool) or — when the shared queue is starving — publishes
 // it as a portable task any worker can steal (self-contained
 // ulp430.PortableState, O(memory) capture). A worker whose local stack
@@ -251,8 +251,8 @@ type ptask struct {
 }
 
 // pendingFork is a won fork's taken direction kept on a worker's local
-// stack: the copy-on-write snapshot of the pre-branch state, the sink
-// position to rewind to, and the forces to re-step the cycle under.
+// stack: the pooled snapshot of the pre-branch state, the sink position
+// to rewind to, and the forces to re-step the cycle under.
 type pendingFork struct {
 	snap    *ulp430.SysSnapshot // state before the forked cycle
 	sinkPos int
@@ -685,10 +685,8 @@ func (h *localHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
 		// resume.
 		return true, h.publishKid(w, w.spawn(pf, &w.roll))
 	}
-	// A copy-on-write delta against the current anchor — O(words
-	// changed), not O(nets).
 	pf.snap = w.pool.take()
-	w.sys.CaptureFork(pf.snap)
+	w.sys.SnapshotInto(pf.snap)
 	w.local = append(w.local, pf)
 	return true, nil
 }

@@ -37,8 +37,8 @@
 //
 // Exploration is engineered around the gate engine's snapshot costs:
 // the one-cycle-back rolling snapshot reuses one buffer set
-// (SnapshotInto), and local fork snapshots are copy-on-write deltas
-// (CaptureFork) recycled through a per-worker pool the moment the
+// (SnapshotInto), and local fork snapshots are full plane copies
+// (SnapshotInto) recycled through a per-worker pool the moment the
 // pending direction has been restored.
 package symx
 

@@ -13,7 +13,7 @@ import (
 // buildIRQSystem assembles the interrupt program on the given engine with
 // the peripheral bus enabled, so a captured state exercises every codec
 // section (planes or scalar vals, memory, staged inputs, bus state).
-func buildIRQSystem(t *testing.T, engine gsim.Engine) *System {
+func buildIRQSystem(t testing.TB, engine gsim.Engine) *System {
 	t.Helper()
 	img, err := isa.Assemble("irq", irqProg)
 	if err != nil {
@@ -128,4 +128,40 @@ func TestPortableCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodePortable(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decoding with trailing garbage succeeded")
 	}
+}
+
+// FuzzDecodePortable feeds arbitrary bytes to the checkpoint codec's
+// decoder: it must return a state or an error, never panic or hang.
+// A decoded state must re-encode to the canonical form, which decodes
+// again and re-encodes byte-identically.
+func FuzzDecodePortable(f *testing.F) {
+	sys := buildIRQSystem(f, gsim.EnginePacked)
+	for c := 0; c < 20; c++ {
+		sys.Step()
+	}
+	var st PortableState
+	sys.CapturePortableAt(sys.Snapshot(), &st)
+	f.Add(EncodePortable(&st))
+	// The same state with its memory image cut short: a well-formed
+	// input small enough that mutation explores the layout, not the
+	// memory words.
+	st.mem = st.mem[:8]
+	f.Add(EncodePortable(&st))
+	f.Add(portableMagic[:])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := DecodePortable(data)
+		if err != nil {
+			return
+		}
+		enc := EncodePortable(dec)
+		again, err := DecodePortable(enc)
+		if err != nil {
+			t.Fatalf("re-encoded state fails decode: %v", err)
+		}
+		if re := EncodePortable(again); !bytes.Equal(enc, re) {
+			t.Fatal("canonical re-encoding is not stable")
+		}
+	})
 }

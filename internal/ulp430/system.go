@@ -435,13 +435,9 @@ func (s *System) Tick(sim *gsim.Simulator) {
 
 // SysSnapshot captures the full system state: simulator nets plus a
 // memory journal position (memory restoration is O(writes since
-// snapshot), not O(memory size)). It has two forms: SnapshotInto
-// produces a full plane copy, CaptureFork a copy-on-write word delta
-// (isDelta selects which of sim/delta is live).
+// snapshot), not O(memory size)).
 type SysSnapshot struct {
 	sim      *gsim.Snapshot
-	delta    *gsim.DeltaSnapshot
-	isDelta  bool
 	journal  int
 	lastDin  memWord
 	lastLine logic.Trit
@@ -476,32 +472,6 @@ func (s *System) SnapshotInto(sn *SysSnapshot) {
 		sn.sim = &gsim.Snapshot{}
 	}
 	s.Sim.SnapshotInto(sn.sim)
-	sn.isDelta = false
-	s.captureMeta(sn)
-}
-
-// CaptureFork captures the current state as a fork snapshot, preferring
-// a copy-on-write word delta (packed engine) over full plane copies —
-// the O(changed words) form deep exploration trees fork with. On the
-// scalar engine it degrades to a full snapshot.
-func (s *System) CaptureFork(sn *SysSnapshot) {
-	sn.pooled = false
-	if sn.delta == nil {
-		sn.delta = &gsim.DeltaSnapshot{}
-	}
-	if s.Sim.CaptureDelta(sn.delta) {
-		sn.isDelta = true
-	} else {
-		if sn.sim == nil {
-			sn.sim = &gsim.Snapshot{}
-		}
-		s.Sim.SnapshotInto(sn.sim)
-		sn.isDelta = false
-	}
-	s.captureMeta(sn)
-}
-
-func (s *System) captureMeta(sn *SysSnapshot) {
 	sn.journal = len(s.journal)
 	sn.lastDin = s.lastDin
 	sn.lastLine = s.lastLine
@@ -523,19 +493,11 @@ func (sn *SysSnapshot) Clone() *SysSnapshot {
 // allocation-free form backing the symbolic engine's fork-snapshot
 // pool.
 func (sn *SysSnapshot) CloneInto(dst *SysSnapshot) {
-	dst.isDelta = sn.isDelta
 	dst.pooled = false
-	if sn.isDelta {
-		if dst.delta == nil {
-			dst.delta = &gsim.DeltaSnapshot{}
-		}
-		sn.delta.CloneInto(dst.delta)
-	} else {
-		if dst.sim == nil {
-			dst.sim = &gsim.Snapshot{}
-		}
-		sn.sim.CloneInto(dst.sim)
+	if dst.sim == nil {
+		dst.sim = &gsim.Snapshot{}
 	}
+	sn.sim.CloneInto(dst.sim)
 	dst.journal = sn.journal
 	dst.lastDin = sn.lastDin
 	dst.lastLine = sn.lastLine
@@ -556,11 +518,7 @@ func (s *System) Restore(sn *SysSnapshot) {
 		s.mem[e.idx] = e.old
 	}
 	s.journal = s.journal[:sn.journal]
-	if sn.isDelta {
-		s.Sim.RestoreDelta(sn.delta)
-	} else {
-		s.Sim.Restore(sn.sim)
-	}
+	s.Sim.Restore(sn.sim)
 	s.lastDin = sn.lastDin
 	s.lastLine = sn.lastLine
 	s.irqForce = forceNone
@@ -602,11 +560,7 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 	if dst.sim == nil {
 		dst.sim = &gsim.Snapshot{}
 	}
-	if sn.isDelta {
-		sn.delta.MaterializeInto(dst.sim)
-	} else {
-		sn.sim.CloneInto(dst.sim)
-	}
+	sn.sim.CloneInto(dst.sim)
 	if dst.mem == nil {
 		dst.mem = make([]memWord, len(s.mem))
 	}

@@ -17,7 +17,7 @@ var (
 	cpuErr  error
 )
 
-func sharedCPU(t *testing.T) *netlist.Netlist {
+func sharedCPU(t testing.TB) *netlist.Netlist {
 	t.Helper()
 	cpuOnce.Do(func() { cpuNet, cpuErr = BuildCPU() })
 	if cpuErr != nil {

@@ -15,7 +15,7 @@ import (
 )
 
 // These tests pin the memoization soundness contract (DESIGN.md,
-// "Memoization and copy-on-write soundness"): whole-step replay is a pure
+// "Memoization soundness"): whole-step replay is a pure
 // engine-internal speedup, so the sealed Report must be byte-identical
 // with memo on or off, at any worker count, across a crash/resume, and
 // when the exploration is distributed over a fleet. The existing golden

@@ -176,3 +176,30 @@ func TestReportResultConsistency(t *testing.T) {
 		t.Fatalf("ActiveByModule sums to %d, want %d", sum, active)
 	}
 }
+
+// FuzzDecodeReport feeds arbitrary bytes to DecodeReport: it must return
+// a report or an error, never panic or hang. A decoded report must
+// re-encode to bytes that decode again.
+func FuzzDecodeReport(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "report_mult.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"schema":2}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		enc, err := rep.MarshalJSON()
+		if err != nil {
+			t.Fatalf("decoded report does not re-encode: %v", err)
+		}
+		if _, err := DecodeReport(enc); err != nil {
+			t.Fatalf("re-encoded report fails decode: %v", err)
+		}
+	})
+}
