@@ -4,18 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/jobstore"
 	"repro/peakpower"
 )
 
-// plan resolves a validated analysis request into a fleet-executable
-// ExplorePlan against the shared analyzers. Coordinator and workers both
-// resolve plans through this one function (via planFor), which is what
-// guarantees the two sides agree on the journal tag and the exploration
-// options for any given job spec.
-func (s *server) plan(ctx context.Context, req *analyzeRequest) (*peakpower.ExplorePlan, error) {
+// plan resolves a validated analysis request into an ExplorePlan against
+// the shared analyzers; extra options are appended after the request's
+// own. It is the one request resolution: runAnalysis runs the plan
+// in-process, and fleet coordinator and workers (via planFor) execute it,
+// which is what guarantees every side agrees on the cache key, the
+// journal tag and the exploration options for any given job spec.
+func (s *server) plan(ctx context.Context, req *analyzeRequest, extra ...peakpower.Option) (*peakpower.ExplorePlan, error) {
 	target := req.Target
 	if target == "" {
 		target = peakpower.DefaultTarget
@@ -28,6 +28,7 @@ func (s *server) plan(ctx context.Context, req *analyzeRequest) (*peakpower.Expl
 	if err != nil {
 		return nil, err
 	}
+	opts = append(opts, extra...)
 	if req.Bench != "" {
 		return an.PlanBench(req.Bench, opts...)
 	}
@@ -59,6 +60,8 @@ func (s *server) planFor(ctx context.Context, spec json.RawMessage) (*peakpower.
 // to a single-node run. Jobs whose sealed Report is already in the
 // memory or disk cache skip the fleet entirely.
 func (s *server) runFleet(ctx context.Context, req *analyzeRequest, j *jobstore.Job) error {
+	ctx, cancel := s.withTimeout(ctx, req)
+	defer cancel()
 	plan, err := s.plan(ctx, req)
 	if err != nil {
 		return err
@@ -66,12 +69,6 @@ func (s *server) runFleet(ctx context.Context, req *analyzeRequest, j *jobstore.
 	if s.cache.Peek(plan.Key()) {
 		return nil
 	}
-	timeout := s.timeout
-	if ms := req.Options.TimeoutMS; ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
 	if err := s.fleet.RunJob(ctx, j.ID, j.Request, plan, s.jobs.store.CheckpointPath(j.ID)); err != nil {
 		// Same wrap runAnalysis's engine errors get, so a fleet-failed job
 		// reports the same error text (and statusFor classification) a

@@ -453,34 +453,23 @@ func buildOpts(o analyzeOptions) ([]peakpower.Option, error) {
 // job workers. extra options (e.g. a job's checkpoint) are appended after
 // the request's own.
 func (s *server) runAnalysis(ctx context.Context, req *analyzeRequest, extra ...peakpower.Option) (*peakpower.Result, error) {
-	target := req.Target
-	if target == "" {
-		target = peakpower.DefaultTarget
+	ctx, cancel := s.withTimeout(ctx, req)
+	defer cancel()
+	plan, err := s.plan(ctx, req, extra...)
+	if err != nil {
+		return nil, err
 	}
+	return plan.Analyze(ctx)
+}
+
+// withTimeout bounds ctx by the request's deadline: the server's -timeout
+// cap, lowered by options.timeout_ms.
+func (s *server) withTimeout(ctx context.Context, req *analyzeRequest) (context.Context, context.CancelFunc) {
 	timeout := s.timeout
 	if ms := req.Options.TimeoutMS; ms > 0 && time.Duration(ms)*time.Millisecond < timeout {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	an, err := s.analyzer(ctx, target)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := buildOpts(req.Options)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, extra...)
-	if req.Bench != "" {
-		return an.AnalyzeBench(ctx, req.Bench, opts...)
-	}
-	name := req.Name
-	if name == "" {
-		name = "app"
-	}
-	return an.Analyze(ctx, name, req.Source, opts...)
+	return context.WithTimeout(ctx, timeout)
 }
 
 // runJobAnalysis is the job workers' runFunc: re-decode the journaled

@@ -93,24 +93,11 @@ func Profile(nl *netlist.Netlist, m power.Model, b *bench.Benchmark, runs int, s
 		if b.UsesPort {
 			sys.PortIn = b.GenPort(r)
 		}
-		sink := power.NewSink(sys, m, img, 0)
-		sys.Reset()
-		for c := 0; c < 3_000_000 && !sys.Halted(); c++ {
-			sys.Step()
-			sink.OnCycle(sys)
+		run, err := power.RunConcrete(sys, m, 3_000_000, 0, nil)
+		if err != nil {
+			return ProfileResult{}, fmt.Errorf("baseline: %s run %d: %w", b.Name, i, err)
 		}
-		if !sys.Halted() {
-			return ProfileResult{}, fmt.Errorf("baseline: %s run %d did not halt", b.Name, i)
-		}
-		if err := sys.Err(); err != nil {
-			return ProfileResult{}, err
-		}
-		eJ := 0.0
-		for _, mw := range sink.Trace {
-			eJ += mw * 1e-3 / m.ClockHz
-		}
-		npe := eJ / float64(len(sink.Trace))
-		pk := sink.PeakMW()
+		pk, npe := run.PeakMW, run.NPEJPerCycle
 		if i == 0 || pk > res.ObservedPeakMW {
 			res.ObservedPeakMW = pk
 		}

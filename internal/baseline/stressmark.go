@@ -164,20 +164,15 @@ func Stressmark(nl *netlist.Netlist, m power.Model, opts StressOptions) (StressR
 		if err != nil {
 			return 0, 0, "", err
 		}
-		sink := power.NewSink(sys, m, img, 0)
-		sys.Reset()
-		for c := 0; c < 200000 && !sys.Halted(); c++ {
-			sys.Step()
-			sink.OnCycle(sys)
-		}
-		if !sys.Halted() {
-			return 0, 0, "", fmt.Errorf("baseline: stressmark did not halt")
+		run, err := power.RunConcrete(sys, m, 200000, 0, nil)
+		if err != nil {
+			return 0, 0, "", fmt.Errorf("baseline: stressmark: %w", err)
 		}
 		sum := 0.0
-		for _, p := range sink.Trace {
+		for _, p := range run.Trace {
 			sum += p
 		}
-		return sink.PeakMW(), sum / float64(len(sink.Trace)), src, nil
+		return run.PeakMW, sum / float64(len(run.Trace)), src, nil
 	}
 
 	pop := make([][]gene, opts.Population)

@@ -90,26 +90,21 @@ func (rig *Rig) Measure(b *bench.Benchmark, inputSeed, noiseSeed int64) (Measure
 	if b.UsesPort {
 		sys.PortIn = b.GenPort(ri)
 	}
-	sink := power.NewSink(sys, rig.Model, img, 0)
-	sys.Reset()
-	for c := 0; c < 3_000_000 && !sys.Halted(); c++ {
-		sys.Step()
-		sink.OnCycle(sys)
-	}
-	if !sys.Halted() {
-		return Measurement{}, fmt.Errorf("hwmeas: %s did not halt", b.Name)
+	run, err := power.RunConcrete(sys, rig.Model, 3_000_000, 0, nil)
+	if err != nil {
+		return Measurement{}, fmt.Errorf("hwmeas: %s: %w", b.Name, err)
 	}
 	rn := rand.New(rand.NewSource(noiseSeed))
-	meas := Measurement{Cycles: len(sink.Trace), TraceMW: make([]float64, len(sink.Trace))}
+	meas := Measurement{Cycles: len(run.Trace), TraceMW: make([]float64, len(run.Trace))}
 	sum := 0.0
-	for i, p := range sink.Trace {
+	for i, p := range run.Trace {
 		// Bounded multiplicative instrument noise.
 		noisy := p * (1 + rig.NoisePct*(2*rn.Float64()-1))
 		meas.TraceMW[i] = noisy
 		sum += noisy
 		// Peak over steady-state execution: the scope operator crops the
 		// power-on transient, as the paper's measurements do.
-		if i >= sink.WarmupCycles && noisy > meas.PeakMW {
+		if i >= power.DefaultWarmup && noisy > meas.PeakMW {
 			meas.PeakMW = noisy
 		}
 	}

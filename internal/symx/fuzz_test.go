@@ -2,10 +2,13 @@ package symx
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/faultfs"
 	"repro/internal/isa"
 	"repro/internal/periph"
 	"repro/internal/power"
@@ -260,4 +263,71 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// journalFS serves one journal's bytes to Checkpointer.load, which only
+// reads.
+type journalFS struct {
+	faultfs.OS
+	data []byte
+}
+
+func (j journalFS) ReadFile(string) ([]byte, error) { return j.data, nil }
+
+// FuzzCheckpointJournal feeds arbitrary bytes to a Checkpointer's journal
+// load: each input must yield a resume state or an error, never a panic
+// or a hang. A resume state's consistent prefix must end on a record
+// boundary inside the input. The seeds are a real journal of a
+// checkpointed two-worker power analysis and a torn copy of it.
+func FuzzCheckpointJournal(f *testing.F) {
+	const tag = "fuzz-journal"
+	img, err := isa.Assemble("t", parallelTreePrograms[3].src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	model := power.Model{Lib: cell.ULP65(), ClockHz: 100e6}
+	path := filepath.Join(f.TempDir(), "ckpt.jsonl")
+	shared := power.NewShared()
+	_, err = ExploreParallel(ParallelOptions{
+		Workers:    2,
+		Checkpoint: NewCheckpointer(CheckpointConfig{Path: path, Tag: tag, Codec: power.Codec{}}),
+		NewWorker: func(int) (*ulp430.System, WorkerSink, error) {
+			sys, err := ulp430.NewSystem(sharedCPU(f), model.Lib, img, ulp430.SymbolicInputs, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			sink := power.NewSink(sys, model, img, 4)
+			sink.EnableTasks(shared)
+			sink.EnableCheckpoint()
+			return sys, sink, nil
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	load := func(data []byte) (*resumeState, error) {
+		return NewCheckpointer(CheckpointConfig{Path: "journal", Tag: tag, Codec: power.Codec{}, FS: journalFS{data: data}}).load()
+	}
+	if rs, err := load(journal); err != nil || len(rs.pending) != 0 {
+		f.Fatalf("the seed journal does not load as a complete run: %v", err)
+	}
+	f.Add(journal)
+	f.Add(journal[:len(journal)/2])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := load(data)
+		if err != nil {
+			return
+		}
+		if rs == nil {
+			t.Fatal("load returned neither a resume state nor an error")
+		}
+		if rs.prefixLen > len(data) || (rs.prefixLen > 0 && data[rs.prefixLen-1] != '\n') {
+			t.Fatalf("consistent prefix %d does not end on a record boundary of the %d-byte input", rs.prefixLen, len(data))
+		}
+	})
 }

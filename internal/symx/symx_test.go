@@ -16,7 +16,7 @@ var (
 	cpuNet  *netlist.Netlist
 )
 
-func sharedCPU(t *testing.T) *netlist.Netlist {
+func sharedCPU(t testing.TB) *netlist.Netlist {
 	t.Helper()
 	cpuOnce.Do(func() {
 		n, err := ulp430.BuildCPU()

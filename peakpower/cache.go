@@ -117,6 +117,25 @@ func (c *Cache) do(ctx context.Context, key string, compute func() (*Result, err
 	}
 }
 
+// Peek reports whether a result for the given analysis key is already
+// available in the memory or disk tier, without recording a hit or a
+// miss and without promoting the entry. The fleet coordinator uses it to
+// skip distributing work whose sealed Report is already on hand.
+func (c *Cache) Peek(key string) bool {
+	c.mu.Lock()
+	_, ok := c.byKey[key]
+	d := c.disk
+	c.mu.Unlock()
+	if ok {
+		return true
+	}
+	if d == nil {
+		return false
+	}
+	_, ok = d.Load(key)
+	return ok
+}
+
 // AttachDisk adds a disk tier: memory misses are served from the store
 // when a verified entry exists, and fresh analyses are written through to
 // it. A disk hit carries only the sealed Report — the live handles (Tree,

@@ -4,11 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
-	"repro/internal/energy"
-	"repro/internal/faultfs"
 	"repro/internal/isa"
 	"repro/internal/netlist"
 	"repro/internal/power"
@@ -92,206 +88,14 @@ func (a *Analyzer) Analyze(ctx context.Context, name, source string, opts ...Opt
 // the original *Result and skip progress reporting — and concurrent
 // analyses of the same work single-flight behind one exploration.
 func (a *Analyzer) AnalyzeImage(ctx context.Context, img *Image, opts ...Option) (*Result, error) {
-	cfg := a.resolve(opts)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("peakpower: analysis of %s: %w", img.Name, err)
-	}
-	if cfg.cache != nil {
-		res, err := cfg.cache.do(ctx, a.cacheKey(img, cfg), func() (*Result, error) {
-			return a.analyzeImage(ctx, img, cfg)
-		})
-		if err != nil && err == ctx.Err() {
-			// The single-flight wait canceled before any analysis ran;
-			// label it like every other analysis error.
-			err = fmt.Errorf("peakpower: analysis of %s: %w", img.Name, err)
-		}
-		return res, err
-	}
-	return a.analyzeImage(ctx, img, cfg)
+	return a.PlanImage(img, opts...).Analyze(ctx)
 }
 
-// analyzeImage is the cache-independent analysis body. The exploration
-// runs sequentially or on the work-stealing parallel engine
-// (WithExploreWorkers); the two produce bit-identical sealed Reports, so
-// the choice is invisible downstream of the explore call.
-func (a *Analyzer) analyzeImage(ctx context.Context, img *Image, cfg config) (*Result, error) {
-	start := time.Now()
-	model := cfg.model()
-	sxOpts := symx.Options{
-		MaxCycles:     cfg.maxCycles,
-		MaxNodes:      cfg.maxNodes,
-		Ctx:           ctx,
-		ProgressEvery: cfg.progressEvery,
-	}
-	// Every system this analysis creates (sequential, or one per explore
-	// worker) is tracked so the memo counters can be summed for progress
-	// reporting and the final Result. MemoStats reads atomics, so summing
-	// concurrently with running workers is safe.
-	var (
-		sysMu   sync.Mutex
-		systems []*ulp430.System
-	)
-	memoTotals := func() (hits, misses int64) {
-		sysMu.Lock()
-		defer sysMu.Unlock()
-		for _, s := range systems {
-			h, m := s.Sim.MemoStats()
-			hits += h
-			misses += m
-		}
-		return hits, misses
-	}
-	newSystem := func() (*ulp430.System, error) {
-		sys, err := a.newSystem(img, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sysMu.Lock()
-		systems = append(systems, sys)
-		sysMu.Unlock()
-		return sys, nil
-	}
-
-	if cfg.progress != nil {
-		fn, app := cfg.progress, img.Name
-		sxOpts.Progress = func(p symx.Progress) {
-			h, m := memoTotals()
-			fn(Progress{App: app, Cycles: p.Cycles, Nodes: p.Nodes, Paths: p.Paths,
-				MemoHits: h, MemoMisses: m})
-		}
-	}
-
-	var (
-		tree    *symx.Tree
-		best    power.Peak
-		topK    []power.Peak
-		union   []bool
-		isrPeak float64
-		modules []string
-	)
-	if cfg.exploreWorkers > 1 || cfg.checkpointPath != "" {
-		// The parallel engine also carries checkpointed analyses (even at
-		// one worker): only its published-task protocol maps onto the
-		// durable journal.
-		workers := cfg.exploreWorkers
-		if workers < 1 {
-			workers = 1
-		}
-		var ck *symx.Checkpointer
-		if cfg.checkpointPath != "" {
-			ck = symx.NewCheckpointer(symx.CheckpointConfig{
-				Path:  cfg.checkpointPath,
-				Tag:   a.cacheKey(img, cfg),
-				Codec: power.Codec{},
-			})
-		}
-		shared := power.NewShared()
-		sinks := make([]*power.Sink, workers)
-		pres, err := symx.ExploreParallel(symx.ParallelOptions{
-			Options:    sxOpts,
-			Workers:    workers,
-			Checkpoint: ck,
-			NewWorker: func(worker int) (*ulp430.System, symx.WorkerSink, error) {
-				wsys, err := newSystem()
-				if err != nil {
-					return nil, nil, err
-				}
-				wsink := power.NewSink(wsys, model, img, cfg.coiK)
-				wsink.EnableTasks(shared)
-				if ck != nil {
-					wsink.EnableCheckpoint()
-				}
-				sinks[worker] = wsink
-				return wsys, wsink, nil
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
-		}
-		tree = pres.Tree
-		best, topK, isrPeak, union, err = power.MergeParallelReplay(sinks, cfg.coiK, pres.NodeID, pres.Replayed)
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
-		}
-		modules = sinks[0].Modules()
-		if ck != nil {
-			// The analysis is complete; the journal has served its purpose
-			// and must not shadow a later analysis at the same path.
-			_ = faultfs.OS{}.Remove(cfg.checkpointPath)
-		}
-	} else {
-		sys, err := newSystem()
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: preparing %s: %w", img.Name, err)
-		}
-		sink := power.NewSink(sys, model, img, cfg.coiK)
-		tree, err = symx.Explore(sys, sink, sxOpts)
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
-		}
-		best, topK, isrPeak, union = sink.Best, sink.TopK, sink.ISRPeakMW, sink.UnionActive
-		modules = sink.Modules()
-	}
-
-	eres, err := energy.PeakEnergy(tree, img, model.ClockHz)
-	if err != nil {
-		return nil, fmt.Errorf("peakpower: peak energy of %s: %w", img.Name, err)
-	}
-	res := &Result{
-		Report: Report{
-			Schema:         SchemaVersion,
-			Target:         a.target.Name(),
-			App:            img.Name,
-			Library:        model.Lib.Name,
-			FeatureNM:      model.Lib.FeatureNM,
-			ClockHz:        model.ClockHz,
-			Engine:         cfg.engine.String(),
-			PeakPowerMW:    best.PowerMW,
-			PeakEnergyJ:    eres.EnergyJ,
-			NPEJPerCycle:   eres.NPEJPerCycle,
-			BoundingCycles: eres.Cycles,
-			PeakTrace:      maxEnergyPathTrace(tree),
-			COIs:           resolveCOIs(topK, modules, img),
-			TotalGates:     len(union),
-			ActiveByModule: a.ActiveByModule(union),
-			Paths:          tree.Paths,
-			Nodes:          len(tree.Nodes),
-			SimCycles:      tree.Cycles,
-		},
-		Peaks:       topK,
-		Best:        best,
-		UnionActive: union,
-		Modules:     modules,
-		Elapsed:     time.Since(start),
-		Tree:        tree,
-		img:         img,
-	}
-	res.MemoHits, res.MemoMisses = memoTotals()
-	if cfg.irq != nil {
-		res.Interrupts = &IRQReport{
-			MinLatency: cfg.irq.MinLatency,
-			MaxLatency: cfg.irq.MaxLatency,
-			IRQForks:   tree.IRQForks(),
-			ISRPeakMW:  isrPeak,
-		}
-	}
-	for _, act := range union {
-		if act {
-			res.ActiveGates++
-		}
-	}
-	res.Seal()
-	return res, nil
-}
-
-// newSystem builds one private symbolic-mode System for a resolved
-// analysis — the construction shared by the sequential engine, every
-// parallel worker, and the fleet plan (ExplorePlan.NewWorker).
-func (a *Analyzer) newSystem(img *Image, cfg config) (*ulp430.System, error) {
-	sys, err := a.target.NewSystem(cfg.engine, a.nl, cfg.lib, img, ulp430.SymbolicInputs, nil)
+// newSystem builds one private System for a resolved analysis — the
+// construction shared by every symbolic explore worker (see
+// ExplorePlan.newWorker) and RunConcrete.
+func (a *Analyzer) newSystem(img *Image, cfg config, mode ulp430.InputMode, inputs []uint16) (*ulp430.System, error) {
+	sys, err := a.target.NewSystem(cfg.engine, a.nl, cfg.lib, img, mode, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -305,24 +109,15 @@ func (a *Analyzer) newSystem(img *Image, cfg config) (*ulp430.System, error) {
 }
 
 // AnalyzeBench runs the co-analysis on one of the target's built-in
-// benchmarks (see Analyzer.Benchmarks). Unknown names wrap ErrUnknownBench.
-// Unless overridden by WithMaxCycles, the benchmark's calibrated cycle
-// budget (doubled for margin) is used.
+// benchmarks (see Analyzer.Benchmarks and PlanBench, which resolves it).
+// Unknown names wrap ErrUnknownBench. Unless overridden by WithMaxCycles,
+// the benchmark's calibrated cycle budget (doubled for margin) is used.
 func (a *Analyzer) AnalyzeBench(ctx context.Context, name string, opts ...Option) (*Result, error) {
-	b, img, err := targetBenchImage(a.target, name)
+	p, err := a.PlanBench(name, opts...)
 	if err != nil {
 		return nil, err
 	}
-	var auto []Option
-	if b.MaxCycles > 0 {
-		auto = append(auto, WithMaxCycles(2*b.MaxCycles))
-	}
-	if b.IRQ != nil {
-		// Interrupt-driven benchmarks carry their peripheral
-		// configuration; explicit WithInterrupts options still override.
-		auto = append(auto, WithInterrupts(*b.IRQ))
-	}
-	return a.AnalyzeImage(ctx, img, append(auto, opts...)...)
+	return p.Analyze(ctx)
 }
 
 // maxEnergyPathTrace concatenates segment traces greedily along the
@@ -375,7 +170,8 @@ const concreteCancelEvery = 4096
 
 // RunConcrete executes the binary with concrete inputs and measures its
 // power — the "input-based" view used for profiling and validation.
-// portIn, when non-nil, supplies P1IN port reads.
+// portIn, when non-nil, supplies P1IN port reads. A bus error (e.g. a
+// store to ROM) or a run that does not halt within maxCycles fails.
 //
 // RunConcrete honors WithProgress / WithProgressEvery: the callback is
 // invoked from the running goroutine every progress interval (default
@@ -390,50 +186,26 @@ func (a *Analyzer) RunConcrete(ctx context.Context, img *Image, inputs []uint16,
 	if pollEvery <= 0 {
 		pollEvery = concreteCancelEvery
 	}
-	model := cfg.model()
-	sys, err := a.target.NewSystem(cfg.engine, a.nl, model.Lib, img, ulp430.ConcreteInputs, inputs)
+	sys, err := a.newSystem(img, cfg, ulp430.ConcreteInputs, inputs)
 	if err != nil {
 		return nil, fmt.Errorf("peakpower: preparing %s: %w", img.Name, err)
 	}
-	if cfg.irq != nil {
-		sys.EnableInterrupts(*cfg.irq)
-	}
-	if cfg.memo {
-		sys.Sim.EnableMemo(0)
-	}
 	sys.PortIn = portIn
-	sink := power.NewSink(sys, model, img, 0)
-	sys.Reset()
-	for c := 0; c < maxCycles && !sys.Halted(); c++ {
-		if c%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("peakpower: concrete run of %s aborted after %d cycles: %w", img.Name, c, err)
-			}
-			if cfg.progress != nil && c > 0 {
-				cfg.progress(Progress{App: img.Name, Cycles: c})
-			}
+	run, err := power.RunConcrete(sys, cfg.model(), maxCycles, pollEvery, func(c int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		sys.Step()
-		sink.OnCycle(sys)
-	}
-	if !sys.Halted() {
-		return nil, fmt.Errorf("peakpower: %s did not halt within %d cycles", img.Name, maxCycles)
-	}
-	if err := sys.Err(); err != nil {
-		return nil, err
+		if cfg.progress != nil && c > 0 {
+			cfg.progress(Progress{App: img.Name, Cycles: c})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("peakpower: concrete run of %s: %w", img.Name, err)
 	}
 	if cfg.progress != nil {
-		cfg.progress(Progress{App: img.Name, Cycles: len(sink.Trace)})
+		cfg.progress(Progress{App: img.Name, Cycles: len(run.Trace)})
 	}
-	run := &ConcreteRun{
-		PeakMW:      sink.PeakMW(),
-		Trace:       sink.Trace,
-		UnionActive: sink.UnionActive,
-	}
-	for _, mw := range sink.Trace {
-		run.EnergyJ += mw * 1e-3 / model.ClockHz
-	}
-	run.NPEJPerCycle = run.EnergyJ / float64(len(sink.Trace))
 	return run, nil
 }
 

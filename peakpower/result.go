@@ -80,19 +80,10 @@ func (r *Result) Mnemonic(addr uint16) string {
 	return isa.Mnemonic(r.img, addr)
 }
 
-// ConcreteRun is an input-based execution's power characterization.
-type ConcreteRun struct {
-	// PeakMW is the run's observed peak power (steady state).
-	PeakMW float64
-	// Trace is the per-cycle power (mW).
-	Trace []float64
-	// EnergyJ integrates the trace.
-	EnergyJ float64
-	// NPEJPerCycle is EnergyJ / cycles.
-	NPEJPerCycle float64
-	// UnionActive marks cells that toggled.
-	UnionActive []bool
-}
+// ConcreteRun is an input-based execution's power characterization (an
+// alias of the internal representation): steady-state peak, per-cycle
+// trace, energy, normalized energy and the set of toggled cells.
+type ConcreteRun = power.ConcreteRun
 
 // Combine implements the paper's Chapter 6 rule for multi-programmed
 // systems (including dynamic linking): the processor's requirement is the
