@@ -39,10 +39,8 @@ package symx
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -143,9 +141,10 @@ func wireForces(f forkForces) RemoteForces {
 
 // RemoteTask is one published unit of exploration work, as a fleet
 // worker leases it and a journal pub record stores it. State is the
-// gzipped ulp430.EncodePortable start state (empty for the root task,
-// which resets instead); Seed is the sink seed marshaled through the
-// run's CheckpointCodec.
+// ulp430.EncodePortable start state, whose memory is a sparse diff
+// against the loaded image (empty for the root task, which resets
+// instead); Seed is the sink seed marshaled through the run's
+// CheckpointCodec.
 type RemoteTask struct {
 	ID      int          `json:"id"`
 	BasePos int          `json:"base,omitempty"`
@@ -195,7 +194,7 @@ type ckptRec struct {
 	BasePos int `json:"base,omitempty"`
 	RemoteForces
 	Seed  []byte `json:"seed,omitempty"`
-	State []byte `json:"state,omitempty"` // gzipped ulp430.EncodePortable; empty for the root
+	State []byte `json:"state,omitempty"` // ulp430.EncodePortable (sparse memory diff); empty for the root
 
 	// done
 	Cycles int          `json:"cycles,omitempty"`
@@ -220,23 +219,6 @@ type resumeState struct {
 
 	raw       []byte // journal bytes as read
 	prefixLen int    // length of the consistent prefix of raw
-}
-
-func gzipBytes(data []byte) []byte {
-	var b bytes.Buffer
-	zw := gzip.NewWriter(&b)
-	zw.Write(data)
-	zw.Close()
-	return b.Bytes()
-}
-
-func gunzipBytes(data []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	return io.ReadAll(zr)
 }
 
 // open loads any existing journal (resuming from its live records) and
@@ -326,7 +308,9 @@ func (ck *Checkpointer) writeDone(id int, res *RemoteResult) {
 }
 
 // encodeTask is t's record form: seed marshaled through codec, start
-// state gzipped.
+// state encoded by ulp430.EncodePortable. The state is not compressed:
+// its memory is already a sparse diff against the loaded image, a few
+// KB raw.
 func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
 	seed, err := codec.MarshalSeed(t.seed)
 	if err != nil {
@@ -334,7 +318,7 @@ func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
 	}
 	rt := RemoteTask{ID: t.id, BasePos: t.basePos, Forces: wireForces(t.forces), Seed: seed}
 	if t.state != nil {
-		rt.State = gzipBytes(ulp430.EncodePortable(t.state))
+		rt.State = ulp430.EncodePortable(t.state)
 	}
 	return rt, nil
 }
@@ -343,11 +327,8 @@ func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
 func decodeTask(rt RemoteTask, codec CheckpointCodec) (*ptask, error) {
 	t := &ptask{id: rt.ID, basePos: rt.BasePos, forces: rt.Forces.forces()}
 	if len(rt.State) > 0 {
-		raw, err := gunzipBytes(rt.State)
-		if err == nil {
-			t.state, err = ulp430.DecodePortable(raw)
-		}
-		if err != nil {
+		var err error
+		if t.state, err = ulp430.DecodePortable(rt.State); err != nil {
 			return nil, fmt.Errorf("task %d state: %w", rt.ID, err)
 		}
 	}

@@ -2,6 +2,7 @@ package symx
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -286,6 +287,83 @@ func TestCheckpointTagMismatch(t *testing.T) {
 	_, err := exploreCkpt(t, src, nil, 1, other, Options{})
 	if err == nil || !strings.Contains(err.Error(), "different analysis") {
 		t.Fatalf("want tag-mismatch error, got %v", err)
+	}
+}
+
+// TestCheckpointStaleStateFormat: a journal written before portable
+// states became sparse diffs carries gzipped ups1 states. Resuming it
+// must fail with an error naming the journal and the task whose state
+// it cannot read — never panic, never restore a misread state.
+func TestCheckpointStaleStateFormat(t *testing.T) {
+	src := parallelTreePrograms[3].src
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if _, err := exploreCkpt(t, src, nil, 1, testCkpt(path, nil), Options{}); err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*ckptRec
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec := &ckptRec{}
+		if err := json.Unmarshal(line, rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+
+	// Rewrite every state in the old format, and drop the done record of
+	// one stateful child of the root so resume must decode its state.
+	root, victim := -1, -1
+	for _, rec := range recs {
+		if rec.T == "pub" && rec.Parent < 0 {
+			root = rec.ID
+		}
+	}
+	for _, rec := range recs {
+		if rec.T != "pub" || len(rec.State) == 0 {
+			continue
+		}
+		if victim < 0 && rec.Parent == root {
+			victim = rec.ID
+		}
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		zw.Write([]byte("ups1"))
+		zw.Write(rec.State[4:])
+		zw.Close()
+		rec.State = z.Bytes()
+	}
+	if victim < 0 {
+		t.Fatal("the recorded journal has no stateful child of the root")
+	}
+	var out []byte
+	for _, rec := range recs {
+		if rec.T == "done" && rec.ID == victim {
+			continue
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = exploreCkpt(t, src, nil, 1, testCkpt(path, nil), Options{})
+	if err == nil {
+		t.Fatal("resume from a journal of ups1 states succeeded")
+	}
+	for _, want := range []string{path, fmt.Sprintf("task %d state", victim), "bad magic"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("resume error %q does not contain %q", err, want)
+		}
 	}
 }
 

@@ -7,8 +7,9 @@
 // happens. This file exposes that task stream over a process boundary:
 //
 //   - RemoteTask / RemoteResult (checkpoint.go) are the task records the
-//     journal's pub and done records are made of (state bytes gzipped
-//     EncodePortable, seeds and payloads pre-marshaled through the run's
+//     journal's pub and done records are made of (state bytes from
+//     EncodePortable, memory as a sparse diff against the loaded image;
+//     seeds and payloads pre-marshaled through the run's
 //     CheckpointCodec).
 //   - RunRemoteTask executes one task on a remote worker's private System
 //     and WorkerSink with the same runner as the in-process workers

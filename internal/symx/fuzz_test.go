@@ -1,6 +1,8 @@
 package symx
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -274,13 +276,11 @@ type journalFS struct {
 
 func (j journalFS) ReadFile(string) ([]byte, error) { return j.data, nil }
 
-// FuzzCheckpointJournal feeds arbitrary bytes to a Checkpointer's journal
-// load: each input must yield a resume state or an error, never a panic
-// or a hang. A resume state's consistent prefix must end on a record
-// boundary inside the input. The seeds are a real journal of a
-// checkpointed two-worker power analysis and a torn copy of it.
-func FuzzCheckpointJournal(f *testing.F) {
-	const tag = "fuzz-journal"
+// powerJournal runs a checkpointed two-worker power analysis of one of
+// the parallel tree programs and returns its journal, its worker sinks
+// and its result: real records for the decoder fuzz targets to start
+// from.
+func powerJournal(f *testing.F, tag string) ([]byte, []*power.Sink, *ParallelResult) {
 	img, err := isa.Assemble("t", parallelTreePrograms[3].src)
 	if err != nil {
 		f.Fatal(err)
@@ -288,10 +288,12 @@ func FuzzCheckpointJournal(f *testing.F) {
 	model := power.Model{Lib: cell.ULP65(), ClockHz: 100e6}
 	path := filepath.Join(f.TempDir(), "ckpt.jsonl")
 	shared := power.NewShared()
-	_, err = ExploreParallel(ParallelOptions{
-		Workers:    2,
+	const workers = 2
+	sinks := make([]*power.Sink, workers)
+	pres, err := ExploreParallel(ParallelOptions{
+		Workers:    workers,
 		Checkpoint: NewCheckpointer(CheckpointConfig{Path: path, Tag: tag, Codec: power.Codec{}}),
-		NewWorker: func(int) (*ulp430.System, WorkerSink, error) {
+		NewWorker: func(worker int) (*ulp430.System, WorkerSink, error) {
 			sys, err := ulp430.NewSystem(sharedCPU(f), model.Lib, img, ulp430.SymbolicInputs, nil)
 			if err != nil {
 				return nil, nil, err
@@ -299,6 +301,7 @@ func FuzzCheckpointJournal(f *testing.F) {
 			sink := power.NewSink(sys, model, img, 4)
 			sink.EnableTasks(shared)
 			sink.EnableCheckpoint()
+			sinks[worker] = sink
 			return sys, sink, nil
 		},
 	})
@@ -309,6 +312,17 @@ func FuzzCheckpointJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	return journal, sinks, pres
+}
+
+// FuzzCheckpointJournal feeds arbitrary bytes to a Checkpointer's journal
+// load: each input must yield a resume state or an error, never a panic
+// or a hang. A resume state's consistent prefix must end on a record
+// boundary inside the input. The seeds are a real journal of a
+// checkpointed two-worker power analysis and a torn copy of it.
+func FuzzCheckpointJournal(f *testing.F) {
+	const tag = "fuzz-journal"
+	journal, _, _ := powerJournal(f, tag)
 	load := func(data []byte) (*resumeState, error) {
 		return NewCheckpointer(CheckpointConfig{Path: "journal", Tag: tag, Codec: power.Codec{}, FS: journalFS{data: data}}).load()
 	}
@@ -328,6 +342,62 @@ func FuzzCheckpointJournal(f *testing.F) {
 		}
 		if rs.prefixLen > len(data) || (rs.prefixLen > 0 && data[rs.prefixLen-1] != '\n') {
 			t.Fatalf("consistent prefix %d does not end on a record boundary of the %d-byte input", rs.prefixLen, len(data))
+		}
+	})
+}
+
+// FuzzFleetRecords feeds arbitrary bytes to the two readers of fleet
+// wire records: as RemoteTask JSON through decodeTask (what a worker
+// does with a lease and the coordinator with a claim's child), and as
+// RemoteResult JSON through power.MergeParallelReplay (what the seal
+// does with a completed task's observations). Every input must yield a
+// result or an error, never a panic or a hang. The seeds are the pub and
+// done records of a real checkpointed power analysis, in wire form.
+func FuzzFleetRecords(f *testing.F) {
+	journal, sinks, pres := powerJournal(f, "fuzz-fleet")
+	merge := func(rr *RemoteResult) error {
+		_, _, _, _, err := power.MergeParallelReplay(sinks, 4, pres.NodeID, map[int][]byte{0: rr.Sink})
+		return err
+	}
+	for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
+		rec := &ckptRec{}
+		if len(line) == 0 || json.Unmarshal(line, rec) != nil {
+			continue
+		}
+		var wire interface{}
+		switch rec.T {
+		case "pub":
+			rt := RemoteTask{ID: rec.ID, BasePos: rec.BasePos, Forces: rec.RemoteForces, Seed: rec.Seed, State: rec.State}
+			if _, err := decodeTask(rt, power.Codec{}); err != nil {
+				f.Fatalf("seed task %d does not decode: %v", rec.ID, err)
+			}
+			wire = rt
+		case "done":
+			rr := RemoteResult{Cycles: rec.Cycles, Nodes: rec.Nodes, Kids: rec.Kids, Sink: rec.Sink}
+			if err := merge(&rr); err != nil {
+				f.Fatalf("seed result of task %d does not merge: %v", rec.ID, err)
+			}
+			wire = rr
+		default:
+			continue
+		}
+		data, err := json.Marshal(wire)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rt RemoteTask
+		if json.Unmarshal(data, &rt) == nil {
+			if pt, err := decodeTask(rt, power.Codec{}); err == nil && pt == nil {
+				t.Fatal("decodeTask returned neither a task nor an error")
+			}
+		}
+		var rr RemoteResult
+		if json.Unmarshal(data, &rr) == nil {
+			merge(&rr)
 		}
 	})
 }

@@ -8,7 +8,8 @@
 // taken direction on a worker-local LIFO stack (pooled snapshot,
 // per-worker free pool) or — when the shared queue is starving — publishes
 // it as a portable task any worker can steal (self-contained
-// ulp430.PortableState, O(memory) capture). A worker whose local stack
+// ulp430.PortableState: memory as a sparse diff against the loaded
+// image, captured in one O(memory) rewind-and-compare pass). A worker whose local stack
 // still holds old forks donates its oldest one when it notices idle peers:
 // the oldest fork roots the largest unexplored subtree, the classic
 // steal-granularity rule. A lone worker has no peers and never publishes

@@ -1,7 +1,6 @@
 package ulp430
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,58 +11,67 @@ import (
 )
 
 // Binary codec for PortableState, used by the exploration checkpoint
-// journal: a published fork survives a process kill by writing its
-// portable state to disk, and a restarted process re-enqueues it via
-// DecodePortable + RestorePortable. The encoding is deterministic
-// (fixed field order, little-endian), so re-encoding a decoded state is
-// byte-identical — the property the resume tests lean on.
+// journal and the fleet wire: a published fork survives a process kill
+// by writing its portable state to disk, and a restarted process (or a
+// remote worker) re-enqueues it via DecodePortable + RestorePortable.
+// The encoding is deterministic (fixed field order, little-endian), so
+// re-encoding a decoded state is byte-identical — the property the
+// resume tests lean on.
 //
-// The codec carries no netlist or image data: like RestorePortable, a
+// The codec carries no netlist or image data, and memory only as the
+// state's sparse diff against memory as loaded: like RestorePortable, a
 // decoded state is only meaningful on a System built from the same
-// netlist, engine, image, and peripheral configuration, which the
-// journal's owning layer guarantees by keying checkpoint files to the
-// analysis cache key.
+// netlist, engine, image, inputs, and peripheral configuration, which
+// the journal's owning layer guarantees by keying checkpoint files to
+// the analysis cache key.
 
 // portableMagic identifies (and versions) the encoding. Bump on any
 // layout change: stale checkpoint files must fail decode, not
 // misinterpret.
-var portableMagic = [4]byte{'u', 'p', 's', '1'}
+var portableMagic = [4]byte{'u', 'p', 's', '2'}
 
-// EncodePortable serializes st.
+// EncodePortable serializes st into one buffer sized up front.
 func EncodePortable(st *PortableState) []byte {
-	var b bytes.Buffer
-	b.Write(portableMagic[:])
-	putTrits(&b, st.sim.Vals)
-	putTrits(&b, st.sim.Prev)
-	putU64s(&b, st.sim.PlaneV)
-	putU64s(&b, st.sim.PlaneK)
-	putU64s(&b, st.sim.PrevPlaneV)
-	putU64s(&b, st.sim.PrevPlaneK)
-	putBool(&b, st.sim.Settled)
 	staged := st.sim.StagedRecs(nil)
-	putU32(&b, uint32(len(staged)))
-	for _, r := range staged {
-		putU32(&b, uint32(r.ID))
-		b.WriteByte(byte(r.V))
-	}
-	putU64(&b, st.sim.Cycle)
-	putU32(&b, uint32(len(st.mem)))
-	for _, w := range st.mem {
-		putU16(&b, w.val)
-		putU16(&b, w.xmask)
-	}
-	putU16(&b, st.lastDin.val)
-	putU16(&b, st.lastDin.xmask)
-	b.WriteByte(byte(st.lastLine))
-	// BusState is a flat fixed-size struct; binary.Write over it cannot
-	// fail on a bytes.Buffer.
-	_ = binary.Write(&b, binary.LittleEndian, st.bus)
+	var errText string
 	if st.err != nil {
-		putString(&b, st.err.Error())
-	} else {
-		putU32(&b, 0)
+		errText = st.err.Error()
 	}
-	return b.Bytes()
+	sn := st.sim
+	size := len(portableMagic) +
+		4 + len(sn.Vals) + 4 + len(sn.Prev) +
+		4*4 + 8*(len(sn.PlaneV)+len(sn.PlaneK)+len(sn.PrevPlaneV)+len(sn.PrevPlaneK)) +
+		1 + 4 + 5*len(staged) + 8 +
+		4 + 6*len(st.patches) +
+		4 + 1 + binary.Size(st.bus) + 4 + len(errText)
+	b := make([]byte, 0, size)
+	b = append(b, portableMagic[:]...)
+	b = putTrits(b, sn.Vals)
+	b = putTrits(b, sn.Prev)
+	b = putU64s(b, sn.PlaneV)
+	b = putU64s(b, sn.PlaneK)
+	b = putU64s(b, sn.PrevPlaneV)
+	b = putU64s(b, sn.PrevPlaneK)
+	b = putBool(b, sn.Settled)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(staged)))
+	for _, r := range staged {
+		b = binary.LittleEndian.AppendUint32(b, uint32(r.ID))
+		b = append(b, byte(r.V))
+	}
+	b = binary.LittleEndian.AppendUint64(b, sn.Cycle)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.patches)))
+	for _, p := range st.patches {
+		b = binary.LittleEndian.AppendUint16(b, p.idx)
+		b = binary.LittleEndian.AppendUint16(b, p.w.val)
+		b = binary.LittleEndian.AppendUint16(b, p.w.xmask)
+	}
+	b = binary.LittleEndian.AppendUint16(b, st.lastDin.val)
+	b = binary.LittleEndian.AppendUint16(b, st.lastDin.xmask)
+	b = append(b, byte(st.lastLine))
+	// BusState is a flat fixed-size struct; appending it cannot fail.
+	b, _ = binary.Append(b, binary.LittleEndian, st.bus)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(errText)))
+	return append(b, errText...)
 }
 
 // DecodePortable deserializes a state produced by EncodePortable.
@@ -95,22 +103,30 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	st.sim.SetStagedRecs(staged)
 	st.sim.Cycle = getU64(r)
 	m := int(getU32(r))
-	if r.err == nil && m > r.remaining()/4 {
-		return nil, errors.New("ulp430: portable state: truncated memory image")
+	if r.err == nil && m > r.remaining()/6 {
+		return nil, errors.New("ulp430: portable state: truncated memory patches")
 	}
-	st.mem = make([]memWord, m)
-	for i := 0; i < m && r.err == nil; i++ {
-		st.mem[i].val = getU16(r)
-		st.mem[i].xmask = getU16(r)
+	st.patches = make([]memPatch, m)
+	for i := 0; i < m; i++ {
+		p := &st.patches[i]
+		p.idx = getU16(r)
+		p.w.val = getU16(r)
+		p.w.xmask = getU16(r)
+		if p.idx >= memWords {
+			return nil, fmt.Errorf("ulp430: portable state: memory patch index %d outside [0, %d)", p.idx, memWords)
+		}
+		if i > 0 && p.idx <= st.patches[i-1].idx {
+			return nil, fmt.Errorf("ulp430: portable state: memory patch index %d does not follow %d", p.idx, st.patches[i-1].idx)
+		}
 	}
 	st.lastDin.val = getU16(r)
 	st.lastDin.xmask = getU16(r)
 	st.lastLine = logic.Trit(getByte(r))
 	if r.err == nil {
-		if err := binary.Read(bytes.NewReader(r.buf[r.off:]), binary.LittleEndian, &st.bus); err != nil {
+		if n, err := binary.Decode(r.buf[r.off:], binary.LittleEndian, &st.bus); err != nil {
 			r.err = err
 		} else {
-			r.off += binary.Size(st.bus)
+			r.off += n
 		}
 	}
 	if s := getString(r); s != "" {
@@ -125,49 +141,27 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	return st, nil
 }
 
-func putU16(b *bytes.Buffer, v uint16) {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], v)
-	b.Write(t[:])
-}
-
-func putU32(b *bytes.Buffer, v uint32) {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	b.Write(t[:])
-}
-
-func putU64(b *bytes.Buffer, v uint64) {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	b.Write(t[:])
-}
-
-func putBool(b *bytes.Buffer, v bool) {
+func putBool(b []byte, v bool) []byte {
 	if v {
-		b.WriteByte(1)
-	} else {
-		b.WriteByte(0)
+		return append(b, 1)
 	}
+	return append(b, 0)
 }
 
-func putTrits(b *bytes.Buffer, ts []logic.Trit) {
-	putU32(b, uint32(len(ts)))
+func putTrits(b []byte, ts []logic.Trit) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
 	for _, t := range ts {
-		b.WriteByte(byte(t))
+		b = append(b, byte(t))
 	}
+	return b
 }
 
-func putU64s(b *bytes.Buffer, vs []uint64) {
-	putU32(b, uint32(len(vs)))
+func putU64s(b []byte, vs []uint64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
 	for _, v := range vs {
-		putU64(b, v)
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-}
-
-func putString(b *bytes.Buffer, s string) {
-	putU32(b, uint32(len(s)))
-	b.WriteString(s)
+	return b
 }
 
 // byteReader is a bounds-checked cursor: the first short read latches an

@@ -2,6 +2,7 @@ package ulp430
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
@@ -106,7 +107,8 @@ func TestPortableCodecErrState(t *testing.T) {
 // fail decode instead of producing a plausible-looking wrong state.
 func TestPortableCodecRejectsCorrupt(t *testing.T) {
 	sys := buildIRQSystem(t, gsim.EnginePacked)
-	for c := 0; c < 10; c++ {
+	// Past the interrupt entry, whose stack pushes are memory patches.
+	for c := 0; c < 40; c++ {
 		sys.Step()
 	}
 	sn := sys.Snapshot()
@@ -128,6 +130,136 @@ func TestPortableCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodePortable(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decoding with trailing garbage succeeded")
 	}
+	stale := append([]byte(nil), enc...)
+	copy(stale, "ups1")
+	if _, err := DecodePortable(stale); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("decoding an ups1 record: got %v, want a bad-magic error", err)
+	}
+
+	// The memory patch list must be strictly increasing word indices
+	// inside the address space: anything else would leave words of the
+	// previous task in memory or index past it.
+	if len(st.patches) < 2 {
+		t.Fatalf("captured state has %d memory patches; the cases below need two", len(st.patches))
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(ps []memPatch)
+		want string
+	}{
+		{"out-of-range index", func(ps []memPatch) { ps[len(ps)-1].idx = memWords }, "outside"},
+		{"duplicate index", func(ps []memPatch) { ps[1].idx = ps[0].idx }, "does not follow"},
+		{"descending index", func(ps []memPatch) { ps[0].idx, ps[1].idx = ps[1].idx, ps[0].idx }, "does not follow"},
+	} {
+		bad := st
+		bad.patches = append([]memPatch(nil), st.patches...)
+		tc.edit(bad.patches)
+		if _, err := DecodePortable(EncodePortable(&bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// dirtyProg copies each input word to out (plus 3) and then overwrites
+// the input word, so a run that gets past its loop leaves RAM and the
+// input region different from memory as loaded. No branch depends on
+// an input, so it runs to halt in either input mode.
+const dirtyProg = `
+.org 0x0200
+in:  .input 4
+out: .space 4
+.org 0xf000
+.entry main
+main:
+    mov #0x0080, &0x0120  ; hold the watchdog
+    mov #in, r4
+    mov #out, r5
+    mov #4, r6
+lp: mov @r4, r7
+    add #3, r7
+    mov r7, 0(r5)
+    mov #0x5A5A, 0(r4)
+    add #2, r4
+    add #2, r5
+    dec r6
+    jnz lp
+` + haltSeq
+
+// TestRestorePortableOntoDirtySystem restores a state captured early on
+// system A onto system B after B has run the program to halt, so B's RAM
+// and input words no longer match memory as loaded. Restore must rebuild
+// every word from the loaded image plus the state's patches: B must then
+// hash like A and run like A. The concrete case uses non-zero inputs,
+// so memory as loaded includes them, and rewrites the caller's input
+// slice between A's capture and B's restore, which must not reach B.
+func TestRestorePortableOntoDirtySystem(t *testing.T) {
+	img, err := isa.Assemble("dirty", dirtyProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inAddr := img.Inputs[0].Addr
+	for _, tc := range []struct {
+		name   string
+		engine gsim.Engine
+		mode   InputMode
+		inputs []uint16
+	}{
+		{"packed", gsim.EnginePacked, SymbolicInputs, nil},
+		{"scalar", gsim.EngineScalar, SymbolicInputs, nil},
+		{"packed-concrete", gsim.EnginePacked, ConcreteInputs, []uint16{0x1111, 0x2222, 0x3333, 0x4444}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *System {
+				sys, err := NewSystemEngine(tc.engine, sharedCPU(t), cell.ULP65(), img, tc.mode, tc.inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Reset()
+				return sys
+			}
+			a, b := build(), build()
+			loaded := a.MemWord(inAddr).String()
+
+			for c := 0; c < 12; c++ {
+				a.Step()
+			}
+			sn := a.Snapshot()
+			for c := 0; c < 60; c++ {
+				a.Step()
+			}
+			var st PortableState
+			a.CapturePortableAt(sn, &st)
+			a.RestorePortable(&st)
+			if got := a.MemWord(inAddr).String(); got != loaded {
+				t.Fatalf("input word at the capture point is %s, want %s as loaded", got, loaded)
+			}
+			for i := range tc.inputs {
+				tc.inputs[i] = 0xFFFF
+			}
+
+			if err := b.RunToHalt(2000); err != nil {
+				t.Fatal(err)
+			}
+			if got := b.MemWord(inAddr).String(); got == loaded {
+				t.Fatalf("B's input word is still %s after the run; the test needs it dirty", got)
+			}
+			if b.StateHash() == a.StateHash() {
+				t.Fatal("B already hashes like the captured state before restore")
+			}
+
+			b.RestorePortable(&st)
+			if got := b.MemWord(inAddr).String(); got != loaded {
+				t.Fatalf("after restore B's input word is %s, want %s", got, loaded)
+			}
+			for c := 0; c < 400; c++ {
+				if b.StateHash() != a.StateHash() {
+					t.Fatalf("B differs from A %d cycles after restore", c)
+				}
+				a.Step()
+				b.Step()
+			}
+		})
+	}
 }
 
 // FuzzDecodePortable feeds arbitrary bytes to the checkpoint codec's
@@ -136,16 +268,15 @@ func TestPortableCodecRejectsCorrupt(t *testing.T) {
 // again and re-encodes byte-identically.
 func FuzzDecodePortable(f *testing.F) {
 	sys := buildIRQSystem(f, gsim.EnginePacked)
-	for c := 0; c < 20; c++ {
+	for c := 0; c < 40; c++ {
 		sys.Step()
 	}
 	var st PortableState
 	sys.CapturePortableAt(sys.Snapshot(), &st)
 	f.Add(EncodePortable(&st))
-	// The same state with its memory image cut short: a well-formed
-	// input small enough that mutation explores the layout, not the
-	// memory words.
-	st.mem = st.mem[:8]
+	// The same state with a single memory patch: a well-formed input
+	// small enough that mutation explores the layout, not the patches.
+	st.patches = st.patches[:1]
 	f.Add(EncodePortable(&st))
 	f.Add(portableMagic[:])
 	f.Add([]byte{})

@@ -21,6 +21,9 @@ type memWord struct {
 
 var allXWord = memWord{0, 0xFFFF}
 
+// memWords is the memory size in words (the full 64 KB address space).
+const memWords = 1 << 15
+
 func wordFromLogic(w logic.Word) memWord {
 	var m memWord
 	for i, t := range w {
@@ -67,13 +70,21 @@ type System struct {
 	// Sim is the underlying gate-level simulator.
 	Sim *gsim.Simulator
 
-	img  *isa.Image
-	mode InputMode
+	img    *isa.Image
+	mode   InputMode
+	inputs []uint16 // the concrete input vector, copied at construction
 	// PortIn supplies P1IN words in concrete mode; nil reads as zero.
 	PortIn func() uint16
 
-	mem     []memWord // 32768 words
+	mem     []memWord // memWords words
 	journal []journalEntry
+
+	// base is memory as loaded (see load), the reference a PortableState
+	// diffs against; capMem is CapturePortableAt's reusable rewind
+	// buffer. Both are built on first use, so a system that never
+	// captures or restores a portable state never allocates them.
+	base   []memWord
+	capMem []memWord
 
 	// bus is the optional interrupt-capable peripheral subsystem
 	// (EnableInterrupts); nil leaves the device address space unmapped.
@@ -126,8 +137,12 @@ func NewSystemEngine(engine gsim.Engine, n *netlist.Netlist, lib *cell.Library, 
 	s := &System{
 		img:     img,
 		mode:    mode,
-		mem:     make([]memWord, 1<<15),
+		inputs:  append([]uint16(nil), inputs...),
+		mem:     make([]memWord, memWords),
 		scratch: make(logic.Word, 16),
+	}
+	if err := s.load(s.mem); err != nil {
+		return nil, err
 	}
 	s.Sim = gsim.NewEngine(n, lib, s, engine)
 	s.mabNets = n.Port("mab")
@@ -144,35 +159,50 @@ func NewSystemEngine(engine gsim.Engine, n *netlist.Netlist, lib *cell.Library, 
 	s.irqNet = n.Port("irq")[0]
 	s.irqWinNet = n.Port("irq_win")[0]
 
-	// All memory starts as X (the paper's initial condition), then the
-	// binary is loaded and inputs are materialized per mode.
-	for i := range s.mem {
-		s.mem[i] = allXWord
+	return s, nil
+}
+
+// load writes memory as loaded into dst: all X (the paper's initial
+// condition), then the binary, then the input regions materialized per
+// mode.
+func (s *System) load(dst []memWord) error {
+	for i := range dst {
+		dst[i] = allXWord
 	}
-	for addr, w := range img.Words {
+	for addr, w := range s.img.Words {
 		if addr%2 != 0 {
-			return nil, fmt.Errorf("ulp430: odd image address %#04x", addr)
+			return fmt.Errorf("ulp430: odd image address %#04x", addr)
 		}
-		s.mem[addr/2] = memWord{val: w}
+		dst[addr/2] = memWord{val: w}
 	}
 	k := 0
-	for _, r := range img.Inputs {
+	for _, r := range s.img.Inputs {
 		for i := 0; i < r.Words; i++ {
 			idx := (r.Addr + uint16(2*i)) / 2
-			switch mode {
+			switch s.mode {
 			case SymbolicInputs:
-				s.mem[idx] = allXWord
+				dst[idx] = allXWord
 			case ConcreteInputs:
 				var v uint16
-				if k < len(inputs) {
-					v = inputs[k]
+				if k < len(s.inputs) {
+					v = s.inputs[k]
 				}
-				s.mem[idx] = memWord{val: v}
+				dst[idx] = memWord{val: v}
 			}
 			k++
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// baseMem returns memory as loaded, building it on first use. load
+// cannot fail here: NewSystemEngine already loaded the same image.
+func (s *System) baseMem() []memWord {
+	if s.base == nil {
+		s.base = make([]memWord, len(s.mem))
+		_ = s.load(s.base)
+	}
+	return s.base
 }
 
 // Image returns the loaded binary.
@@ -530,26 +560,37 @@ func (s *System) Restore(sn *SysSnapshot) {
 
 // PortableState is a self-contained capture of full system state — unlike
 // SysSnapshot, whose memory component is a position in the owning system's
-// undo journal, a PortableState carries the memory image itself and can be
-// installed on a *different* System built on the same netlist, library,
-// engine, image, and peripheral configuration. It is the unit of work
+// undo journal, a PortableState carries its memory and can be installed
+// on a *different* System built on the same netlist, library, engine,
+// image, inputs, and peripheral configuration. It is the unit of work
 // transfer for parallel symbolic exploration: a pending fork captured on
 // one worker's system resumes on another's.
+//
+// Memory is held as a sparse diff against memory as loaded: the words
+// that differ from it, in ascending index order. Both sides hold the
+// loaded image, so a state carries only what its path changed.
 type PortableState struct {
 	sim      *gsim.Snapshot
-	mem      []memWord
+	patches  []memPatch
 	lastDin  memWord
 	lastLine logic.Trit
 	bus      periph.BusState
 	err      error
 }
 
+// memPatch is one memory word that differs from memory as loaded.
+type memPatch struct {
+	idx uint16
+	w   memWord
+}
+
 // CapturePortableAt materializes into dst the full system state as of sn,
 // a snapshot taken earlier on this system's current path (its journal
 // position must still be covered by the live journal — the usual LIFO
-// discipline). The memory image is reconstructed by undoing the journal
-// suffix onto a copy of current memory, so the cost is O(memory +
-// writes-since-snapshot), independent of how the snapshot was taken.
+// discipline). Memory as of sn is rebuilt by undoing the journal suffix
+// onto a reusable copy of current memory, then diffed against memory as
+// loaded: the cost is O(memory + writes-since-snapshot), and the state
+// holds only the patch list.
 func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 	if sn.pooled {
 		panic("ulp430: portable capture from a pooled fork snapshot (use after free)")
@@ -561,13 +602,21 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 		dst.sim = &gsim.Snapshot{}
 	}
 	sn.sim.CloneInto(dst.sim)
-	if dst.mem == nil {
-		dst.mem = make([]memWord, len(s.mem))
+	base := s.baseMem()
+	if s.capMem == nil {
+		s.capMem = make([]memWord, len(s.mem))
 	}
-	copy(dst.mem, s.mem)
+	mem := s.capMem
+	copy(mem, s.mem)
 	for i := len(s.journal) - 1; i >= sn.journal; i-- {
 		e := s.journal[i]
-		dst.mem[e.idx] = e.old
+		mem[e.idx] = e.old
+	}
+	dst.patches = dst.patches[:0]
+	for i, w := range mem {
+		if w != base[i] {
+			dst.patches = append(dst.patches, memPatch{idx: uint16(i), w: w})
+		}
 	}
 	dst.lastDin = sn.lastDin
 	dst.lastLine = sn.lastLine
@@ -576,11 +625,16 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 }
 
 // RestorePortable installs a portable state captured on a compatible
-// system (same netlist/engine/image/peripheral configuration). The memory
-// undo journal restarts empty: a portable restore is a new exploration
-// root, not a rewind.
+// system (same netlist/engine/image/inputs/peripheral configuration).
+// Memory is reset to memory as loaded and the state's patches applied,
+// so nothing the previous path left in memory survives. The memory undo
+// journal restarts empty: a portable restore is a new exploration root,
+// not a rewind.
 func (s *System) RestorePortable(st *PortableState) {
-	copy(s.mem, st.mem)
+	copy(s.mem, s.baseMem())
+	for _, p := range st.patches {
+		s.mem[p.idx] = p.w
+	}
 	s.journal = s.journal[:0]
 	s.Sim.Restore(st.sim)
 	s.lastDin = st.lastDin
