@@ -6,7 +6,7 @@ BENCH_JSON ?= BENCH_$(shell date +%F).json
 SHELL := /usr/bin/env bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build vet test race race-irq race-parallel determinism memo-guard fuzz-smoke bench bench-smoke perfbench-check profile serve smoke crash-smoke example-smoke fleet-smoke ci clean
+.PHONY: all build vet fmt-check test race race-irq race-parallel determinism memo-guard fuzz-smoke bench bench-smoke perfbench-check profile serve smoke crash-smoke example-smoke fleet-smoke ci clean
 
 all: build vet test
 
@@ -15,6 +15,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, if any Go file in the tree
+# is not gofmt-clean.
+fmt-check:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -145,7 +150,7 @@ fleet-smoke:
 	$(GO) test -count=1 -v -run 'TestFleet' ./cmd/peakpowerd/
 	./scripts/fleet_smoke.sh
 
-ci: build vet race race-irq race-parallel determinism memo-guard fuzz-smoke perfbench-check smoke crash-smoke fleet-smoke example-smoke
+ci: build vet fmt-check race race-irq race-parallel determinism memo-guard fuzz-smoke perfbench-check smoke crash-smoke fleet-smoke example-smoke
 
 clean:
 	$(GO) clean ./...

@@ -9,7 +9,7 @@
 // for the tour and DESIGN.md for the system inventory.
 //
 // Analyses run on a bit-packed, levelized gate engine (64 nets per
-// word op, dirty-level skipping; PERFORMANCE.md documents the design
+// word op; PERFORMANCE.md documents the design
 // and measurements). The original scalar engine is retained as a
 // differential-testing oracle, selectable with peakpower.WithEngine.
 // The benchmark harness in bench_test.go regenerates every table and

@@ -109,7 +109,7 @@ adc_isr:
 // TestEnginesAgreeOnInterruptRuns steps scalar and packed systems in
 // lockstep through random concrete interrupt schedules — random timer
 // compare values, random ADC windows and delivery latencies — and
-// requires identical state hashes and dynamic energy every cycle,
+// requires identical state keys and dynamic energy every cycle,
 // including across snapshot/restore rewinds through ISR entry sequences.
 func TestEnginesAgreeOnInterruptRuns(t *testing.T) {
 	runs := 12
@@ -152,8 +152,8 @@ func TestEnginesAgreeOnInterruptRuns(t *testing.T) {
 			if err := packed.Err(); err != nil {
 				t.Fatalf("run %d cycle %d: packed: %v", d, c, err)
 			}
-			if sh, ph := scalar.StateHash(), packed.StateHash(); sh != ph {
-				t.Fatalf("run %d cycle %d: state hash diverged: %x vs %x", d, c, sh, ph)
+			if sh, ph := stateKey(scalar), stateKey(packed); sh != ph {
+				t.Fatalf("run %d cycle %d: state key diverged: %x vs %x", d, c, sh, ph)
 			}
 			if se, pe := scalar.Sim.DynamicEnergyFJ(), packed.Sim.DynamicEnergyFJ(); se != pe {
 				t.Fatalf("run %d cycle %d: dynamic energy diverged: %v vs %v", d, c, se, pe)
@@ -164,8 +164,8 @@ func TestEnginesAgreeOnInterruptRuns(t *testing.T) {
 			case snapS != nil && r.Intn(50) == 0:
 				scalar.Restore(snapS)
 				packed.Restore(snapP)
-				if sh, ph := scalar.StateHash(), packed.StateHash(); sh != ph {
-					t.Fatalf("run %d: state hash diverged after restore: %x vs %x", d, sh, ph)
+				if sh, ph := stateKey(scalar), stateKey(packed); sh != ph {
+					t.Fatalf("run %d: state key diverged after restore: %x vs %x", d, sh, ph)
 				}
 				snapS, snapP = nil, nil
 			}
@@ -244,4 +244,10 @@ func TestEnginesAgreeOnSymbolicIRQExploration(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stateKey is ulp430.System.StateKey as one comparable value.
+func stateKey(s *ulp430.System) [2]uint64 {
+	lo, hi := s.StateKey()
+	return [2]uint64{lo, hi}
 }

@@ -27,13 +27,13 @@
 //   - EnginePacked (the default) holds net state as two bit-planes of
 //     64-bit words (value/known, canonical v&^k == 0) and evaluates the
 //     netlist's PackedPlan: same-kind gate batches, word-parallel
-//     cell.EvalPlanes evaluation, and dirty-level scheduling that skips
-//     any topological level whose fan-in words did not change this
-//     cycle. Activity toggles fall out of a packed XOR of the previous
-//     and current planes; only unchanged-X gates need the per-gate
-//     driven-by-active cascade. Snapshots copy the planes — an eighth
-//     of the scalar state — which is what makes the symbolic engine's
-//     per-cycle rolling snapshot cheap.
+//     cell.EvalPlanes evaluation of every batch every cycle, in one
+//     topologically ordered pass that also derives each batch's
+//     activity. Activity toggles fall out of a packed XOR of the
+//     previous and current planes; only unchanged-X gates need the
+//     per-gate driven-by-active cascade. Snapshots copy the planes —
+//     an eighth of the scalar state — which is what makes the symbolic
+//     engine's per-cycle rolling snapshot cheap.
 //   - EngineScalar is the straightforward one-Trit-per-net,
 //     one-cell.Eval-per-gate reference implementation. It is retained
 //     as the differential-testing oracle: the property tests in this
@@ -58,8 +58,7 @@ import (
 type Engine uint8
 
 const (
-	// EnginePacked is the bit-packed, levelized, dirty-level-skipping
-	// engine — the default.
+	// EnginePacked is the bit-packed, levelized engine — the default.
 	EnginePacked Engine = iota
 	// EngineScalar is the per-gate reference engine, kept as the
 	// differential-testing oracle.
@@ -342,11 +341,8 @@ type Snapshot struct {
 	// current and previous value/known planes.
 	PlaneV, PlaneK         []uint64
 	PrevPlaneV, PrevPlaneK []uint64
-	// Settled records whether the packed engine has settled at least
-	// once (before the first Step, every level must be force-evaluated).
-	Settled bool
-	Staged  []stagedInput
-	Cycle   uint64
+	Staged                 []stagedInput
+	Cycle                  uint64
 }
 
 // Snapshot captures the current simulator state, including any staged
@@ -367,7 +363,6 @@ func (s *Simulator) SnapshotInto(sn *Snapshot) {
 		sn.PlaneK = append(sn.PlaneK[:0], p.curK...)
 		sn.PrevPlaneV = append(sn.PrevPlaneV[:0], p.prevV...)
 		sn.PrevPlaneK = append(sn.PrevPlaneK[:0], p.prevK...)
-		sn.Settled = p.settled
 	} else {
 		sn.Vals = append(sn.Vals[:0], s.vals...)
 		sn.Prev = append(sn.Prev[:0], s.prev...)
@@ -386,7 +381,6 @@ func (sn *Snapshot) CloneInto(dst *Snapshot) {
 	dst.PlaneK = append(dst.PlaneK[:0], sn.PlaneK...)
 	dst.PrevPlaneV = append(dst.PrevPlaneV[:0], sn.PrevPlaneV...)
 	dst.PrevPlaneK = append(dst.PrevPlaneK[:0], sn.PrevPlaneK...)
-	dst.Settled = sn.Settled
 	dst.Staged = append(dst.Staged[:0], sn.Staged...)
 	dst.Cycle = sn.Cycle
 }
@@ -432,7 +426,6 @@ func (s *Simulator) Restore(sn *Snapshot) {
 		copy(p.curK, sn.PlaneK)
 		copy(p.prevV, sn.PrevPlaneV)
 		copy(p.prevK, sn.PrevPlaneK)
-		p.settled = sn.Settled
 		p.boundValid = false
 		for i := range p.act {
 			p.act[i] = 0
@@ -657,14 +650,4 @@ func (s *Simulator) DynamicEnergyFJ() float64 {
 		e += s.lib.Params(c.Kind).EnergyClk
 	}
 	return e
-}
-
-// LeakagePowerNW returns the total leakage power of the design in
-// nanowatts.
-func (s *Simulator) LeakagePowerNW() float64 {
-	p := 0.0
-	for ci := 0; ci < s.n.NumCells(); ci++ {
-		p += s.lib.Params(s.n.Cell(netlist.CellID(ci)).Kind).LeakageNW
-	}
-	return p
 }

@@ -228,9 +228,6 @@ func TestDynamicEnergyAndLeakage(t *testing.T) {
 	if floor < wantFloor {
 		t.Fatalf("floor %v below clock-pin energy %v", floor, wantFloor)
 	}
-	if s.LeakagePowerNW() <= 0 {
-		t.Fatal("leakage must be positive")
-	}
 }
 
 func TestSetNetPanicsOnDrivenNet(t *testing.T) {

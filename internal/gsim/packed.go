@@ -13,15 +13,11 @@ import (
 // the netlist's PackedPlan, so one word operation evaluates up to 64
 // same-kind gates and a pair of XORs yields 64 toggle flags.
 //
-// The engine is event-driven at batch granularity: every value write
-// (staged inputs, bus writes, flip-flop captures, batch outputs) marks
-// its plane word dirty, and a level or batch whose ReadMask intersects
-// no dirty word is skipped — its outputs provably equal last cycle's.
-// Batch inputs are assembled by the plan's run-length-compressed gather
-// programs (consecutive fan-in moves as multi-bit chunks, not single
-// bits). Activity word ops still run for every batch each cycle (the
-// driven-by-active X cascade depends on the current flags, not just on
-// values), but they are cheap: one toggle word per 64 gates, with
+// Every cycle settles every batch, in one topologically ordered pass
+// that applies the activity rule to each batch right after evaluating
+// it. Batch inputs are assembled by the plan's run-length-compressed
+// gather programs (consecutive fan-in moves as multi-bit chunks, not
+// single bits). Activity is one toggle word per 64 gates, with
 // per-gate work only for unchanged-X outputs.
 type packedSim struct {
 	plan *netlist.PackedPlan
@@ -30,21 +26,14 @@ type packedSim struct {
 	prevV, prevK []uint64 // settled values of the previous cycle
 	act, prevAct []uint64 // activity flags, one bit per net position
 
-	dirty []uint64 // per-plane-word dirty bits for the cycle in flight
-
 	// stepMemo, when non-nil, replays whole settle+activity phases for
 	// revisited states (see stepmemo.go).
 	stepMemo *stepTable
 
-	// settled is false until the first settle after New or a restore to
-	// virgin state; the first settle force-evaluates every level so
-	// constants (tie cells) and the all-X initial condition propagate.
-	settled bool
-
 	// boundFJ caches the cycle's Algorithm 2 energy bound, computed
-	// for free during the activity pass (which already holds every
-	// batch's extracted planes and fresh activity word). boundValid is
-	// cleared by Restore; BoundEnergyFJ then recomputes on demand.
+	// for free during settle (which already holds every batch's
+	// extracted planes and fresh activity word). boundValid is cleared
+	// by Restore; BoundEnergyFJ then recomputes on demand.
 	boundFJ    float64
 	boundValid bool
 }
@@ -59,7 +48,6 @@ func newPackedSim(plan *netlist.PackedPlan) *packedSim {
 		prevK:   make([]uint64, nw),
 		act:     make([]uint64, nw),
 		prevAct: make([]uint64, nw),
-		dirty:   make([]uint64, plan.MaskWords),
 	}
 }
 
@@ -78,33 +66,15 @@ func (p *packedSim) isActive(id netlist.NetID) bool {
 	return p.act[pos>>6]>>uint(pos&63)&1 == 1
 }
 
-func (p *packedSim) markDirty(w int32) {
-	p.dirty[w>>6] |= 1 << uint(w&63)
-}
-
-func (p *packedSim) maskDirty(mask []uint64) bool {
-	for i, m := range mask {
-		if p.dirty[i]&m != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // setTrit writes one net immediately (staged inputs at cycle start, bus
-// writes mid-cycle), marking the word dirty only on a symbol change.
+// writes mid-cycle).
 func (p *packedSim) setTrit(id netlist.NetID, t logic.Trit) {
 	pos := p.plan.Pos[id]
 	w, b := pos>>6, uint(pos&63)
 	nv, nk := logic.PlaneFromTrit(t)
 	mask := uint64(1) << b
-	newV := p.curV[w]&^mask | nv<<b
-	newK := p.curK[w]&^mask | nk<<b
-	if newV != p.curV[w] || newK != p.curK[w] {
-		p.curV[w] = newV
-		p.curK[w] = newK
-		p.markDirty(w)
-	}
+	p.curV[w] = p.curV[w]&^mask | nv<<b
+	p.curK[w] = p.curK[w]&^mask | nk<<b
 }
 
 // laneMask returns the low-n-bits mask (n in 1..64).
@@ -172,27 +142,17 @@ func gatherFlags(p []uint64, runs, bruns []netlist.GatherRun) (v uint64) {
 }
 
 // store writes n result lanes (bits [0,n) of ov/ok) to plane positions
-// [pos, pos+n), read-modify-write, marking changed words dirty.
+// [pos, pos+n), read-modify-write.
 func (p *packedSim) store(pos int32, n int, ov, ok uint64) {
 	w, b := pos>>6, uint(pos&63)
 	m := laneMask(n)
 	lm := m << b
-	newV := p.curV[w]&^lm | ov<<b&lm
-	newK := p.curK[w]&^lm | ok<<b&lm
-	if newV != p.curV[w] || newK != p.curK[w] {
-		p.curV[w] = newV
-		p.curK[w] = newK
-		p.markDirty(w)
-	}
+	p.curV[w] = p.curV[w]&^lm | ov<<b&lm
+	p.curK[w] = p.curK[w]&^lm | ok<<b&lm
 	if b != 0 && int(b)+n > 64 {
 		hm := m >> (64 - b)
-		hv := p.curV[w+1]&^hm | ov>>(64-b)&hm
-		hk := p.curK[w+1]&^hm | ok>>(64-b)&hm
-		if hv != p.curV[w+1] || hk != p.curK[w+1] {
-			p.curV[w+1] = hv
-			p.curK[w+1] = hk
-			p.markDirty(w + 1)
-		}
+		p.curV[w+1] = p.curV[w+1]&^hm | ov>>(64-b)&hm
+		p.curK[w+1] = p.curK[w+1]&^hm | ok>>(64-b)&hm
 	}
 }
 
@@ -261,9 +221,6 @@ func (s *Simulator) stepPacked() {
 	p := s.pk
 	copy(p.prevV, p.curV)
 	copy(p.prevK, p.curK)
-	for i := range p.dirty {
-		p.dirty[i] = 0
-	}
 	s.inStep = true
 
 	// 0. Staged input assignments become the new cycle's input values.
@@ -282,34 +239,13 @@ func (s *Simulator) stepPacked() {
 		s.bus.Tick(s)
 	}
 
-	// 3. The rest of the cycle — combinational settling and the
-	// activity/energy pass — is a pure function of the five planes now
-	// in hand (every external write has landed); a whole-step memo hit
-	// replays it outright (see stepmemo.go).
+	// 3. The rest of the cycle — settle: combinational evaluation,
+	// activity and the energy bound — is a pure function of the five
+	// planes now in hand (every external write has landed); a
+	// whole-step memo hit replays it outright (see stepmemo.go).
 	st := p.stepMemo
 	if st == nil || !st.lookup(p) {
-		// Settle level by level in topological order, skipping any
-		// level — and, within a dirty level, any batch — whose fan-in
-		// words are all clean (outputs provably equal last cycle's).
-		force := !p.settled
-		for li := range p.plan.Levels {
-			lv := &p.plan.Levels[li]
-			if !force && !p.maskDirty(lv.ReadMask) {
-				continue
-			}
-			for bi := range lv.Batches {
-				b := &lv.Batches[bi]
-				if force || p.maskDirty(b.ReadMask) {
-					p.evalBatch(b)
-				}
-			}
-		}
-		p.settled = true
-
-		// 4. Activity, with the cycle's energy bound accumulated in
-		// the same pass.
-		p.activity(s)
-
+		p.settle(s)
 		if st != nil {
 			st.record(p)
 		}
@@ -324,12 +260,16 @@ func (s *Simulator) stepPacked() {
 	s.inStep = false
 }
 
-// activity computes the per-net activity plane, mirroring the scalar
-// rules: flip-flops first (X-activity from last cycle's flags), then
-// primary inputs, then combinational gates in topological order
-// (X-activity from current flags). Toggles are one packed XOR pair per
-// word; only unchanged-X outputs need per-gate fan-in checks.
-func (p *packedSim) activity(s *Simulator) {
+// settle evaluates every combinational batch and computes the per-net
+// activity plane, mirroring the scalar rules: flip-flops first
+// (X-activity from last cycle's flags), then primary inputs, then
+// combinational batches level by level in topological order, each
+// evaluated and then immediately given its activity (X-activity from
+// current flags, which only earlier levels set). Toggles are one packed
+// XOR pair per word; only unchanged-X outputs need per-gate fan-in
+// checks. The cycle's energy bound accumulates in the same pass, in
+// plan order: clock energy, flip-flop batches, then the levels.
+func (p *packedSim) settle(s *Simulator) {
 	copy(p.prevAct, p.act)
 	plan := p.plan
 	e := s.clkTotalFJ
@@ -350,7 +290,9 @@ func (p *packedSim) activity(s *Simulator) {
 	for li := range plan.Levels {
 		lv := &plan.Levels[li]
 		for bi := range lv.Batches {
-			e += p.batchActivity(s, &lv.Batches[bi], false)
+			b := &lv.Batches[bi]
+			p.evalBatch(b)
+			e += p.batchActivity(s, b, false)
 		}
 	}
 	p.boundFJ = e
@@ -417,8 +359,8 @@ func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq bool
 // gates (actW) classified by their known endpoint — both-X takes the
 // library's max transition, "left a known 0" / "arrived at a known 1"
 // is a rise, the mirror a fall. Canonical planes make "known 0" one
-// AND-NOT. Shared by the fused activity pass and the standalone
-// post-Restore walk so the rule cannot diverge.
+// AND-NOT. Shared by settle and the standalone post-Restore walk so
+// the rule cannot diverge.
 func chunkBoundFJ(pv, pk, cv, ck, actW, m uint64, rise, fall, maxE float64) float64 {
 	e := 0.0
 	bothK := pk & ck
@@ -481,7 +423,7 @@ func (p *packedSim) accumulateNewActive(acc []uint64, f func(netlist.CellID)) {
 // the library's rise/fall energies; only active X-involved gates need
 // word-classified popcounts. Clock-pin energy is the precomputed
 // constant. The rule is cross-tested against the reference sum in
-// package power. The activity pass computes the same sum for free each
+// package power. Settle computes the same sum for free each
 // Step (batchActivity already holds every word), so this usually
 // returns the cached value; the standalone walk below serves a
 // simulator whose activity flags were cleared by Restore.

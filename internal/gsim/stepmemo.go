@@ -3,32 +3,25 @@ package gsim
 // Whole-step memoization. Loop-heavy explorations revisit whole
 // processor states: a wait loop polling a symbolic input, a search loop
 // whose live registers cycle through a short orbit. The step table keys
-// the entire post-capture phase of a cycle — combinational settling
-// plus the activity/energy pass — on one hash of the five planes that
-// determine it, and replays the final planes, activity flags and energy
-// bound in three plain copies.
+// the entire post-capture phase of a cycle — settle: combinational
+// evaluation, activity and the energy bound — on one hash of the five
+// planes that determine it, and replays the final planes, activity
+// flags and energy bound in three plain copies.
 //
 // Soundness (DESIGN.md "Memoization soundness"):
 //
 //   - By the time the step table is consulted, every external input to
 //     the cycle has already landed in the planes: staged inputs and bus
-//     writes are in curV/curK, the clock edge has captured, and the
-//     activity pass reads only curV/curK/prevV/prevK plus the previous
-//     cycle's flags (act — prevAct is overwritten before first read).
-//     The phase's output state is therefore a pure function of
+//     writes are in curV/curK, the clock edge has captured, and settle
+//     reads only curV/curK/prevV/prevK plus the previous cycle's flags
+//     (act — prevAct is overwritten before first read). The phase's
+//     output state is therefore a pure function of
 //     (curV, curK, prevV, prevK, act).
-//   - The dirty masks and the settled flag are deliberately NOT part of
-//     the key: the engine's skip invariant (a level or batch whose
-//     fan-in words are clean holds outputs equal to evaluating them)
-//     means force-settling, dirty-driven settling, and replay all reach
-//     the same fixpoint for identical planes. Replay therefore also
-//     sets settled, exactly as the settle loop would.
 //   - Replay writes only what a later reader sees: the final current
 //     planes, the activity flags and the cached energy bound (the very
-//     float64 the live pass produced for these planes). The dirty mask
-//     and prevAct are scratch of the phase being skipped: nothing reads
-//     dirty after the lookup (the next Step zeroes it first), and the
-//     next activity pass overwrites prevAct before reading it.
+//     float64 the live pass produced for these planes). prevAct is
+//     scratch of the phase being skipped: the next settle overwrites it
+//     before reading it.
 //   - Collisions cannot corrupt state: the full source planes are
 //     compared before a hit is taken.
 const (
@@ -75,7 +68,7 @@ type stepTable struct {
 	disabled      bool
 
 	// pending carries a miss from lookup to record across the live
-	// settle and activity passes.
+	// settle.
 	pending   bool
 	pendKey   uint64
 	pendEntry *stepEntry
@@ -94,7 +87,7 @@ func newStepTable(words, maxBytes int) *stepTable {
 }
 
 // lookup hashes the five source planes and replays a verified hit,
-// returning true (the caller skips settling and the activity pass). On
+// returning true (the caller skips settle). On
 // a miss it captures the planes and leaves them pending for record.
 func (st *stepTable) lookup(p *packedSim) bool {
 	st.pending = false
@@ -161,7 +154,6 @@ func (st *stepTable) replay(p *packedSim, e *stepEntry) {
 	copy(p.curV, e.out[:n])
 	copy(p.curK, e.out[n:2*n])
 	copy(p.act, e.out[2*n:])
-	p.settled = true
 	p.boundFJ = e.bound
 	p.boundValid = true
 }

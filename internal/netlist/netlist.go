@@ -7,9 +7,8 @@
 // Build additionally compiles the PackedPlan consumed by the bit-packed
 // gate engine (internal/gsim): a bit-position layout of every net over
 // 64-bit value/known planes, same-kind cell batches grouped by
-// topological level with run-length-compressed input gather programs,
-// and per-level/per-batch read masks for dirty-level scheduling. The
-// plan, like the netlist, is immutable after Build and shared by every
+// topological level with run-length-compressed input gather programs.
+// The plan, like the netlist, is immutable after Build and shared by every
 // concurrent simulation. See PERFORMANCE.md for the engine design.
 //
 // The paper's tool consumes "the gate-level netlist of the ULP processor"

@@ -13,8 +13,8 @@ import (
 // (topological level, kind) — whose output positions are consecutive,
 // so one word operation evaluates up to 64 gates.
 //
-// The layout is: primary inputs first (so input staging and dirty
-// detection touch a compact word range), then flip-flop outputs grouped
+// The layout is: primary inputs first (so input staging and the
+// inputs' activity touch a compact word range), then flip-flop outputs grouped
 // by kind, then each topological level's outputs grouped by kind, then
 // any remaining unconnected nets. Because positions follow dataflow
 // order, fan-in is frequently consecutive (bus wiring, stage-to-stage
@@ -22,20 +22,11 @@ import (
 // vector is run-length compressed into GatherRun chunk copies instead
 // of per-bit extraction.
 //
-// Dirty scheduling works on plane-word granularity. Every batch (and
-// every level) carries a ReadMask over plane words; the engine marks a
-// word dirty when a value in it changes, and a batch or level whose
-// ReadMask intersects no dirty word is skipped for the cycle — its
-// outputs provably equal the previous cycle's.
-//
 // A PackedPlan is immutable after Build and shared by every simulator
 // instance of the netlist, like the netlist itself.
 type PackedPlan struct {
 	// Words is the plane length in 64-bit words.
 	Words int
-	// MaskWords is the length of dirty bitsets and ReadMask slices:
-	// one bit per plane word.
-	MaskWords int
 	// Pos maps each net to its plane bit position.
 	Pos []int32
 	// CellOfPos maps a plane bit position to the cell driving that net,
@@ -54,9 +45,6 @@ type PackedPlan struct {
 type PackedLevel struct {
 	// Batches are the level's same-kind cell groups.
 	Batches []PackedBatch
-	// ReadMask is the union of the batches' ReadMasks: one bit per
-	// plane word read by any input pin in the level.
-	ReadMask []uint64
 }
 
 // PackedBatch is a run of same-kind cells whose output nets occupy the
@@ -83,9 +71,6 @@ type PackedBatch struct {
 	// GatherB holds the broadcast runs (one source bit replicated into
 	// N lanes), per pin per chunk; nil when a chunk has none.
 	GatherB [3][][]GatherRun
-	// ReadMask flags the plane words read by any input pin (one bit per
-	// plane word): the batch's dirty-skip test.
-	ReadMask []uint64
 }
 
 // Chunks returns the number of 64-lane chunks in the batch.
@@ -190,22 +175,17 @@ func (n *Netlist) buildPacked() {
 		}
 	}
 	p.Words = int(next+63) / 64
-	p.MaskWords = (p.Words + 63) / 64
 
-	// Second pass: per-pin input positions and gather programs, read
-	// masks (flip-flop fan-in may live in later-assigned groups, so
-	// this cannot be fused with position assignment).
+	// Second pass: per-pin input positions and gather programs
+	// (flip-flop fan-in may live in later-assigned groups, so this
+	// cannot be fused with position assignment).
 	for bi := range p.Seq {
 		p.finishBatch(n, &p.Seq[bi])
 	}
 	for li := range p.Levels {
 		lv := &p.Levels[li]
-		lv.ReadMask = make([]uint64, p.MaskWords)
 		for bi := range lv.Batches {
 			p.finishBatch(n, &lv.Batches[bi])
-			for w, m := range lv.Batches[bi].ReadMask {
-				lv.ReadMask[w] |= m
-			}
 		}
 	}
 
@@ -219,18 +199,14 @@ func (n *Netlist) buildPacked() {
 	n.packed = p
 }
 
-// finishBatch fills a batch's input-pin position vectors, gather
-// programs, and read mask.
+// finishBatch fills a batch's input-pin position vectors and gather
+// programs.
 func (p *PackedPlan) finishBatch(n *Netlist, b *PackedBatch) {
-	b.ReadMask = make([]uint64, p.MaskWords)
 	lanes := len(b.Cells)
 	for pin := 0; pin < b.Kind.NumInputs(); pin++ {
 		in := make([]int32, lanes)
 		for i, ci := range b.Cells {
-			pos := p.Pos[n.cells[ci].In[pin]]
-			in[i] = pos
-			w := pos >> 6
-			b.ReadMask[w>>6] |= 1 << uint(w&63)
+			in[i] = p.Pos[n.cells[ci].In[pin]]
 		}
 		b.In[pin] = in
 		b.Gather[pin], b.GatherB[pin] = compileGather(in)

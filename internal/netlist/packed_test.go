@@ -92,10 +92,6 @@ func TestPackedPlanInvariants(t *testing.T) {
 				if b.In[pin][lane] != p.Pos[c.In[pin]] {
 					t.Fatalf("pin %d lane %d position mismatch", pin, lane)
 				}
-				w := b.In[pin][lane] >> 6
-				if b.ReadMask[w>>6]>>(uint(w&63))&1 != 1 {
-					t.Fatalf("ReadMask misses word %d", w)
-				}
 			}
 		}
 	}

@@ -28,7 +28,7 @@ import (
 // portableMagic identifies (and versions) the encoding. Bump on any
 // layout change: stale checkpoint files must fail decode, not
 // misinterpret.
-var portableMagic = [4]byte{'u', 'p', 's', '2'}
+var portableMagic = [4]byte{'u', 'p', 's', '3'}
 
 // EncodePortable serializes st into one buffer sized up front.
 func EncodePortable(st *PortableState) []byte {
@@ -41,7 +41,7 @@ func EncodePortable(st *PortableState) []byte {
 	size := len(portableMagic) +
 		4 + len(sn.Vals) + 4 + len(sn.Prev) +
 		4*4 + 8*(len(sn.PlaneV)+len(sn.PlaneK)+len(sn.PrevPlaneV)+len(sn.PrevPlaneK)) +
-		1 + 4 + 5*len(staged) + 8 +
+		4 + 5*len(staged) + 8 +
 		4 + 6*len(st.patches) +
 		4 + 1 + binary.Size(st.bus) + 4 + len(errText)
 	b := make([]byte, 0, size)
@@ -52,7 +52,6 @@ func EncodePortable(st *PortableState) []byte {
 	b = putU64s(b, sn.PlaneK)
 	b = putU64s(b, sn.PrevPlaneV)
 	b = putU64s(b, sn.PrevPlaneK)
-	b = putBool(b, sn.Settled)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(staged)))
 	for _, r := range staged {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.ID))
@@ -89,7 +88,6 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	st.sim.PlaneK = getU64s(r)
 	st.sim.PrevPlaneV = getU64s(r)
 	st.sim.PrevPlaneK = getU64s(r)
-	st.sim.Settled = getBool(r)
 	n := int(getU32(r))
 	if r.err == nil && n > r.remaining()/5 {
 		return nil, errors.New("ulp430: portable state: truncated staged inputs")
@@ -141,13 +139,6 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	return st, nil
 }
 
-func putBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func putTrits(b []byte, ts []logic.Trit) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
 	for _, t := range ts {
@@ -192,8 +183,6 @@ func getByte(r *byteReader) byte {
 	r.read(t[:])
 	return t[0]
 }
-
-func getBool(r *byteReader) bool { return getByte(r) != 0 }
 
 func getU16(r *byteReader) uint16 {
 	var t [2]byte

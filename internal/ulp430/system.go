@@ -646,38 +646,12 @@ func (s *System) RestorePortable(st *PortableState) {
 	s.errState = st.err
 }
 
-// MemHash mixes the RAM contents (the part of memory that changes) into
-// the state hash used for execution-tree merging.
-func (s *System) MemHash() uint64 {
-	h := uint64(1469598103934665603)
-	lo := int32(soc.RAMStart / 2)
-	hi := int32(soc.RAMEnd / 2)
-	for i := lo; i < hi; i++ {
-		w := s.mem[i]
-		h ^= uint64(w.val) | uint64(w.xmask)<<16
-		h *= 1099511628211
-	}
-	return h
-}
-
-// StateHash combines flip-flop state and RAM contents — Algorithm 1's
-// "the processor state is the same as it was when the branch was
-// previously encountered".
-func (s *System) StateHash() uint64 {
-	h := s.Sim.StateHash()
-	h ^= s.MemHash()
-	h *= 1099511628211
-	if s.bus != nil {
-		h ^= s.bus.Hash(s.Sim.Cycle())
-		h *= 1099511628211
-	}
-	return h
-}
-
-// StateKey returns the exploration's 128-bit merge key: lo is StateHash
-// and hi an independently mixed second hash over the same state walk
-// (different basis and multiplier per component, a splitmix-finalized
-// bus term). Merging two genuinely different states requires both words
+// StateKey returns the exploration's 128-bit merge key over flip-flop
+// state, RAM contents and bus state — Algorithm 1's "the processor
+// state is the same as it was when the branch was previously
+// encountered". lo and hi are independently mixed hashes over the same
+// state walk (different basis and multiplier per component, a
+// splitmix-finalized bus term). Merging two genuinely different states requires both words
 // to collide — see DESIGN.md "Merge keys".
 func (s *System) StateKey() (lo, hi uint64) {
 	lo = s.Sim.StateHash()

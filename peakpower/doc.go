@@ -68,13 +68,12 @@
 // # Engines
 //
 // Analyses default to EnginePacked, the bit-packed levelized gate
-// engine (64 nets per word operation, dirty-level skipping — see
-// PERFORMANCE.md). EngineScalar is the original one-gate-at-a-time
-// implementation, retained as the verification oracle: differential
-// tests hold the two engines to identical explorations, toggle sets,
-// and bounds on the full benchmark suite, so EngineScalar exists to
-// cross-check results and bisect suspected engine bugs, not for
-// throughput. Report.Engine records which engine produced a result.
+// engine (64 nets per word operation — see PERFORMANCE.md).
+// EngineScalar is the original one-gate-at-a-time implementation,
+// retained as the verification oracle: differential tests hold the two
+// engines to identical explorations, toggle sets, and bounds on the
+// full benchmark suite, so EngineScalar exists to cross-check results
+// and bisect suspected engine bugs, not for throughput. Report.Engine records which engine produced a result.
 //
 // # Error taxonomy
 //

@@ -26,8 +26,8 @@ func ULP130() *Library { return cell.ULP130() }
 type Engine = gsim.Engine
 
 const (
-	// EnginePacked is the bit-packed, levelized, dirty-level-skipping
-	// engine — the default, and the fast path.
+	// EnginePacked is the bit-packed, levelized engine — the default,
+	// and the fast path.
 	EnginePacked = gsim.EnginePacked
 	// EngineScalar is the straightforward one-gate-at-a-time reference
 	// engine. It computes identical results to EnginePacked (this is
@@ -264,11 +264,12 @@ func WithCheckpoint(path string) Option {
 // interrupt-driven duty loops — instead of re-executing the gather
 // programs. It is a pure execution-speed mechanism: memo hits verify
 // their source planes exactly (no reliance on hash uniqueness) and
-// reproduce the evaluated dirty set bit for bit, so sealed Reports are
-// byte-identical with the memo on or off. Like the worker count, the option cannot change the
-// analysis result and is excluded from the cache key; the scalar engine
-// ignores it. Result.MemoHits / MemoMisses and the Progress counters
-// report its effectiveness.
+// replay the very planes, flags and bound the live pass computed, so
+// sealed Reports are byte-identical with the memo on or off. Like the
+// worker count, the option cannot change the analysis result and is
+// excluded from the cache key; the scalar engine ignores it.
+// Result.MemoHits / MemoMisses and the Progress counters report its
+// effectiveness.
 func WithMemo(enabled bool) Option {
 	return func(c *config) { c.memo = enabled }
 }
