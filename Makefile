@@ -63,7 +63,9 @@ memo-guard:
 # Short native-fuzz session over the differential target: Explore and
 # ExploreParallel against the test suite's reference explorer on
 # generated programs and interrupt windows, trees and power reductions
-# required to agree exactly. Then the four readers of bytes from disk
+# required to agree exactly. Then the Best/TopK fold on its own: whole
+# streams against the same streams cut into segments and replayed
+# canonically. Then the four readers of bytes from disk
 # or the network (the checkpoint journal loader, fleet task and result
 # records, checkpoint portable states, sealed Reports) on arbitrary
 # input: an error, never a panic or a hang. Their real seeds are large
@@ -72,6 +74,7 @@ memo-guard:
 # session. CI's fuzz smoke.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzExplore -fuzztime=10s ./internal/symx/
+	$(GO) test -run='^$$' -fuzz='^FuzzScopeFold$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/power/
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointJournal$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/symx/
 	$(GO) test -run='^$$' -fuzz='^FuzzFleetRecords$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/symx/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePortable$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/ulp430/

@@ -229,22 +229,6 @@ func WritesDst(op Op) bool {
 	return op != CMP && op != BIT
 }
 
-// WritesFlags reports whether the operation updates the status flags.
-func WritesFlags(op Op) bool {
-	switch op {
-	case MOV, BIC, BIS, SWPB, PUSH, CALL:
-		return false
-	case RETI:
-		// RETI replaces the whole SR from the stack through its own
-		// datapath, not the ALU flag-update path.
-		return false
-	}
-	if op >= 32 { // jumps
-		return false
-	}
-	return true
-}
-
 // Decode decodes the instruction word w. Extension words must be supplied
 // afterwards via AttachExt (the decoder reports how many are needed).
 func Decode(w uint16) Instr {

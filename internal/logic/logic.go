@@ -42,12 +42,6 @@ func FromBit(v uint64) Trit {
 // Known reports whether t is a definite 0 or 1.
 func (t Trit) Known() bool { return t != X }
 
-// IsH reports whether t is definitely 1.
-func (t Trit) IsH() bool { return t == H }
-
-// IsL reports whether t is definitely 0.
-func (t Trit) IsL() bool { return t == L }
-
 // Bit returns the concrete bit value of t; it panics if t is X.
 // Use only on values already checked with Known.
 func (t Trit) Bit() uint64 {
@@ -166,10 +160,6 @@ func Mux(s, a, b Trit) Trit {
 	}
 	return X
 }
-
-// Eq reports whether a and b are the same symbol (X equals X here: this is
-// symbol identity, not logical equivalence).
-func Eq(a, b Trit) bool { return a == b }
 
 // Word is a little-endian vector of trits: Word[0] is bit 0 (LSB).
 type Word []Trit

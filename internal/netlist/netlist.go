@@ -303,9 +303,6 @@ func (n *Netlist) Levels() [][]CellID { return n.levels }
 // Sequential returns all flip-flop cell IDs.
 func (n *Netlist) Sequential() []CellID { return n.seq }
 
-// Driver returns the cell driving net id, or -1 for primary inputs.
-func (n *Netlist) Driver(id NetID) CellID { return n.driver[id] }
-
 // Modules returns the distinct top-level module names in first-seen order.
 func (n *Netlist) Modules() []string { return n.modules }
 

@@ -97,9 +97,6 @@ func NewBus(cfg Config, symbolic bool) *Bus {
 // Config returns the normalized configuration the bus runs with.
 func (b *Bus) Config() Config { return b.cfg }
 
-// AddressMap exposes the device address areas (Tag = device index).
-func (b *Bus) AddressMap() *Map { return b.m }
-
 // Timer returns the timer device (test and example hook).
 func (b *Bus) Timer() *Timer { return b.timer }
 

@@ -26,14 +26,10 @@ import (
 	"repro/internal/netlist"
 )
 
-// EnableCheckpoint switches a task-mode sink to also record per-task
-// observation records for the exploration checkpoint journal. Must be
-// called after EnableTasks and before any observation.
-func (s *Sink) EnableCheckpoint() {
-	s.ckpt = true
-	s.taskAccum = make([]uint64, len(s.actAccum))
-	s.taskVisit = func(ci netlist.CellID) { s.taskActive = append(s.taskActive, ci) }
-}
+// EnableCheckpoint does nothing: every task-mode sink keeps the per-task
+// records MarshalTask serializes. It remains only so existing callers
+// keep compiling.
+func (s *Sink) EnableCheckpoint() {}
 
 // peakWire is Peak, flattened for the journal.
 type peakWire struct {
@@ -114,12 +110,13 @@ func fromWire(w peakWire) Peak {
 	return pk
 }
 
-// MarshalTask implements symx.TaskMarshaler: serialize the observations of
-// the task begun by the last BeginTask.
+// MarshalTask implements symx.WorkerSink: flush the current segment and
+// serialize the observations of the task begun by the last BeginTask.
 func (s *Sink) MarshalTask() ([]byte, error) {
-	if !s.ckpt {
-		return nil, fmt.Errorf("power: MarshalTask without EnableCheckpoint")
+	if !s.taskMode {
+		return nil, fmt.Errorf("power: MarshalTask outside task mode")
 	}
+	s.NewSegment()
 	w := taskWire{ISR: s.taskISR}
 	for _, c := range s.bestCands[s.taskBest0:] {
 		w.Best = append(w.Best, candWire{Stream: c.Stream, peakWire: toWire(c.Peak)})
@@ -196,6 +193,13 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 			union[ci] = true
 		}
 	}
+	best, topK = replay(bestC, topC, k, nodeID)
+	return best, topK, isrPeakMW, union, nil
+}
+
+// replay folds candidates in canonical order through the sequential
+// Best/TopK fold.
+func replay(bestC, topC []PeakCand, k int, nodeID func(task, stream int) int) (best Peak, topK []Peak) {
 	sortCanonical(bestC, nodeID)
 	sortCanonical(topC, nodeID)
 	for _, c := range bestC {
@@ -207,7 +211,7 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 		pk := c.Peak
 		topK = insertTopK(topK, k, pk.PowerMW, pk.FetchAddr, func() Peak { return pk })
 	}
-	return best, topK, isrPeakMW, union, nil
+	return best, topK
 }
 
 // Codec implements symx.CheckpointCodec for power sinks: seeds are

@@ -8,32 +8,40 @@
 // order-SENSITIVE reductions — Best (strict-> fold, so a tie keeps the
 // first cycle in sequential order, with its attribution metadata) and
 // TopK (an insertion process whose displacement decisions depend on
-// arrival order) — cannot be folded live without making the Report
-// depend on worker interleaving. Instead each observation that could
-// matter is materialized at observation time as a candidate tagged with
-// its (task, stream) coordinates, and MergeParallelReplay replays all
-// candidates in canonical order — ascending (final tree-node ID,
-// within-task stream index), which is exactly the order the sequential
-// engine visits observations in — through the very same fold/insertion
-// code, reproducing the sequential Best and TopK bit for bit.
+// arrival order) — cannot be folded across tasks live without making the
+// Report depend on worker interleaving. Instead the sink runs the one
+// sequential fold (Sink.observe) over one scope at a time: a tree
+// segment. NewSegment, EndTask and MarshalTask flush the scope's Best and
+// TopK list as candidates tagged with their (task, stream) coordinates,
+// and MergeParallelReplay replays all candidates in canonical order —
+// ascending (final tree-node ID, within-task stream index), which is
+// exactly the order the sequential engine visits observations in —
+// through the very same fold/insertion code, reproducing the sequential
+// Best and TopK bit for bit.
 //
-// The candidate filters are provably lossless:
+// The per-scope fold is lossless because a segment is explored in one
+// contiguous run: its observations are contiguous in canonical order and
+// emitted in that order, so within a segment positions and stream indices
+// both advance by one per observation (a candidate's stream index is
+// scopeStream + PathPos − scopePos).
 //
-//   - Within one tree segment, canonical order equals the task's own
-//     emission order (a segment is explored in one contiguous run), so
-//     an observation preceded in its segment by one of equal-or-higher
-//     power (same fetch address, for TopK) can never beat it in the
-//     canonical fold — only strict per-segment records are kept. For
-//     TopK this needs the insertion process's monotonicity: the list
-//     minimum never decreases and a per-address entry never decreases,
-//     so an observation dominated by an earlier same-segment same-address
-//     one is a no-op wherever it lands in the replay.
-//   - For Best, a shared monotone floor (the highest power any worker
-//     has observed so far) additionally prunes candidates strictly below
-//     it: the floor is always <= the final maximum, and only
-//     observations attaining the final maximum can become Best. Ties
-//     with the floor are kept, so the canonically-first attaining cycle
-//     — whose metadata the sequential fold would keep — always survives.
+//   - Best: the run's first cycle attaining the global maximum is also the
+//     first cycle attaining its own segment's maximum, which is exactly
+//     what the segment's strict-> fold keeps. A shared monotone floor
+//     (the highest power any worker has materialized so far) additionally
+//     skips materializing a scope maximum strictly below it: the floor
+//     never exceeds the final maximum, so such a cycle cannot be the
+//     peak. Ties with the floor are kept, so the canonically-first
+//     attaining cycle always survives.
+//   - TopK: the insertion process keeps the k addresses ranked highest by
+//     (per-address maximum, earliest attaining cycle). An observation
+//     the segment's own top-k fold drops is either dominated by a
+//     same-address entry of the segment (equal or higher power, earlier)
+//     or lies below k stronger entries of the segment; those entries are
+//     at least as strong in the global fold, so the dropped observation
+//     is a no-op or gets evicted there too. Every entry of the global
+//     list thus reaches the replay as its segment's candidate, and the
+//     replay over a superset of those winners ranks them identically.
 package power
 
 import (
@@ -41,7 +49,7 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/gsim"
+	"repro/internal/netlist"
 )
 
 // TaskSeed is the path context a mid-path exploration task inherits from
@@ -57,7 +65,8 @@ type TaskSeed struct {
 }
 
 // Shared is the cross-worker state of one parallel exploration: a
-// monotone lower bound on the final peak used to prune Best candidates.
+// monotone lower bound on the final peak below which a scope maximum is
+// not materialized.
 // One Shared instance is created per exploration and handed to every
 // worker's sink via EnableTasks.
 type Shared struct {
@@ -93,12 +102,15 @@ type PeakCand struct {
 }
 
 // EnableTasks switches the sink into task mode for one parallel
-// exploration. Must be called before any observation; shared must be the
-// exploration's common Shared instance.
+// exploration: Best and TopK fold one tree segment at a time, and the
+// per-task records MarshalTask serializes are kept. Must be called before
+// any observation; shared must be the exploration's common Shared
+// instance.
 func (s *Sink) EnableTasks(shared *Shared) {
 	s.taskMode = true
 	s.shared = shared
-	s.segAddrMax = make(map[uint16]float64)
+	s.taskAccum = make([]uint64, len(s.actAccum))
+	s.taskVisit = func(ci netlist.CellID) { s.taskActive = append(s.taskActive, ci) }
 }
 
 // BeginTask implements symx.WorkerSink: reset per-path state for a task
@@ -116,29 +128,37 @@ func (s *Sink) BeginTask(task, basePos int, seed interface{}) {
 	} else {
 		s.seed = TaskSeed{}
 	}
-	if s.ckpt {
-		s.taskBest0 = len(s.bestCands)
-		s.taskTopk0 = len(s.topkCands)
-		s.taskISR = 0
-		for i := range s.taskAccum {
-			s.taskAccum[i] = 0
-		}
-		s.taskActive = s.taskActive[:0]
-	}
+	s.taskBest0 = len(s.bestCands)
+	s.taskTopk0 = len(s.topkCands)
+	s.taskISR = 0
+	clear(s.taskAccum)
+	s.taskActive = s.taskActive[:0]
 	s.NewSegment()
 }
 
-// EndTask implements symx.WorkerSink. Candidates are recorded as they
-// arise, so there is nothing to flush.
-func (s *Sink) EndTask() {}
+// EndTask implements symx.WorkerSink: flush the task's last segment.
+func (s *Sink) EndTask() { s.NewSegment() }
 
-// NewSegment implements symx.WorkerSink: reset the per-segment candidate
-// filters at a tree-segment boundary.
+// NewSegment implements symx.WorkerSink. In task mode it flushes the
+// scope's Best and TopK list as candidates and starts an empty scope at
+// the current position; outside task mode the scope is the whole run.
 func (s *Sink) NewSegment() {
-	s.segBest = 0
-	for a := range s.segAddrMax {
-		delete(s.segAddrMax, a)
+	if !s.taskMode {
+		return
 	}
+	if s.bestKept {
+		s.bestCands = append(s.bestCands, s.cand(s.Best))
+	}
+	for _, pk := range s.TopK {
+		s.topkCands = append(s.topkCands, s.cand(pk))
+	}
+	s.Best, s.bestKept, s.TopK = Peak{}, false, s.TopK[:0]
+	s.scopePos, s.scopeStream = s.Pos(), s.stream
+}
+
+// cand tags a peak of the current scope with its canonical coordinates.
+func (s *Sink) cand(pk Peak) PeakCand {
+	return PeakCand{Peak: pk, Task: s.task, Stream: s.scopeStream + pk.PathPos - s.scopePos}
 }
 
 // SpawnSeed implements symx.WorkerSink: the path context just before
@@ -153,41 +173,10 @@ func (s *Sink) SpawnSeed(pos int) interface{} {
 	return TaskSeed{Fetch: s.fetches[i].fetch, Prev: s.fetches[i].prev, Depth: s.isrDepth[i]}
 }
 
-// recordCandidates applies the per-segment filters to one observation
-// and materializes the surviving Best/TopK candidates (task mode's
-// replacement for the live Best/TopK fold).
-func (s *Sink) recordCandidates(p float64, pos int, fc fetchCtx, sim *gsim.Simulator) {
-	segRecord := p > s.segBest
-	if segRecord {
-		s.segBest = p
-	}
-	bestKeep := segRecord && p >= s.shared.floor()
-	topKeep := false
-	if s.k > 0 {
-		if prev, ok := s.segAddrMax[fc.fetch]; !ok || p > prev {
-			s.segAddrMax[fc.fetch] = p
-			topKeep = true
-		}
-	}
-	if !bestKeep && !topKeep {
-		return
-	}
-	pk := s.makePeak(p, pos, fc, bestKeep, sim)
-	if bestKeep {
-		s.shared.raise(p)
-		s.bestCands = append(s.bestCands, PeakCand{Peak: pk, Task: s.task, Stream: s.curStream})
-	}
-	if topKeep {
-		t := pk
-		t.ActiveCells = nil
-		s.topkCands = append(s.topkCands, PeakCand{Peak: t, Task: s.task, Stream: s.curStream})
-	}
-}
-
 // sortCanonical orders candidates by (final node ID, stream index) —
 // sequential observation order. Keys are unique within one candidate
-// list: a node's observations belong to exactly one task, and a task
-// records at most one candidate per observation per list.
+// list: a node's observations belong to exactly one task, and a scope
+// flushes at most one candidate per observation per list.
 func sortCanonical(cs []PeakCand, nodeID func(task, stream int) int) {
 	sort.Slice(cs, func(i, j int) bool {
 		ni, nj := nodeID(cs[i].Task, cs[i].Stream), nodeID(cs[j].Task, cs[j].Stream)

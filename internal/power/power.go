@@ -158,10 +158,12 @@ type Sink struct {
 	// UnionActive marks cells active in at least one explored cycle —
 	// the "potentially toggled" set of Figures 1.5 and 3.4.
 	UnionActive []bool
-	// Best is the global peak across all explored cycles.
+	// Best is the peak across all explored cycles. In task mode it
+	// folds only the current tree segment (see EnableTasks).
 	Best Peak
 	// TopK holds the highest-power cycles with distinct fetch addresses
-	// (COI candidates), sorted descending.
+	// (COI candidates), sorted descending. It folds the same scope as
+	// Best.
 	TopK []Peak
 	// ISRPeakMW is the peak power bound restricted to cycles spent in
 	// interrupt context (0 when no interrupt was ever entered). Like
@@ -201,34 +203,33 @@ type Sink struct {
 
 	// Task mode (EnableTasks): the sink serves one worker of a parallel
 	// exploration. Trace/fetches/isrDepth become task-local (positions
-	// stay absolute via base), the order-sensitive reductions (Best,
-	// TopK) are deferred — candidate peaks are recorded with their
-	// (task, stream) coordinates and folded canonically by
-	// MergeParallelReplay — and the path context at a task's start
-	// comes from a TaskSeed instead of history.
-	taskMode  bool
-	shared    *Shared
-	base      int
-	task      int
-	stream    int
-	curStream int
-	seed      TaskSeed
-	// Per-segment candidate filters (see recordCandidates): canonical
-	// order within one tree segment equals this task's exploration
-	// order, so within a segment only strict running records can matter.
-	segBest    float64
-	segAddrMax map[uint16]float64
-	bestCands  []PeakCand
-	topkCands  []PeakCand
+	// stay absolute via base), the path context at a task's start comes
+	// from a TaskSeed instead of history, and Best/TopK fold one tree
+	// segment at a time: the scope that starts at position scopePos,
+	// stream index scopeStream. Each segment's records are flushed as
+	// candidates tagged with their (task, stream) coordinates and folded
+	// canonically by MergeParallelReplay (see parallel.go).
+	taskMode    bool
+	shared      *Shared
+	base        int
+	task        int
+	stream      int
+	seed        TaskSeed
+	scopePos    int
+	scopeStream int
+	// bestKept is false while Best is a scope maximum that was below the
+	// shared floor when observed: it cannot be the run's peak, so it is
+	// tracked but neither materialized nor flushed.
+	bestKept  bool
+	bestCands []PeakCand
+	topkCands []PeakCand
 
-	// Checkpoint mode (EnableCheckpoint): per-task observation records
-	// for the exploration journal. Candidate slices are sliced at task
-	// boundaries; the activity union and ISR peak — order-insensitive
+	// Per-task records for MarshalTask. Candidate slices are sliced at
+	// task boundaries; the activity union and ISR peak — order-insensitive
 	// folds whose per-task contribution cannot be recovered from the
 	// running fold — get task-local accumulators, so a resumed run can
 	// replay exactly one task's contribution without its worker's
 	// history (see MarshalTask / MergeParallelReplay).
-	ckpt       bool
 	taskBest0  int
 	taskTopk0  int
 	taskISR    float64
@@ -288,10 +289,7 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	sim := sys.Sim
 	s.refreshState(sim)
 	pos := s.base + len(s.Trace)
-	if s.taskMode {
-		s.curStream = s.stream
-		s.stream++
-	}
+	s.stream++
 
 	p := s.model.PowerMW(sim.BoundEnergyFJ()) + s.leakMW
 	s.Trace = append(s.Trace, p)
@@ -344,27 +342,39 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	sim.AccumulateNewActive(s.actAccum, s.unionVisit)
 
 	if s.taskMode {
-		if s.ckpt {
-			if inISR && p > s.taskISR {
-				s.taskISR = p
-			}
-			sim.AccumulateNewActive(s.taskAccum, s.taskVisit)
+		if inISR && p > s.taskISR {
+			s.taskISR = p
 		}
-		s.recordCandidates(p, pos, fc, sim)
-		return
+		sim.AccumulateNewActive(s.taskAccum, s.taskVisit)
 	}
+	s.observe(p, fc.fetch, func(cells bool) Peak { return s.makePeak(p, pos, fc, cells, sim) })
+}
 
+// observe is the Best/TopK fold, the only one: strict > for Best, so a
+// tie keeps the first cycle with its attribution, and insertTopK for
+// TopK. mk materializes the observed cycle (with its active-cell list
+// when cells is set) and runs only when the cycle enters a record. In
+// task mode a new scope maximum below the shared floor is tracked but
+// not materialized: the floor never exceeds the run's peak, so the cycle
+// cannot be it.
+func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
 	if p > s.Best.PowerMW {
-		s.Best = s.makePeak(p, pos, fc, true, sim)
-		// A record-setting cycle always enters TopK too; reuse the
-		// just-built peak (sans the cell list) instead of running the
-		// module-split pass twice for the same state.
-		pre := s.Best
-		pre.ActiveCells = nil
-		s.maybeInsertTopK(p, pos, fc, sim, &pre)
-		return
+		if s.shared == nil || p >= s.shared.floor() {
+			s.Best, s.bestKept = mk(true), true
+			if s.shared != nil {
+				s.shared.raise(p)
+			}
+			// A record-setting cycle always enters TopK too; reuse the
+			// just-built peak (sans the cell list) instead of running the
+			// module-split pass twice for the same state.
+			pre := s.Best
+			pre.ActiveCells = nil
+			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { return pre })
+			return
+		}
+		s.Best, s.bestKept = Peak{PowerMW: p}, false
 	}
-	s.maybeInsertTopK(p, pos, fc, sim, nil)
+	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { return mk(false) })
 }
 
 // makePeak materializes a cycle of interest, including the per-module
@@ -409,26 +419,9 @@ func (s *Sink) refreshState(sim *gsim.Simulator) {
 	s.lastStIdx = -1
 }
 
-// maybeInsertTopK keeps the top-k cycles with distinct fetch addresses,
-// materializing a Peak (module split, allocations) only when the cycle
-// actually displaces or extends the list. pre, when non-nil, is an
-// already-materialized peak for this cycle to reuse.
-func (s *Sink) maybeInsertTopK(p float64, pos int, fc fetchCtx, sim *gsim.Simulator, pre *Peak) {
-	if s.k <= 0 {
-		return
-	}
-	mk := func() Peak {
-		if pre != nil {
-			return *pre
-		}
-		return s.makePeak(p, pos, fc, false, sim)
-	}
-	s.TopK = insertTopK(s.TopK, s.k, p, fc.fetch, mk)
-}
-
-// insertTopK is the top-k insertion step, shared verbatim by the live
-// sequential sink and MergeParallelReplay's canonical replay — one algorithm,
-// so the two paths cannot drift apart. It keeps at most one entry per
+// insertTopK is the top-k insertion step, shared verbatim by the scope
+// fold and MergeParallelReplay's canonical replay — one algorithm, so the
+// two paths cannot drift apart. It keeps at most one entry per
 // fetch address, sorted descending, materializing (mk) only when the
 // cycle actually enters the list.
 func insertTopK(list []Peak, k int, p float64, fetch uint16, mk func() Peak) []Peak {
@@ -490,12 +483,4 @@ func (s *Sink) Instruction(pk Peak) string {
 		return "?"
 	}
 	return isa.Mnemonic(s.img, pk.FetchAddr)
-}
-
-// PrevInstruction renders the mnemonic of the preceding instruction.
-func (s *Sink) PrevInstruction(pk Peak) string {
-	if s.img == nil {
-		return "?"
-	}
-	return isa.Mnemonic(s.img, pk.PrevFetch)
 }

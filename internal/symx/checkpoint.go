@@ -62,17 +62,6 @@ type CheckpointCodec interface {
 	UnmarshalPayload(data []byte) (interface{}, error)
 }
 
-// TaskMarshaler is the additional sink capability checkpointing requires:
-// serializing the current task's observations (candidates, per-task
-// activity) for the done record. The sink package also provides the
-// matching replay (e.g. power.MergeParallelReplay).
-type TaskMarshaler interface {
-	// MarshalTask serializes the observations of the task begun by the
-	// last BeginTask. Called after the task's final observation, before
-	// EndTask.
-	MarshalTask() ([]byte, error)
-}
-
 // CheckpointConfig configures a Checkpointer.
 type CheckpointConfig struct {
 	// Path is the journal file. Its directory must exist.

@@ -19,13 +19,6 @@ import (
 	"repro/internal/ulp430"
 )
 
-// ckptCountSink is workerCountSink plus the TaskMarshaler capability
-// checkpointing requires. It records no reduction candidates, so a task's
-// serialized observations are empty.
-type ckptCountSink struct{ workerCountSink }
-
-func (c *ckptCountSink) MarshalTask() ([]byte, error) { return nil, nil }
-
 // countCodec serializes workerCountSink's journal-crossing values: seeds
 // are always nil and segment payloads are []uint16 PC traces.
 type countCodec struct{}
@@ -79,7 +72,7 @@ func exploreCkpt(t *testing.T, src string, irq *periph.Config, workers int, ck *
 			if irq != nil {
 				sys.EnableInterrupts(*irq)
 			}
-			return sys, &ckptCountSink{}, nil
+			return sys, &workerCountSink{}, nil
 		},
 	})
 }

@@ -43,14 +43,6 @@ import (
 	"repro/internal/ulp430"
 )
 
-// Exported budget-error constructors: the coordinator reconstructs a
-// worker's budget failure with the engine's exact error text so the
-// fleet-executed job fails byte-identically to a local run.
-func CycleBudgetError(max int) error { return cycleBudgetErr(max) }
-
-// NodeBudgetError is the node-budget counterpart of CycleBudgetError.
-func NodeBudgetError(max int) error { return nodeBudgetErr(max) }
-
 // ErrStaleTask rejects a fleet RPC referring to a task the current
 // coordinator life does not consider leased — a zombie worker holding
 // work from before a coordinator restart. The worker must abandon the
@@ -85,9 +77,6 @@ type RemoteClaimer interface {
 // exceeds the cap — the coordinator's completion-time check is
 // authoritative).
 func RunRemoteTask(sys *ulp430.System, sink WorkerSink, opts Options, codec CheckpointCodec, t RemoteTask, claimer RemoteClaimer, baseCycles, baseNodes int64) (*RemoteResult, error) {
-	if _, ok := sink.(TaskMarshaler); !ok {
-		return nil, fmt.Errorf("symx: remote tasks require the sink to implement TaskMarshaler (%T does not)", sink)
-	}
 	pt, err := decodeTask(t, codec)
 	if err != nil {
 		return nil, fmt.Errorf("symx: remote %w", err)

@@ -300,7 +300,6 @@ func powerJournal(f *testing.F, tag string) ([]byte, []*power.Sink, *ParallelRes
 			}
 			sink := power.NewSink(sys, model, img, 4)
 			sink.EnableTasks(shared)
-			sink.EnableCheckpoint()
 			sinks[worker] = sink
 			return sys, sink, nil
 		},

@@ -70,19 +70,26 @@ type WorkerSink interface {
 	// path position basePos, identified by task for candidate tagging.
 	// It implies NewSegment.
 	BeginTask(task, basePos int, seed interface{})
-	// EndTask marks the current task complete (flushing any pending
-	// per-task reduction candidates).
+	// EndTask marks the current task complete. It implies NewSegment,
+	// flushing the task's last segment.
 	EndTask()
 	// NewSegment marks a tree-segment boundary in the observation
 	// stream. Fork boundaries are invisible to a Sink (the engine does
 	// not rewind when it continues into the not-taken child), but the
-	// deterministic reduction is only allowed to pre-filter candidates
-	// within a single segment — across segments, canonical order can
-	// differ from this task's exploration order.
+	// deterministic reduction may only fold a single segment at a time
+	// — across segments, canonical order can differ from this task's
+	// exploration order — so the sink flushes its per-segment fold here.
 	NewSegment()
 	// SpawnSeed captures the path context just before absolute position
 	// pos, to seed a task that will resume there.
 	SpawnSeed(pos int) interface{}
+	// MarshalTask serializes the observations of the task begun by the
+	// last BeginTask (its flushed reduction candidates and per-task
+	// activity) for a checkpoint journal's done record or a fleet
+	// result. Called after the task's final observation, before EndTask;
+	// it flushes the current segment first. The sink's package provides
+	// the matching replay (e.g. power.MergeParallelReplay).
+	MarshalTask() ([]byte, error)
 }
 
 // ParallelOptions configures ExploreParallel.
@@ -96,11 +103,10 @@ type ParallelOptions struct {
 	NewWorker func(worker int) (*ulp430.System, WorkerSink, error)
 	// Checkpoint, when non-nil, journals the exploration so a killed run
 	// resumes from its last synced record instead of restarting (see
-	// checkpoint.go). Requires merging (DisableMerge unset) and sinks
-	// implementing TaskMarshaler. In checkpoint mode every fork is
-	// published as a durable task — the worker-local fork stacks are
-	// bypassed so the journal alone reconstructs the exploration
-	// frontier.
+	// checkpoint.go). Requires merging (DisableMerge unset). In
+	// checkpoint mode every fork is published as a durable task — the
+	// worker-local fork stacks are bypassed so the journal alone
+	// reconstructs the exploration frontier.
 	Checkpoint *Checkpointer
 }
 
@@ -633,7 +639,7 @@ outer:
 // sink's per-task observations — as the done record a checkpoint journal
 // stores and a fleet worker sends back.
 func (w *worker) result(codec CheckpointCodec) (*RemoteResult, error) {
-	blob, err := w.sink.(TaskMarshaler).MarshalTask()
+	blob, err := w.sink.MarshalTask()
 	if err != nil {
 		return nil, fmt.Errorf("symx: checkpoint sink marshal: %w", err)
 	}
@@ -829,12 +835,6 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 		if err != nil {
 			sc.fail(fmt.Errorf("symx: worker %d: %w", i, err))
 			return
-		}
-		if ck != nil {
-			if _, ok := sink.(TaskMarshaler); !ok {
-				sc.fail(fmt.Errorf("symx: checkpointing requires the sink to implement TaskMarshaler (%T does not)", sink))
-				return
-			}
 		}
 		w := newWorker(sys, sink, opts.Options, h, &sc.tally)
 		h.run(w)

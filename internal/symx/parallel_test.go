@@ -15,7 +15,8 @@ import (
 // workerCountSink is countSink extended with the WorkerSink task
 // protocol: positions stay absolute via the task base offset. It records
 // no reduction candidates — the parallel tree tests compare trees, whose
-// segment payloads carry the observations.
+// segment payloads carry the observations — so a task's serialized
+// observations are empty.
 type workerCountSink struct {
 	pcs  []uint16
 	base int
@@ -37,6 +38,7 @@ func (c *workerCountSink) BeginTask(task, basePos int, seed interface{}) {
 func (c *workerCountSink) EndTask()                      {}
 func (c *workerCountSink) NewSegment()                   {}
 func (c *workerCountSink) SpawnSeed(pos int) interface{} { return nil }
+func (c *workerCountSink) MarshalTask() ([]byte, error)  { return nil, nil }
 
 // exploreParallelTree runs ExploreParallel on src with the given worker
 // count (irq non-nil attaches the peripheral bus).

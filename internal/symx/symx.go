@@ -288,14 +288,15 @@ func Explore(sys *ulp430.System, sink Sink, opts Options) (*Tree, error) {
 }
 
 // oneTask adapts a plain Sink to WorkerSink for a one-worker exploration:
-// a single root task at position 0, no seeds, and no per-segment
-// reduction filters.
+// a single root task at position 0, no seeds, one fold over the whole
+// run, and nothing to journal.
 type oneTask struct{ Sink }
 
 func (oneTask) BeginTask(task, basePos int, seed interface{}) {}
 func (oneTask) EndTask()                                      {}
 func (oneTask) NewSegment()                                   {}
 func (oneTask) SpawnSeed(pos int) interface{}                 { return nil }
+func (oneTask) MarshalTask() ([]byte, error)                  { return nil, nil }
 
 // IRQForks counts the branch nodes that fork on interrupt arrival — the
 // number of distinct arrival decisions the exploration covered.

@@ -22,12 +22,11 @@ type DesignVariant struct {
 	clockHz   float64
 	maxCycles int
 	maxNodes  int
-	suite     []*bench.Benchmark
 }
 
 // NewDesignVariant describes a ULP430 design point. A nil lib defaults to
-// ULP65; a nil suite defaults to the full Table 4.1 benchmark set; budgets
-// default to the standard exploration limits.
+// ULP65; the suite is bench.Full() and the budgets are the standard
+// exploration limits.
 func NewDesignVariant(name, desc string, lib *cell.Library, clockHz float64) *DesignVariant {
 	if lib == nil {
 		lib = cell.ULP65()
@@ -40,25 +39,6 @@ func NewDesignVariant(name, desc string, lib *cell.Library, clockHz float64) *De
 		maxCycles: 2_000_000,
 		maxNodes:  10_000,
 	}
-}
-
-// WithBudgets overrides the variant's default exploration budgets and
-// returns the variant for chaining.
-func (v *DesignVariant) WithBudgets(maxCycles, maxNodes int) *DesignVariant {
-	if maxCycles > 0 {
-		v.maxCycles = maxCycles
-	}
-	if maxNodes > 0 {
-		v.maxNodes = maxNodes
-	}
-	return v
-}
-
-// WithSuite overrides the variant's benchmark set and returns the variant
-// for chaining.
-func (v *DesignVariant) WithSuite(suite []*bench.Benchmark) *DesignVariant {
-	v.suite = suite
-	return v
 }
 
 // Name returns the registry name of the design point (e.g. "ulp430").
@@ -82,13 +62,8 @@ func (v *DesignVariant) Budgets() (maxCycles, maxNodes int) {
 }
 
 // Benchmarks returns the variant's benchmark suite: the paper suite plus
-// the interrupt-driven ISR suite (unless a custom suite was configured).
-func (v *DesignVariant) Benchmarks() []*bench.Benchmark {
-	if v.suite != nil {
-		return v.suite
-	}
-	return bench.Full()
-}
+// the interrupt-driven ISR suite.
+func (v *DesignVariant) Benchmarks() []*bench.Benchmark { return bench.Full() }
 
 // NewSystem couples the built netlist to behavioral memory under the chosen
 // gate engine, library, and input mode.

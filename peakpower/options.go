@@ -220,8 +220,8 @@ func WithWorkers(n int) Option {
 
 // WithExploreWorkers sets how many worker goroutines explore a single
 // application's symbolic execution tree in parallel (work-stealing over
-// pending fork points). Default: GOMAXPROCS. n == 1 selects the
-// sequential engine.
+// pending fork points). Default: GOMAXPROCS. n == 1 explores on the
+// calling goroutine.
 //
 // The worker count NEVER changes the analysis result: sealed Reports are
 // bit-identical (equal Report.Hash) at any n — the parallel engine

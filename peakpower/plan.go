@@ -77,25 +77,25 @@ func (p *ExplorePlan) ExploreOptions(ctx context.Context) symx.Options {
 // sink seeds and segment payloads on the wire and in the journal.
 func (p *ExplorePlan) Codec() symx.CheckpointCodec { return power.Codec{} }
 
-// NewWorker builds one private System and checkpoint-capable sink for
-// executing this plan's remote tasks. Each call returns an independent
-// pair; a fleet worker creates one per job and reuses it across that
-// job's tasks. The sink's shared Best floor is process-local — a lower
-// bound on the in-process floor — so the candidate filters keep a
-// superset of what a single-process run keeps, which the canonical
-// replay then reduces identically (the filters are lossless at any
-// floor below the final maximum).
+// NewWorker builds one private System and task-mode sink for executing
+// this plan's remote tasks. Each call returns an independent pair; a
+// fleet worker creates one per job and reuses it across that job's tasks.
+// The sink's shared Best floor is process-local — a lower bound on the
+// in-process floor — so the per-segment folds materialize a superset of
+// what a single-process run does, which the canonical replay then
+// reduces identically (the fold is lossless at any floor below the final
+// maximum).
 func (p *ExplorePlan) NewWorker() (*ulp430.System, symx.WorkerSink, error) {
-	return p.newWorker(power.NewShared(), true)
+	return p.newWorker(power.NewShared())
 }
 
 // newWorker builds one private symbolic System and its power sink — the
-// construction shared by the sequential engine, every in-process explore
-// worker, and NewWorker. A nil shared floor leaves the sink folding
-// Best/TopK live (the one-worker, no-checkpoint analysis); otherwise it
-// records task candidates against shared, and ckpt adds the per-task
-// journal records.
-func (p *ExplorePlan) newWorker(shared *power.Shared, ckpt bool) (*ulp430.System, *power.Sink, error) {
+// construction shared by every explore worker and NewWorker. A nil
+// shared floor leaves the sink folding Best/TopK over the whole run (the
+// one-worker, no-checkpoint analysis); otherwise the sink is in task
+// mode against shared: it folds one tree segment at a time and keeps the
+// per-task records a journal or fleet result serializes.
+func (p *ExplorePlan) newWorker(shared *power.Shared) (*ulp430.System, *power.Sink, error) {
 	sys, err := p.a.newSystem(p.img, p.cfg, ulp430.SymbolicInputs, nil)
 	if err != nil {
 		return nil, nil, err
@@ -103,9 +103,6 @@ func (p *ExplorePlan) newWorker(shared *power.Shared, ckpt bool) (*ulp430.System
 	sink := power.NewSink(sys, p.cfg.model(), p.img, p.cfg.coiK)
 	if shared != nil {
 		sink.EnableTasks(shared)
-		if ckpt {
-			sink.EnableCheckpoint()
-		}
 	}
 	return sys, sink, nil
 }
@@ -131,17 +128,17 @@ func (p *ExplorePlan) Analyze(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// analyze is the cache-independent analysis body. The exploration runs
-// sequentially or on the work-stealing parallel engine
-// (WithExploreWorkers); the two produce bit-identical sealed Reports, so
+// analyze is the cache-independent analysis body. Every analysis runs
+// on the work-stealing engine, at one worker unless WithExploreWorkers
+// asks for more; the Report is bit-identical at every worker count, so
 // the choice is invisible downstream of the explore call.
 func (p *ExplorePlan) analyze(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	img, cfg := p.img, p.cfg
 	sxOpts := p.ExploreOptions(ctx)
-	// Every system this analysis creates (sequential, or one per explore
-	// worker) is tracked so the memo counters can be summed for progress
-	// reporting and the final Result. MemoStats reads atomics, so summing
+	// Every system this analysis creates (one per explore worker) is
+	// tracked so the memo counters can be summed for progress reporting
+	// and the final Result. MemoStats reads atomics, so summing
 	// concurrently with running workers is safe.
 	var (
 		sysMu   sync.Mutex
@@ -157,17 +154,6 @@ func (p *ExplorePlan) analyze(ctx context.Context) (*Result, error) {
 		}
 		return hits, misses
 	}
-	newWorker := func(shared *power.Shared, ckpt bool) (*ulp430.System, *power.Sink, error) {
-		sys, sink, err := p.newWorker(shared, ckpt)
-		if err != nil {
-			return nil, nil, err
-		}
-		sysMu.Lock()
-		systems = append(systems, sys)
-		sysMu.Unlock()
-		return sys, sink, nil
-	}
-
 	if cfg.progress != nil {
 		fn, app := cfg.progress, img.Name
 		sxOpts.Progress = func(p symx.Progress) {
@@ -177,64 +163,60 @@ func (p *ExplorePlan) analyze(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	workers := max(cfg.exploreWorkers, 1)
+	var ck *symx.Checkpointer
+	if cfg.checkpointPath != "" {
+		ck = symx.NewCheckpointer(symx.CheckpointConfig{
+			Path:  cfg.checkpointPath,
+			Tag:   p.Key(),
+			Codec: p.Codec(),
+		})
+	}
+	// One worker without a journal folds Best/TopK over the whole run in
+	// its one sink; every other run folds per tree segment in task mode
+	// and merges the candidates canonically.
+	var shared *power.Shared
+	if workers > 1 || ck != nil {
+		shared = power.NewShared()
+	}
+	sinks := make([]*power.Sink, workers)
+	pres, err := symx.ExploreParallel(symx.ParallelOptions{
+		Options:    sxOpts,
+		Workers:    workers,
+		Checkpoint: ck,
+		NewWorker: func(worker int) (*ulp430.System, symx.WorkerSink, error) {
+			wsys, wsink, err := p.newWorker(shared)
+			if err != nil {
+				return nil, nil, err
+			}
+			sysMu.Lock()
+			systems = append(systems, wsys)
+			sysMu.Unlock()
+			sinks[worker] = wsink
+			return wsys, wsink, nil
+		},
+	})
 	var (
-		tree    *symx.Tree
 		best    power.Peak
 		topK    []power.Peak
 		union   []bool
 		isrPeak float64
 	)
-	if cfg.exploreWorkers > 1 || cfg.checkpointPath != "" {
-		// The parallel engine also carries checkpointed analyses (even at
-		// one worker): only its published-task protocol maps onto the
-		// durable journal.
-		workers := max(cfg.exploreWorkers, 1)
-		var ck *symx.Checkpointer
-		if cfg.checkpointPath != "" {
-			ck = symx.NewCheckpointer(symx.CheckpointConfig{
-				Path:  cfg.checkpointPath,
-				Tag:   p.Key(),
-				Codec: p.Codec(),
-			})
-		}
-		shared := power.NewShared()
-		sinks := make([]*power.Sink, workers)
-		pres, err := symx.ExploreParallel(symx.ParallelOptions{
-			Options:    sxOpts,
-			Workers:    workers,
-			Checkpoint: ck,
-			NewWorker: func(worker int) (*ulp430.System, symx.WorkerSink, error) {
-				wsys, wsink, err := newWorker(shared, ck != nil)
-				if err != nil {
-					return nil, nil, err
-				}
-				sinks[worker] = wsink
-				return wsys, wsink, nil
-			},
-		})
-		if err == nil {
-			tree = pres.Tree
-			best, topK, isrPeak, union, err = power.MergeParallelReplay(sinks, cfg.coiK, pres.NodeID, pres.Replayed)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
-		}
-		if ck != nil {
-			// The analysis is complete; the journal has served its purpose
-			// and must not shadow a later analysis at the same path.
-			_ = faultfs.OS{}.Remove(cfg.checkpointPath)
-		}
-	} else {
-		sys, sink, err := newWorker(nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: preparing %s: %w", img.Name, err)
-		}
-		tree, err = symx.Explore(sys, sink, sxOpts)
-		if err != nil {
-			return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
-		}
-		best, topK, isrPeak, union = sink.Best, sink.TopK, sink.ISRPeakMW, sink.UnionActive
+	if err == nil && shared == nil {
+		s := sinks[0]
+		best, topK, isrPeak, union = s.Best, s.TopK, s.ISRPeakMW, s.UnionActive
+	} else if err == nil {
+		best, topK, isrPeak, union, err = power.MergeParallelReplay(sinks, cfg.coiK, pres.NodeID, pres.Replayed)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("peakpower: symbolic analysis of %s: %w", img.Name, err)
+	}
+	if ck != nil {
+		// The analysis is complete; the journal has served its purpose
+		// and must not shadow a later analysis at the same path.
+		_ = faultfs.OS{}.Remove(cfg.checkpointPath)
+	}
+	tree := pres.Tree
 
 	model := cfg.model()
 	eres, err := energy.PeakEnergy(tree, img, model.ClockHz)
