@@ -56,9 +56,12 @@ determinism:
 # with memoization on or off — across engines, worker
 # counts, SIGKILL-resume, and a 2-worker fleet, all diffed against the
 # committed golden hashes. CI fails here if a memo change ever leaks
-# into Report bytes.
+# into Report bytes. The gsim half checks the table itself: its
+# admission rule (nothing recorded before a revisit) and every replayed
+# cycle against the scalar engine.
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
+	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists' ./internal/gsim/
 
 # Short native-fuzz session over the differential target: Explore and
 # ExploreParallel against the test suite's reference explorer on

@@ -627,7 +627,7 @@ func (s *Simulator) EnableMemo(maxBytes int) bool {
 	if maxBytes <= 0 {
 		maxBytes = defaultStepMemoBytes
 	}
-	s.pk.stepMemo = newStepTable(s.pk.plan.Words, maxBytes)
+	s.pk.stepMemo = newStepTable(maxBytes)
 	return true
 }
 

@@ -352,3 +352,116 @@ func TestActivityContainment(t *testing.T) {
 		}
 	}
 }
+
+// registerDesign latches an 8-bit input port through inverters into a
+// bank of flip-flops: distinct input words give distinct planes every
+// cycle, and a held word settles to a fixed point two cycles later.
+func registerDesign(t *testing.T) *netlist.Netlist {
+	t.Helper()
+	n := netlist.New("reg")
+	in := n.NewNets("in", 8)
+	q := n.NewNets("q", 8)
+	for i := range in {
+		n.MarkInput(in[i])
+		d := n.NewNet("")
+		n.AddCell(cell.Inv, "core", "", d, in[i])
+		n.AddCell(cell.Dff, "core", "", q[i], d)
+	}
+	n.DefinePort("in", in)
+	n.DefinePort("q", q)
+	if err := n.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestStepMemoAdmission checks the step memo's admission rule: a table
+// records nothing before its first revisit, the first revisit records
+// and the next replays, and probation decides as it would if every miss
+// were recorded.
+func TestStepMemoAdmission(t *testing.T) {
+	t.Run("never repeating", func(t *testing.T) {
+		s := NewEngine(registerDesign(t), cell.ULP65(), nil, EnginePacked)
+		s.EnableMemo(0)
+		st := s.pk.stepMemo
+		for c := 0; c < 200; c++ {
+			s.SetPortUint("in", uint64(c))
+			s.Step()
+			// Every lookup misses, so probation's early cut-off
+			// disables the table at lookup stepProbationEarly.
+			if want := c+1 >= stepProbationEarly; st.disabled != want {
+				t.Fatalf("lookup %d: disabled = %v, want %v", c+1, st.disabled, want)
+			}
+		}
+		if st.bytes != 0 || st.src != nil || st.entries != nil || st.seen != nil {
+			t.Fatalf("never-revisited table kept state: %d bytes recorded, src %d words, %d entries, %d seen",
+				st.bytes, len(st.src), len(st.entries), len(st.seen))
+		}
+		if hits, misses := s.MemoStats(); hits != 0 || misses != stepProbationEarly {
+			t.Fatalf("memo stats %d hits / %d misses, want 0 / %d", hits, misses, stepProbationEarly)
+		}
+	})
+
+	t.Run("held-input loop", func(t *testing.T) {
+		n := counterDesign(t)
+		scalar := NewEngine(n, cell.ULP65(), nil, EngineScalar)
+		packed := NewEngine(n, cell.ULP65(), nil, EnginePacked)
+		memo := NewEngine(n, cell.ULP65(), nil, EnginePacked)
+		memo.EnableMemo(0)
+		st := memo.pk.stepMemo
+		sims := []*Simulator{scalar, packed, memo}
+		for _, s := range sims {
+			resetAndRun(s)
+			s.SetPortUint("din", 1)
+		}
+		// The counter orbits with period 16 under held inputs.
+		firstRevisit, firstReplay := -1, -1
+		for c := 0; c < 64 && firstReplay < 0; c++ {
+			for _, s := range sims {
+				s.Step()
+			}
+			compareEngines(t, n, scalar, memo, c)
+			if pe, me := packed.BoundEnergyFJ(), memo.BoundEnergyFJ(); pe != me {
+				t.Fatalf("cycle %d: memo bound %v, live packed bound %v", c, me, pe)
+			}
+			hits, _ := memo.MemoStats()
+			switch {
+			case firstRevisit < 0 && st.entries != nil:
+				firstRevisit = c
+				if hits != 0 || st.hits != 1 || len(st.entries) != 1 {
+					t.Fatalf("first revisit at cycle %d: %d replays, %d probation hits, %d entries; want 0, 1, 1",
+						c, hits, st.hits, len(st.entries))
+				}
+			case firstRevisit < 0 && st.bytes != 0:
+				t.Fatalf("cycle %d: %d bytes recorded before the first revisit", c, st.bytes)
+			case hits > 0:
+				firstReplay = c
+			}
+		}
+		if firstRevisit < 0 || firstReplay != firstRevisit+16 {
+			t.Fatalf("first revisit at cycle %d, first replay at %d; want a replay one period after the revisit",
+				firstRevisit, firstReplay)
+		}
+	})
+
+	t.Run("revisit in early window", func(t *testing.T) {
+		s := NewEngine(registerDesign(t), cell.ULP65(), nil, EnginePacked)
+		s.EnableMemo(0)
+		st := s.pk.stepMemo
+		revisit := -1
+		for c := 0; c < 2*stepProbationLookups; c++ {
+			s.SetPortUint("in", uint64(min(c, 100)))
+			s.Step()
+			if revisit < 0 && st.entries != nil {
+				revisit = c + 1
+			}
+		}
+		if revisit < 0 || revisit >= stepProbationEarly {
+			t.Fatalf("first revisit at lookup %d, want one inside the early window", revisit)
+		}
+		if hits, _ := s.MemoStats(); st.disabled || hits == 0 {
+			t.Fatalf("table with a revisit at lookup %d: disabled = %v, %d replays",
+				revisit, st.disabled, hits)
+		}
+	})
+}

@@ -1,5 +1,7 @@
 package gsim
 
+import "slices"
+
 // Whole-step memoization. Loop-heavy explorations revisit whole
 // processor states: a wait loop polling a symbolic input, a search loop
 // whose live registers cycle through a short orbit. The step table keys
@@ -7,6 +9,16 @@ package gsim
 // evaluation, activity and the energy bound — on one hash of the five
 // planes that determine it, and replays the final planes, activity
 // flags and energy bound in three plain copies.
+//
+// Admission: a table records nothing until it has seen a revisit.
+// Before that, a miss keeps only its 64-bit plane hash in a small seen
+// set; path-divergent explorations (a search loop narrowing symbolic
+// bounds) never revisit a state, so they pay for no plane copies
+// before probation switches them off. The first lookup whose hash is
+// in seen counts as a hit for probation (a hit would have replayed it
+// had it been recorded) but is still a miss: the table drops seen,
+// records that state, and from then on records every miss. The cost is
+// one extra lap over the states seen before the first revisit.
 //
 // Soundness (DESIGN.md "Memoization soundness"):
 //
@@ -23,7 +35,8 @@ package gsim
 //     scratch of the phase being skipped: the next settle overwrites it
 //     before reading it.
 //   - Collisions cannot corrupt state: the full source planes are
-//     compared before a hit is taken.
+//     compared before a hit is taken. Admission only decides what is
+//     stored, so a collision in seen can only start recording early.
 const (
 	// memoBasis and memoPrime seed and step the FNV-style plane hash.
 	memoBasis = 0x9E3779B97F4A7C15
@@ -31,14 +44,15 @@ const (
 
 	// stepProbationLookups / stepProbationHits: a simulator whose
 	// program never revisits a state (straight-line code) must stop
-	// paying the hash-and-record tax.
+	// paying the hash tax.
 	// The window is long enough to span several iterations of the
 	// slowest loops in the benchmark suite. stepProbationEarly cuts a
 	// simulator with no hits at all off sooner — path-divergent
-	// explorations (a search loop narrowing symbolic bounds) never
-	// revisit a state, and every recorded entry is ~6 KiB of wasted
-	// copying; convergent workloads show their first replay well inside
-	// the early window.
+	// explorations never revisit a state, and each lookup still hashes
+	// five planes; convergent workloads show their first revisit well
+	// inside the early window. It also bounds seen: a table still
+	// without a revisit at that lookup is disabled before it stores
+	// another hash.
 	stepProbationEarly   = 128
 	stepProbationLookups = 512
 	stepProbationHits    = 8
@@ -60,9 +74,14 @@ type stepEntry struct {
 
 // stepTable is a per-simulator (single-goroutine) whole-step store.
 type stepTable struct {
-	entries  map[uint64]*stepEntry
+	entries  map[uint64]*stepEntry // nil until the first revisit
 	bytes    int
 	maxBytes int
+
+	// seen holds the plane hashes of the misses before the first
+	// revisit, at most stepProbationEarly of them; nil once recording
+	// has begun or the table is disabled.
+	seen []uint64
 
 	lookups, hits uint32
 	disabled      bool
@@ -72,23 +91,23 @@ type stepTable struct {
 	pending   bool
 	pendKey   uint64
 	pendEntry *stepEntry
-	src       []uint64 // capture scratch, 5×Words
+	src       []uint64 // capture scratch, 5×Words; made on first capture
 
 	// Per-step counters drained into the Simulator's atomics.
 	stepHits, stepMisses uint64
 }
 
-func newStepTable(words, maxBytes int) *stepTable {
+func newStepTable(maxBytes int) *stepTable {
 	return &stepTable{
-		entries:  make(map[uint64]*stepEntry),
 		maxBytes: maxBytes,
-		src:      make([]uint64, 0, 5*words),
+		seen:     make([]uint64, 0, stepProbationEarly),
 	}
 }
 
 // lookup hashes the five source planes and replays a verified hit,
-// returning true (the caller skips settle). On
-// a miss it captures the planes and leaves them pending for record.
+// returning true (the caller skips settle). On a miss of a recording
+// table it captures the planes and leaves them pending for record;
+// before the first revisit it only notes the hash in seen.
 func (st *stepTable) lookup(p *packedSim) bool {
 	st.pending = false
 	if st.disabled {
@@ -101,6 +120,15 @@ func (st *stepTable) lookup(p *packedSim) bool {
 		}
 	}
 	st.lookups++
+	if st.entries == nil && slices.Contains(st.seen, h) {
+		// The first revisit: a hit for probation, a miss to replay.
+		st.hits++
+		st.stepMisses++
+		st.seen = nil
+		st.entries = make(map[uint64]*stepEntry)
+		st.capture(p, h, nil)
+		return false
+	}
 	e := st.entries[h]
 	if e != nil && st.verify(p, e) {
 		st.hits++
@@ -114,10 +142,26 @@ func (st *stepTable) lookup(p *packedSim) bool {
 		if st.hits < stepProbationHits {
 			st.disabled = true
 			st.entries = nil
+			st.seen = nil
 			st.src = nil
 			return false
 		}
 		st.lookups, st.hits = 0, 0
+	}
+	if st.entries == nil {
+		st.seen = append(st.seen, h)
+		return false
+	}
+	st.capture(p, h, e)
+	return false
+}
+
+// capture copies the five source planes into the scratch and leaves
+// them pending for record under key h; e is the stale or colliding
+// entry to overwrite in place, or nil.
+func (st *stepTable) capture(p *packedSim, h uint64, e *stepEntry) {
+	if st.src == nil {
+		st.src = make([]uint64, 0, 5*len(p.curV))
 	}
 	src := st.src[:0]
 	src = append(src, p.curV...)
@@ -128,8 +172,7 @@ func (st *stepTable) lookup(p *packedSim) bool {
 	st.src = src
 	st.pending = true
 	st.pendKey = h
-	st.pendEntry = e // stale or colliding entry to overwrite in place
-	return false
+	st.pendEntry = e
 }
 
 // verify compares an entry's recorded source planes against the live
