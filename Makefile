@@ -6,7 +6,7 @@ BENCH_JSON ?= BENCH_$(shell date +%F).json
 SHELL := /usr/bin/env bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build vet fmt-check test race race-irq race-parallel determinism memo-guard fuzz-smoke bench bench-smoke perfbench-check profile serve smoke crash-smoke example-smoke fleet-smoke ci clean
+.PHONY: all build vet fmt-check test race race-irq race-parallel determinism memo-guard engine-guard fuzz-smoke bench bench-smoke perfbench-check profile serve smoke crash-smoke example-smoke fleet-smoke ci clean
 
 all: build vet test
 
@@ -62,6 +62,17 @@ determinism:
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
 	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists' ./internal/gsim/
+
+# Gather/layout guard: the packed plan's gather programs decoded back
+# to every lane's source position, the packed engine against the scalar
+# oracle on random designs (bus-shaped ones included: multi-chunk
+# batches, word-crossing runs, broadcast fan-in) and after a restore,
+# and the sealed Reports of the benchmark suite under both engines
+# against the committed golden hashes. A gather or layout bug fails
+# here, apart from the memo guard.
+engine-guard:
+	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms' ./internal/gsim/ ./internal/netlist/
+	$(GO) test -count=1 -run 'TestEnginesAgreeOnBenchmarkSuite|TestReportGolden' ./peakpower/
 
 # Short native-fuzz session over the differential target: Explore and
 # ExploreParallel against the test suite's reference explorer on
@@ -156,7 +167,7 @@ fleet-smoke:
 	$(GO) test -count=1 -v -run 'TestFleet' ./cmd/peakpowerd/
 	./scripts/fleet_smoke.sh
 
-ci: build vet fmt-check race race-irq race-parallel determinism memo-guard fuzz-smoke perfbench-check smoke crash-smoke fleet-smoke example-smoke
+ci: build vet fmt-check race race-irq race-parallel determinism memo-guard engine-guard fuzz-smoke perfbench-check smoke crash-smoke fleet-smoke example-smoke
 
 clean:
 	$(GO) clean ./...

@@ -401,19 +401,6 @@ func naiveBound(w *power.Window, m power.Model) float64 {
 	return best
 }
 
-// BenchmarkAnalyzeSuite measures raw co-analysis throughput over the
-// fast subset (the tool-runtime datapoint).
-func BenchmarkAnalyzeSuite(b *testing.B) {
-	c := sharedConfig(b)
-	for i := 0; i < b.N; i++ {
-		for _, name := range fastSet {
-			if _, err := c.Req(name); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // --- gate-engine benchmarks (PERFORMANCE.md) --------------------------
 
 var engineVariants = []struct {

@@ -2,6 +2,7 @@ package gsim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -80,6 +81,111 @@ func randomNetlist(t *testing.T, r *rand.Rand) *netlist.Netlist {
 	return n
 }
 
+// wideNetlist generates a bus-shaped random design, the shape
+// randomNetlist's small sea of cells almost never yields: buses wider
+// than 64 bits, so same-kind level batches span several 64-lane chunks;
+// stages reading the previous stage's bus at a random rotation, so
+// gathers copy long consecutive runs that cross plane words; and shared
+// control nets (mux selects, flip-flop reset and enable) broadcast into
+// whole banks. A few lanes per stage read a random same-level source
+// instead, so the runs are also broken up.
+func wideNetlist(t *testing.T, r *rand.Rand) *netlist.Netlist {
+	t.Helper()
+	n := netlist.New("wide")
+	width := 65 + r.Intn(130)
+
+	ins := n.NewNets("", width+2)
+	for _, id := range ins {
+		n.MarkInput(id)
+	}
+	ctl := ins[width:]
+	seqKinds := []cell.Kind{cell.Dff, cell.Dffr, cell.Dffre}
+	seqKind := seqKinds[r.Intn(len(seqKinds))]
+	q := n.NewNets("", width)
+
+	combKinds := []cell.Kind{
+		cell.Inv, cell.Buf, cell.Nand2, cell.Nor2, cell.And2,
+		cell.Or2, cell.Xor2, cell.Xnor2, cell.Mux2,
+	}
+	// bus picks pin sources from a same-level bus: consecutive from a
+	// random rotation, or one shared net, with a few lanes redrawn.
+	bus := func(src []netlist.NetID, shared bool) []netlist.NetID {
+		out := make([]netlist.NetID, width)
+		rot, one := r.Intn(len(src)), src[r.Intn(len(src))]
+		for i := range out {
+			switch {
+			case r.Intn(16) == 0:
+				out[i] = src[r.Intn(len(src))]
+			case shared:
+				out[i] = one
+			default:
+				out[i] = src[(i+rot)%len(src)]
+			}
+		}
+		return out
+	}
+	// The first stage reads level-0 sources (inputs and flip-flops),
+	// every later one the stage before it, so each stage is one level.
+	prev := append(append([]netlist.NetID(nil), ins[:width]...), q...)
+	for stage, stages := 0, 2+r.Intn(4); stage < stages; stage++ {
+		k := combKinds[r.Intn(len(combKinds))]
+		var pins [3][]netlist.NetID
+		for p := 0; p < k.NumInputs(); p++ {
+			pins[p] = bus(prev, k == cell.Mux2 && p == 0)
+		}
+		next := n.NewNets("", width)
+		for i, out := range next {
+			var in []netlist.NetID
+			for p := 0; p < k.NumInputs(); p++ {
+				in = append(in, pins[p][i])
+			}
+			n.AddCell(k, "m"+string(rune('0'+stage%4)), "", out, in...)
+		}
+		prev = next
+	}
+	d := bus(prev, false)
+	for i := range q {
+		in := []netlist.NetID{d[i], ctl[0], ctl[1]}[:seqKind.NumInputs()]
+		n.AddCell(seqKind, "seq", "", q[i], in...)
+	}
+
+	n.DefinePort("in", ins)
+	if err := n.Build(); err != nil {
+		t.Fatalf("wide netlist build: %v", err)
+	}
+	return n
+}
+
+// planShapes reports which gather shapes a design's packed plan holds:
+// a batch of more than one 64-lane chunk, a consecutive source run that
+// crosses a plane word within one chunk, and a broadcast into more than
+// one lane.
+func planShapes(n *netlist.Netlist) (multiChunk, straddle, bcast bool) {
+	p := n.Packed()
+	groups := []netlist.GatherProgram{p.SeqGather}
+	batches := append([]netlist.PackedBatch(nil), p.Seq...)
+	for _, lv := range p.Levels {
+		groups = append(groups, lv.Gather)
+		batches = append(batches, lv.Batches...)
+	}
+	for _, b := range batches {
+		multiChunk = multiChunk || b.Chunks() > 1
+		for _, in := range b.In[:b.NIn] {
+			for i := 1; i < len(in); i++ {
+				if i%64 != 0 && in[i] == in[i-1]+1 && in[i]%64 == 0 {
+					straddle = true
+				}
+			}
+		}
+	}
+	for _, g := range groups {
+		for _, o := range g.Bcast {
+			bcast = bcast || bits.OnesCount64(o.Mask) > 1
+		}
+	}
+	return multiChunk, straddle, bcast
+}
+
 func randomTrit(r *rand.Rand) logic.Trit {
 	switch r.Intn(4) {
 	case 0:
@@ -133,6 +239,9 @@ func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator,
 // including across snapshot/restore rewinds. A third simulator runs the
 // packed engine with the whole-step memo on; a stretch of held-constant
 // input makes states repeat, so its replays are checked cycle by cycle.
+// Every fourth design is bus-shaped (wideNetlist), and the test fails
+// unless the designs together exercised multi-chunk batches,
+// word-crossing gather runs and broadcast fan-in.
 func TestEnginesAgreeOnRandomNetlists(t *testing.T) {
 	designs := 60
 	cycles := 80
@@ -140,9 +249,16 @@ func TestEnginesAgreeOnRandomNetlists(t *testing.T) {
 		designs, cycles = 15, 40
 	}
 	var memoHits int64
+	var multiChunk, straddle, bcast bool
 	for d := 0; d < designs; d++ {
 		r := rand.New(rand.NewSource(int64(1_000_003 * (d + 1))))
-		n := randomNetlist(t, r)
+		gen := randomNetlist
+		if d%4 == 3 {
+			gen = wideNetlist
+		}
+		n := gen(t, r)
+		mc, st, bc := planShapes(n)
+		multiChunk, straddle, bcast = multiChunk || mc, straddle || st, bcast || bc
 		scalar := NewEngine(n, cell.ULP65(), nil, EngineScalar)
 		packed := NewEngine(n, cell.ULP65(), nil, EnginePacked)
 		memo := NewEngine(n, cell.ULP65(), nil, EnginePacked)
@@ -185,6 +301,10 @@ func TestEnginesAgreeOnRandomNetlists(t *testing.T) {
 		t.Fatal("step memo never replayed a cycle: the held-input stretch no longer repeats states")
 	}
 	t.Logf("step-memo replays: %d", memoHits)
+	if !multiChunk || !straddle || !bcast {
+		t.Fatalf("gather shapes exercised: multi-chunk batch %v, word-crossing run %v, broadcast %v; want all",
+			multiChunk, straddle, bcast)
+	}
 }
 
 // TestEnginesAgreeFromColdStart checks the initial all-X condition and

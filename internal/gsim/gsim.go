@@ -29,7 +29,9 @@
 //     netlist's PackedPlan: same-kind gate batches, word-parallel
 //     cell.EvalPlanes evaluation of every batch every cycle, in one
 //     topologically ordered pass that also derives each batch's
-//     activity. Activity toggles fall out of a packed XOR of the
+//     activity. Each level's inputs are gathered once, by one flat
+//     rotate-and-mask program over the value, known and activity
+//     planes together. Activity toggles fall out of a packed XOR of the
 //     previous and current planes; only unchanged-X gates need the
 //     per-gate driven-by-active cascade. Snapshots copy the planes —
 //     an eighth of the scalar state — which is what makes the symbolic

@@ -13,18 +13,28 @@ import (
 // the netlist's PackedPlan, so one word operation evaluates up to 64
 // same-kind gates and a pair of XORs yields 64 toggle flags.
 //
-// Every cycle settles every batch, in one topologically ordered pass
-// that applies the activity rule to each batch right after evaluating
-// it. Batch inputs are assembled by the plan's run-length-compressed
-// gather programs (consecutive fan-in moves as multi-bit chunks, not
-// single bits). Activity is one toggle word per 64 gates, with
-// per-gate work only for unchanged-X outputs.
+// Every cycle settles every batch, in one topologically ordered pass.
+// Each level starts with one walk of its flat gather program, which
+// fills a slot per (batch, pin, chunk) with the input words of the
+// value, known and flag planes at once (consecutive fan-in moves as one
+// rotate-and-mask copy per source word, not bit by bit). A per-chunk
+// pass over the level's batches then evaluates each chunk, stores it and
+// gives it its activity from the same slots. Activity is one toggle
+// word per 64 gates; the driven-by-active cascade for unchanged-X
+// outputs is one AND with the OR of the pins' gathered flags.
 type packedSim struct {
 	plan *netlist.PackedPlan
 
 	curV, curK   []uint64 // settled values of the current cycle
 	prevV, prevK []uint64 // settled values of the previous cycle
-	act, prevAct []uint64 // activity flags, one bit per net position
+	act          []uint64 // activity flags, one bit per net position
+
+	// slots is the combinational levels' gather scratch, one value,
+	// known, flag triple per slot of the widest level; seqSlots is the
+	// flip-flops', gathered at the clock edge from the previous planes
+	// and last cycle's flags and read again by settle's flip-flop
+	// activity.
+	slots, seqSlots [][3]uint64
 
 	// stepMemo, when non-nil, replays whole settle+activity phases for
 	// revisited states (see stepmemo.go).
@@ -40,14 +50,19 @@ type packedSim struct {
 
 func newPackedSim(plan *netlist.PackedPlan) *packedSim {
 	nw := plan.Words
+	widest := 0
+	for li := range plan.Levels {
+		widest = max(widest, plan.Levels[li].Gather.Slots)
+	}
 	return &packedSim{
-		plan:    plan,
-		curV:    make([]uint64, nw),
-		curK:    make([]uint64, nw), // known = 0 everywhere: all nets X
-		prevV:   make([]uint64, nw),
-		prevK:   make([]uint64, nw),
-		act:     make([]uint64, nw),
-		prevAct: make([]uint64, nw),
+		plan:     plan,
+		curV:     make([]uint64, nw),
+		curK:     make([]uint64, nw), // known = 0 everywhere: all nets X
+		prevV:    make([]uint64, nw),
+		prevK:    make([]uint64, nw),
+		act:      make([]uint64, nw),
+		slots:    make([][3]uint64, widest),
+		seqSlots: make([][3]uint64, plan.SeqGather.Slots),
 	}
 }
 
@@ -93,52 +108,27 @@ func extract(plane []uint64, pos int32, n int) uint64 {
 	return v & laneMask(n)
 }
 
-// gatherPair assembles a chunk's input word pair by executing the
-// plan's run-length-compressed gather programs against a plane pair:
-// consecutive source bits move as one shifted chunk (runs), broadcast
-// runs (bruns) replicate one bit across their lanes by multiplication.
-// The two run classes are pre-split so each loop is branch-free.
-func gatherPair(vp, kp []uint64, runs, bruns []netlist.GatherRun) (v, k uint64) {
-	for _, r := range runs {
-		w, b := r.Src>>6, uint(r.Src&63)
-		n := uint(r.N)
-		m := ^uint64(0) >> (64 - n)
-		lv := vp[w] >> b
-		lk := kp[w] >> b
-		if b != 0 && b+n > 64 {
-			lv |= vp[w+1] << (64 - b)
-			lk |= kp[w+1] << (64 - b)
-		}
-		v |= lv & m << r.Off
-		k |= lk & m << r.Off
+// gather runs a gather program against the value, known and flag
+// planes v, k and a, filling slots[:g.Slots] with each slot's three
+// input words.
+func gather(g *netlist.GatherProgram, v, k, a []uint64, slots [][3]uint64) {
+	slots = slots[:g.Slots]
+	clear(slots)
+	k, a = k[:len(v)], a[:len(v)]
+	for _, o := range g.Ops {
+		w, r := o.Word(), o.Shift()
+		d := &slots[o.Slot]
+		d[0] |= bits.RotateLeft64(v[w], r) & o.Mask
+		d[1] |= bits.RotateLeft64(k[w], r) & o.Mask
+		d[2] |= bits.RotateLeft64(a[w], r) & o.Mask
 	}
-	for _, r := range bruns {
-		w, b := r.Src>>6, uint(r.Src&63)
-		m := ^uint64(0) >> (64 - uint(r.N))
-		v |= vp[w] >> b & 1 * m << r.Off
-		k |= kp[w] >> b & 1 * m << r.Off
+	for _, o := range g.Bcast {
+		w, b := o.Word(), o.Shift()
+		d := &slots[o.Slot]
+		d[0] |= -(v[w] >> b & 1) & o.Mask
+		d[1] |= -(k[w] >> b & 1) & o.Mask
+		d[2] |= -(a[w] >> b & 1) & o.Mask
 	}
-	return v, k
-}
-
-// gatherFlags is gatherPair for a single plane (the activity flags).
-func gatherFlags(p []uint64, runs, bruns []netlist.GatherRun) (v uint64) {
-	for _, r := range runs {
-		w, b := r.Src>>6, uint(r.Src&63)
-		n := uint(r.N)
-		m := ^uint64(0) >> (64 - n)
-		lv := p[w] >> b
-		if b != 0 && b+n > 64 {
-			lv |= p[w+1] << (64 - b)
-		}
-		v |= lv & m << r.Off
-	}
-	for _, r := range bruns {
-		w, b := r.Src>>6, uint(r.Src&63)
-		m := ^uint64(0) >> (64 - uint(r.N))
-		v |= p[w] >> b & 1 * m << r.Off
-	}
-	return v
 }
 
 // store writes n result lanes (bits [0,n) of ov/ok) to plane positions
@@ -168,51 +158,37 @@ func (p *packedSim) storeAct(pos int32, n int, a uint64) {
 	}
 }
 
-// evalBatch evaluates one combinational batch chunk-by-chunk against
-// the current planes.
-func (p *packedSim) evalBatch(b *netlist.PackedBatch) {
-	nin := b.NIn
-	lanes := len(b.Cells)
-	for c, lane0 := 0, 0; lane0 < lanes; c, lane0 = c+1, lane0+64 {
-		n := min(64, lanes-lane0)
-		var av, ak, bv, bk, cv, ck uint64
-		if nin > 0 {
-			av, ak = gatherPair(p.curV, p.curK, b.Gather[0][c], b.GatherB[0][c])
-		}
-		if nin > 1 {
-			bv, bk = gatherPair(p.curV, p.curK, b.Gather[1][c], b.GatherB[1][c])
-		}
-		if nin > 2 {
-			cv, ck = gatherPair(p.curV, p.curK, b.Gather[2][c], b.GatherB[2][c])
-		}
-		ov, ok := cell.EvalPlanes(b.Kind, av, ak, bv, bk, cv, ck, 0, 0)
-		p.store(b.FirstPos+int32(lane0), n, ov, ok)
-	}
-}
-
-// clockBatch computes one flip-flop batch's next state from the
-// previous cycle's planes (the clock edge) and writes it into the
-// current planes.
+// clockBatch computes one flip-flop batch's next state from its
+// gathered slots (the previous cycle's planes: the clock edge) and
+// writes it into the current planes.
 func (p *packedSim) clockBatch(b *netlist.PackedBatch) {
-	nin := b.NIn
 	lanes := len(b.Cells)
 	for c, lane0 := 0, 0; lane0 < lanes; c, lane0 = c+1, lane0+64 {
 		n := min(64, lanes-lane0)
-		av, ak := gatherPair(p.prevV, p.prevK, b.Gather[0][c], b.GatherB[0][c])
-		var bv, bk, cv, ck uint64
-		if nin > 1 {
-			bv, bk = gatherPair(p.prevV, p.prevK, b.Gather[1][c], b.GatherB[1][c])
-		}
-		if nin > 2 {
-			cv, ck = gatherPair(p.prevV, p.prevK, b.Gather[2][c], b.GatherB[2][c])
-		}
+		pa, pb, pc := pinSlots(p.seqSlots, b, c)
 		// q is the batch's own output region of the previous cycle.
 		pos := b.FirstPos + int32(lane0)
 		qv := extract(p.prevV, pos, n)
 		qk := extract(p.prevK, pos, n)
-		ov, ok := cell.EvalPlanes(b.Kind, av, ak, bv, bk, cv, ck, qv, qk)
+		ov, ok := cell.EvalPlanes(b.Kind, pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], qv, qk)
 		p.store(pos, n, ov, ok)
 	}
+}
+
+// pinSlots returns chunk c's gathered value/known/flag words for each
+// of the batch's input pins, zero for the pins its kind lacks.
+func pinSlots(slots [][3]uint64, b *netlist.PackedBatch, c int) (pa, pb, pc [3]uint64) {
+	s, chunks := int(b.Slot)+c, b.Chunks()
+	if b.NIn > 0 {
+		pa = slots[s]
+	}
+	if b.NIn > 1 {
+		pb = slots[s+chunks]
+	}
+	if b.NIn > 2 {
+		pc = slots[s+2*chunks]
+	}
+	return pa, pb, pc
 }
 
 // stepPacked is the packed engine's cycle. It mirrors stepScalar phase
@@ -230,6 +206,9 @@ func (s *Simulator) stepPacked() {
 	s.staged = s.staged[:0]
 
 	// 1. Clock edge: flip-flop batches capture from the previous planes.
+	// act still holds last cycle's flags, which settle's flip-flop
+	// activity reads from the same slots.
+	gather(&p.plan.SeqGather, p.prevV, p.prevK, p.act, p.seqSlots)
 	for bi := range p.plan.Seq {
 		p.clockBatch(&p.plan.Seq[bi])
 	}
@@ -264,18 +243,18 @@ func (s *Simulator) stepPacked() {
 // activity plane, mirroring the scalar rules: flip-flops first
 // (X-activity from last cycle's flags), then primary inputs, then
 // combinational batches level by level in topological order, each
-// evaluated and then immediately given its activity (X-activity from
-// current flags, which only earlier levels set). Toggles are one packed
-// XOR pair per word; only unchanged-X outputs need per-gate fan-in
-// checks. The cycle's energy bound accumulates in the same pass, in
-// plan order: clock energy, flip-flop batches, then the levels.
+// level gathered once and each batch evaluated and immediately given
+// its activity (X-activity from current flags, which only earlier
+// levels set). Toggles are one packed XOR pair per word; only
+// unchanged-X outputs need the fan-in cascade. The cycle's energy bound
+// accumulates in the same pass, in plan order: clock energy, flip-flop
+// batches, then the levels.
 func (p *packedSim) settle(s *Simulator) {
-	copy(p.prevAct, p.act)
 	plan := p.plan
 	e := s.clkTotalFJ
 
 	for bi := range plan.Seq {
-		e += p.batchActivity(s, &plan.Seq[bi], true)
+		e += p.seqActivity(s, &plan.Seq[bi])
 	}
 
 	// Primary inputs occupy positions [0, InputBits), word-aligned at
@@ -289,28 +268,52 @@ func (p *packedSim) settle(s *Simulator) {
 
 	for li := range plan.Levels {
 		lv := &plan.Levels[li]
+		gather(&lv.Gather, p.curV, p.curK, p.act, p.slots)
 		for bi := range lv.Batches {
-			b := &lv.Batches[bi]
-			p.evalBatch(b)
-			e += p.batchActivity(s, b, false)
+			e += p.settleBatch(s, &lv.Batches[bi])
 		}
 	}
 	p.boundFJ = e
 	p.boundValid = true
 }
 
-// batchActivity applies the activity rule to one batch, fully
-// word-parallel: toggles from the packed XOR, then for unchanged-X
-// outputs the driven-by-active cascade as an OR of the pins' gathered
-// activity words. For flip-flops (seq true) the cascade reads last
-// cycle's flags and is suppressed for lanes provably held (Dffre with
-// known-idle enable and reset — no refinement can have toggled them).
-//
-// It returns the batch's Algorithm 2 energy bound for the cycle,
-// computed from the words already in hand (see batchBoundFJ for the
-// standalone form of the same classification).
-func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq bool) float64 {
-	nin := b.NIn
+// settleBatch evaluates one combinational batch from its gathered
+// slots, chunk by chunk, and applies the activity rule to each chunk
+// from the same words: toggles from the packed XOR, and for
+// unchanged-X outputs the driven-by-active cascade as an AND with the
+// OR of the pins' gathered flags. It returns the batch's Algorithm 2
+// energy bound for the cycle (see batchBoundFJ for the standalone form
+// of the same classification).
+func (p *packedSim) settleBatch(s *Simulator, b *netlist.PackedBatch) float64 {
+	lanes := len(b.Cells)
+	rise, fall, maxE := s.riseFJ[b.Kind], s.fallFJ[b.Kind], s.maxFJ[b.Kind]
+	e := 0.0
+	for c, lane0 := 0, 0; lane0 < lanes; c, lane0 = c+1, lane0+64 {
+		n := min(64, lanes-lane0)
+		m := laneMask(n)
+		pa, pb, pc := pinSlots(p.slots, b, c)
+		ov, ok := cell.EvalPlanes(b.Kind, pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], 0, 0)
+		pos := b.FirstPos + int32(lane0)
+		p.store(pos, n, ov, ok)
+
+		cv, ck := ov&m, ok&m
+		pv := extract(p.prevV, pos, n)
+		pk := extract(p.prevK, pos, n)
+		t := ((pv ^ cv) | (pk ^ ck)) & m
+		// Unchanged-X outputs: active iff driven by an active gate.
+		actW := t | ^t&^ck&m&(pa[2]|pb[2]|pc[2])
+		p.storeAct(pos, n, actW)
+		e += chunkBoundFJ(pv, pk, cv, ck, actW, m, rise, fall, maxE)
+	}
+	return e
+}
+
+// seqActivity applies the activity rule to one flip-flop batch, whose
+// new state the clock edge already stored: as settleBatch, but the
+// cascade reads last cycle's flags from the clock edge's slots and is
+// suppressed for lanes provably held (Dffre with known-idle enable and
+// reset — no refinement can have toggled them).
+func (p *packedSim) seqActivity(s *Simulator, b *netlist.PackedBatch) float64 {
 	lanes := len(b.Cells)
 	rise, fall, maxE := s.riseFJ[b.Kind], s.fallFJ[b.Kind], s.maxFJ[b.Kind]
 	e := 0.0
@@ -323,32 +326,14 @@ func (p *packedSim) batchActivity(s *Simulator, b *netlist.PackedBatch, seq bool
 		pv := extract(p.prevV, pos, n)
 		pk := extract(p.prevK, pos, n)
 		t := ((pv ^ cv) | (pk ^ ck)) & m
-		actW := t
-		// Unchanged-X outputs: active iff driven by an active gate.
-		if pend := ^t & ^ck & m; pend != 0 && nin > 0 {
-			flags := p.act
-			if seq {
-				flags = p.prevAct
-			}
-			in := gatherFlags(flags, b.Gather[0][c], b.GatherB[0][c])
-			if nin > 1 && pend&^in != 0 {
-				in |= gatherFlags(flags, b.Gather[1][c], b.GatherB[1][c])
-			}
-			if nin > 2 && pend&^in != 0 {
-				in |= gatherFlags(flags, b.Gather[2][c], b.GatherB[2][c])
-			}
-			casc := pend & in
-			if seq && b.Kind == cell.Dffre && casc != 0 {
-				rv, rk := gatherPair(p.prevV, p.prevK, b.Gather[1][c], b.GatherB[1][c])
-				ev, ek := gatherPair(p.prevV, p.prevK, b.Gather[2][c], b.GatherB[2][c])
-				held := (rk &^ rv) & (ek &^ ev)
-				casc &^= held
-			}
-			actW |= casc
+		pa, pb, pc := pinSlots(p.seqSlots, b, c)
+		casc := ^t & ^ck & m & (pa[2] | pb[2] | pc[2])
+		if b.Kind == cell.Dffre {
+			// pb and pc are the reset and enable pins.
+			casc &^= (pb[1] &^ pb[0]) & (pc[1] &^ pc[0])
 		}
+		actW := t | casc
 		p.storeAct(pos, n, actW)
-
-		// Energy bound, from the same words.
 		e += chunkBoundFJ(pv, pk, cv, ck, actW, m, rise, fall, maxE)
 	}
 	return e
@@ -424,7 +409,7 @@ func (p *packedSim) accumulateNewActive(acc []uint64, f func(netlist.CellID)) {
 // word-classified popcounts. Clock-pin energy is the precomputed
 // constant. The rule is cross-tested against the reference sum in
 // package power. Settle computes the same sum for free each
-// Step (batchActivity already holds every word), so this usually
+// Step (it already holds every word), so this usually
 // returns the cached value; the standalone walk below serves a
 // simulator whose activity flags were cleared by Restore.
 func (p *packedSim) boundEnergyFJ(s *Simulator) float64 {

@@ -26,14 +26,14 @@ import "slices"
 //     the cycle has already landed in the planes: staged inputs and bus
 //     writes are in curV/curK, the clock edge has captured, and settle
 //     reads only curV/curK/prevV/prevK plus the previous cycle's flags
-//     (act — prevAct is overwritten before first read). The phase's
-//     output state is therefore a pure function of
-//     (curV, curK, prevV, prevK, act).
+//     (act, and the flip-flop slots the clock edge gathered from
+//     prevV/prevK/act). The phase's output state is therefore a pure
+//     function of (curV, curK, prevV, prevK, act).
 //   - Replay writes only what a later reader sees: the final current
 //     planes, the activity flags and the cached energy bound (the very
-//     float64 the live pass produced for these planes). prevAct is
-//     scratch of the phase being skipped: the next settle overwrites it
-//     before reading it.
+//     float64 the live pass produced for these planes). The gather
+//     slots are scratch of the phase being skipped: the next clock edge
+//     and settle overwrite them before reading them.
 //   - Collisions cannot corrupt state: the full source planes are
 //     compared before a hit is taken. Admission only decides what is
 //     stored, so a collision in seen can only start recording early.

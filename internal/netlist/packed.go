@@ -18,9 +18,14 @@ import (
 // by kind, then each topological level's outputs grouped by kind, then
 // any remaining unconnected nets. Because positions follow dataflow
 // order, fan-in is frequently consecutive (bus wiring, stage-to-stage
-// batches), which the per-batch gather programs exploit: each input pin
-// vector is run-length compressed into GatherRun chunk copies instead
+// batches), which the gather programs exploit: each input pin vector is
+// run-length compressed into word-sized rotate-and-mask copies instead
 // of per-bit extraction.
+//
+// Each gather program serves a whole group at once — the flip-flops, or
+// one topological level — so the engine walks one flat op list per
+// level over its value, known and flag planes together, and then
+// evaluates the level's batches from the gathered slots.
 //
 // A PackedPlan is immutable after Build and shared by every simulator
 // instance of the netlist, like the netlist itself.
@@ -37,6 +42,8 @@ type PackedPlan struct {
 	InputBits int
 	// Seq holds the flip-flop batches (evaluated at the clock edge).
 	Seq []PackedBatch
+	// SeqGather gathers every flip-flop batch's input slots.
+	SeqGather GatherProgram
 	// Levels holds per-topological-level combinational batches.
 	Levels []PackedLevel
 }
@@ -45,6 +52,8 @@ type PackedPlan struct {
 type PackedLevel struct {
 	// Batches are the level's same-kind cell groups.
 	Batches []PackedBatch
+	// Gather gathers every batch's input slots.
+	Gather GatherProgram
 }
 
 // PackedBatch is a run of same-kind cells whose output nets occupy the
@@ -58,38 +67,54 @@ type PackedBatch struct {
 	Cells []CellID
 	// FirstPos is the plane bit position of lane 0's output.
 	FirstPos int32
+	// Slot is the batch's first slot in its group's GatherProgram: the
+	// input word of pin p, 64-lane chunk c is slot Slot + p*Chunks() + c.
+	Slot int32
 	// In holds, per used input pin, the plane position of each lane's
 	// input net (lane-indexed); unused pin slots are nil. Diagnostics
-	// and tests walk these; value evaluation uses the gather programs.
+	// and tests walk these; evaluation uses the gather programs.
 	In [3][]int32
-	// Gather holds, per used input pin, the run-length-compressed
-	// gather program per 64-lane chunk: Gather[pin][chunk] assembles
-	// the chunk's input word from consecutive-source-bit runs.
-	// Broadcast runs are split into GatherB so the executor loops stay
-	// branch-free.
-	Gather [3][][]GatherRun
-	// GatherB holds the broadcast runs (one source bit replicated into
-	// N lanes), per pin per chunk; nil when a chunk has none.
-	GatherB [3][][]GatherRun
 }
 
 // Chunks returns the number of 64-lane chunks in the batch.
 func (b *PackedBatch) Chunks() int { return (len(b.Cells) + 63) / 64 }
 
-// GatherRun copies N plane bits into a chunk word at bit offset Off.
-// Consecutive runs copy bits [Src, Src+N); broadcast runs replicate the
-// single bit Src into N lanes (shared fan-in, e.g. one select net
-// driving a whole mux bank). Runs never span chunk boundaries.
-type GatherRun struct {
-	// Src is the first (or only, for broadcast) source plane bit.
-	Src int32
-	// Off is the destination bit offset within the chunk word.
-	Off uint8
-	// N is the run length in bits (1..64).
-	N uint8
-	// Bcast marks a broadcast run.
-	Bcast bool
+// GatherProgram assembles a group's input words: after it runs, slot s
+// holds, in bit i, the source plane bit of lane i of the (batch, pin,
+// chunk) that s names (see PackedBatch.Slot). Both op lists are sorted
+// by Slot; every lane of every slot is written by exactly one op.
+type GatherProgram struct {
+	// Slots is the number of destination slots.
+	Slots int
+	// Ops are the rotate-and-mask copies: slot |= rotl(word, rot) & Mask.
+	Ops []GatherOp
+	// Bcast are the broadcasts (one source bit replicated into every
+	// lane of Mask: shared fan-in, e.g. one select net driving a mux
+	// bank): slot |= -(word>>bit&1) & Mask.
+	Bcast []GatherOp
 }
+
+// GatherOp is one instruction of a GatherProgram. Src packs the source
+// plane word with a 6-bit shift: word<<6 | rot for a copy, word<<6 |
+// bit for a broadcast. Plane positions are int32, so a word index is
+// below 1<<25 and the packed field cannot overflow; a program never
+// has more slots than three per 64 cells plus three per batch, far
+// below 1<<32, so neither can Slot.
+type GatherOp struct {
+	// Mask selects the destination lanes the op writes.
+	Mask uint64
+	// Src is the source word index and shift, packed as above.
+	Src uint32
+	// Slot is the destination slot.
+	Slot uint32
+}
+
+// Word returns the op's source plane word index.
+func (o GatherOp) Word() int { return int(o.Src >> 6) }
+
+// Shift returns the op's left rotation (copies) or source bit
+// (broadcasts).
+func (o GatherOp) Shift() int { return int(o.Src & 63) }
 
 // Packed returns the packed-evaluation plan computed by Build. It
 // panics if the netlist has not been built.
@@ -179,14 +204,10 @@ func (n *Netlist) buildPacked() {
 	// Second pass: per-pin input positions and gather programs
 	// (flip-flop fan-in may live in later-assigned groups, so this
 	// cannot be fused with position assignment).
-	for bi := range p.Seq {
-		p.finishBatch(n, &p.Seq[bi])
-	}
+	p.SeqGather = p.compileGroup(n, p.Seq)
 	for li := range p.Levels {
 		lv := &p.Levels[li]
-		for bi := range lv.Batches {
-			p.finishBatch(n, &lv.Batches[bi])
-		}
+		lv.Gather = p.compileGroup(n, lv.Batches)
 	}
 
 	p.CellOfPos = make([]CellID, p.Words*64)
@@ -199,18 +220,54 @@ func (n *Netlist) buildPacked() {
 	n.packed = p
 }
 
-// finishBatch fills a batch's input-pin position vectors and gather
-// programs.
-func (p *PackedPlan) finishBatch(n *Netlist, b *PackedBatch) {
-	lanes := len(b.Cells)
-	for pin := 0; pin < b.Kind.NumInputs(); pin++ {
-		in := make([]int32, lanes)
-		for i, ci := range b.Cells {
-			in[i] = p.Pos[n.cells[ci].In[pin]]
+// compileGroup fills a group's per-pin input positions, assigns each
+// batch its slots, and compiles the group's gather program at its exact
+// size (one counting pass, one filling pass).
+func (p *PackedPlan) compileGroup(n *Netlist, batches []PackedBatch) GatherProgram {
+	var g GatherProgram
+	nOps, nBcast := 0, 0
+	for bi := range batches {
+		b := &batches[bi]
+		b.Slot = int32(g.Slots)
+		g.Slots += b.NIn * b.Chunks()
+		for pin := 0; pin < b.NIn; pin++ {
+			in := make([]int32, len(b.Cells))
+			for i, ci := range b.Cells {
+				in[i] = p.Pos[n.cells[ci].In[pin]]
+			}
+			b.In[pin] = in
+			forEachRun(in, func(_, _, _ int, _ int32, bcast bool) {
+				if bcast {
+					nBcast++
+				} else {
+					nOps++
+				}
+			})
 		}
-		b.In[pin] = in
-		b.Gather[pin], b.GatherB[pin] = compileGather(in)
 	}
+	g.Ops = make([]GatherOp, 0, nOps)
+	g.Bcast = make([]GatherOp, 0, nBcast)
+	for bi := range batches {
+		b := &batches[bi]
+		chunks := b.Chunks()
+		for pin := 0; pin < b.NIn; pin++ {
+			slot0 := uint32(int(b.Slot) + pin*chunks)
+			forEachRun(b.In[pin], func(chunk, off, nBits int, src int32, bcast bool) {
+				op := GatherOp{
+					Mask: ^uint64(0) >> (64 - nBits) << off,
+					Slot: slot0 + uint32(chunk),
+				}
+				if bcast {
+					op.Src = uint32(src)
+					g.Bcast = append(g.Bcast, op)
+				} else {
+					op.Src = uint32(src)&^63 | uint32(off-int(src&63))&63
+					g.Ops = append(g.Ops, op)
+				}
+			})
+		}
+	}
+	return g
 }
 
 // sortLanes orders a combinational batch's cells by fan-in position so
@@ -241,36 +298,30 @@ func (p *PackedPlan) sortLanes(n *Netlist, kind cell.Kind, cs []CellID) {
 	})
 }
 
-// compileGather run-length compresses a pin's lane positions into per-
-// chunk copy programs: maximal runs of consecutive (or repeated) source
-// positions become one multi-bit extraction (or broadcast) each,
-// emitted into separate consecutive/broadcast lists.
-func compileGather(in []int32) (consecs, bcasts [][]GatherRun) {
-	chunks := (len(in) + 63) / 64
-	consecs = make([][]GatherRun, chunks)
-	bcasts = make([][]GatherRun, chunks)
-	for c := 0; c < chunks; c++ {
-		lo := c * 64
+// forEachRun run-length compresses a pin's lane positions, chunk by
+// 64-lane chunk: maximal runs of consecutive source positions become
+// one copy each, split where they cross a source word so a copy reads
+// one word; maximal runs of a repeated position, when longer, become
+// one broadcast. f receives the chunk, the first lane's offset in it,
+// the run length and the first (or only) source position.
+func forEachRun(in []int32, f func(chunk, off, n int, src int32, bcast bool)) {
+	for lo := 0; lo < len(in); lo += 64 {
 		hi := min(lo+64, len(in))
 		for i := lo; i < hi; {
 			consec, rep := i+1, i+1
-			for consec < hi && in[consec] == in[consec-1]+1 {
+			for consec < hi && in[consec] == in[consec-1]+1 && in[consec]&63 != 0 {
 				consec++
 			}
 			for rep < hi && in[rep] == in[i] {
 				rep++
 			}
-			r := GatherRun{Src: in[i], Off: uint8(i - lo)}
 			if rep > consec {
-				r.N, r.Bcast = uint8(rep-i), true
-				bcasts[c] = append(bcasts[c], r)
+				f(lo/64, i-lo, rep-i, in[i], true)
 				i = rep
 			} else {
-				r.N = uint8(consec - i)
-				consecs[c] = append(consecs[c], r)
+				f(lo/64, i-lo, consec-i, in[i], false)
 				i = consec
 			}
 		}
 	}
-	return consecs, bcasts
 }
