@@ -66,12 +66,15 @@ memo-guard:
 # Gather/layout guard: the packed plan's gather programs decoded back
 # to every lane's source position, the packed engine against the scalar
 # oracle on random designs (bus-shaped ones included: multi-chunk
-# batches, word-crossing runs, broadcast fan-in) and after a restore,
-# and the sealed Reports of the benchmark suite under both engines
-# against the committed golden hashes. A gather or layout bug fails
-# here, apart from the memo guard.
+# batches, word-crossing runs, broadcast fan-in), after a restore and
+# with snapshots swapped between the engines, the portable state codec
+# (the engines' shared state format) within and across engines, and the
+# sealed Reports of the benchmark suite under both engines against the
+# committed golden hashes. A gather or layout bug fails here, apart from
+# the memo guard.
 engine-guard:
 	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms' ./internal/gsim/ ./internal/netlist/
+	$(GO) test -count=1 -run 'TestPortable|TestRestorePortable' ./internal/ulp430/
 	$(GO) test -count=1 -run 'TestEnginesAgreeOnBenchmarkSuite|TestReportGolden' ./peakpower/
 
 # Short native-fuzz session over the differential target: Explore and

@@ -11,7 +11,8 @@
 // Analyses run on a bit-packed, levelized gate engine (64 nets per
 // word op; PERFORMANCE.md documents the design
 // and measurements). The original scalar engine is retained as a
-// differential-testing oracle, selectable with peakpower.WithEngine.
+// differential-testing oracle, selectable with peakpower.WithEngine:
+// it evaluates one gate at a time over the same net-state planes.
 // The benchmark harness in bench_test.go regenerates every table and
 // figure and carries the engine micro/macro benchmarks behind the
 // BENCH_*.json trajectory:

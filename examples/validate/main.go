@@ -34,10 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// RunConcrete honors the same progress/cancellation options as the
-		// symbolic analyses (a large interval keeps this demo quiet).
-		run, err := analyzer.RunConcrete(ctx, img, inputs, nil, 1_000_000,
-			peakpower.WithProgressEvery(500_000))
+		run, err := analyzer.RunConcrete(ctx, img, inputs, nil, 1_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -204,10 +204,56 @@ func closeFJ(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// compareEngines asserts the two simulators agree symbol for symbol on
-// every net's value, previous value, and activity flag, plus the
+// compareEngines asserts the two simulators hold word-identical planes
+// (current and previous value/known, activity), which also catches
+// non-canonical bits and stray bits at positions no net owns, plus the
 // derived state hash, concrete dynamic energy and Algorithm 2 bound.
 func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator, cycle int) {
+	t.Helper()
+	for _, pl := range []struct {
+		name string
+		s, p []uint64
+	}{
+		{"curV", scalar.curV, packed.curV},
+		{"curK", scalar.curK, packed.curK},
+		{"prevV", scalar.prevV, packed.prevV},
+		{"prevK", scalar.prevK, packed.prevK},
+		{"act", scalar.act, packed.act},
+	} {
+		if w := firstWordDiff(pl.s, pl.p); w >= 0 {
+			firstNetDiff(t, n, scalar, packed, cycle)
+			t.Fatalf("cycle %d: %s planes differ at word %d (%#x vs %#x) outside every net's value and flag",
+				cycle, pl.name, w, pl.s[w], pl.p[w])
+		}
+	}
+	if sh, ph := scalar.StateHash(), packed.StateHash(); sh != ph {
+		t.Fatalf("cycle %d: state hash mismatch %x vs %x", cycle, sh, ph)
+	}
+	if se, pe := scalar.DynamicEnergyFJ(), packed.DynamicEnergyFJ(); se != pe {
+		t.Fatalf("cycle %d: dynamic energy %v vs %v", cycle, se, pe)
+	}
+	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !closeFJ(se, pe) {
+		t.Fatalf("cycle %d: energy bound %v vs %v", cycle, se, pe)
+	}
+}
+
+// firstWordDiff returns the index of the first word at which a and b
+// differ (or of the shorter one's end), or -1 if they are equal.
+func firstWordDiff(a, b []uint64) int {
+	for w := range min(len(a), len(b)) {
+		if a[w] != b[w] {
+			return w
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// firstNetDiff names the first net whose value, previous value or
+// activity flag differs between the simulators, failing the test.
+func firstNetDiff(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator, cycle int) {
 	t.Helper()
 	for id := 0; id < n.NumNets(); id++ {
 		nid := netlist.NetID(id)
@@ -221,15 +267,6 @@ func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator,
 			t.Fatalf("cycle %d net %s (val %v, prev %v): scalar active %v, packed active %v",
 				cycle, n.NetName(nid), scalar.Val(nid), scalar.PrevVal(nid), sa, pa)
 		}
-	}
-	if sh, ph := scalar.StateHash(), packed.StateHash(); sh != ph {
-		t.Fatalf("cycle %d: state hash mismatch %x vs %x", cycle, sh, ph)
-	}
-	if se, pe := scalar.DynamicEnergyFJ(), packed.DynamicEnergyFJ(); se != pe {
-		t.Fatalf("cycle %d: dynamic energy %v vs %v", cycle, se, pe)
-	}
-	if se, pe := scalar.BoundEnergyFJ(), packed.BoundEnergyFJ(); !closeFJ(se, pe) {
-		t.Fatalf("cycle %d: energy bound %v vs %v", cycle, se, pe)
 	}
 }
 
@@ -304,6 +341,70 @@ func TestEnginesAgreeOnRandomNetlists(t *testing.T) {
 	if !multiChunk || !straddle || !bcast {
 		t.Fatalf("gather shapes exercised: multi-chunk batch %v, word-crossing run %v, broadcast %v; want all",
 			multiChunk, straddle, bcast)
+	}
+}
+
+// TestEnginesAgreeAcrossSnapshots restores each engine's snapshots into
+// the other. Both keep net state in one layout, so a snapshot taken on
+// the scalar engine resumes on the packed engine, and the reverse, and
+// each must then run exactly as the other engine resuming from its own
+// snapshot. The snapshots are taken with an input assignment staged,
+// so they carry staged inputs too.
+func TestEnginesAgreeAcrossSnapshots(t *testing.T) {
+	for d := 0; d < 12; d++ {
+		r := rand.New(rand.NewSource(int64(7_919 * (d + 1))))
+		gen := randomNetlist
+		if d%4 == 3 {
+			gen = wideNetlist
+		}
+		n := gen(t, r)
+		lib := cell.ULP65()
+		scalar := NewEngine(n, lib, nil, EngineScalar)
+		packed := NewEngine(n, lib, nil, EnginePacked)
+		w := make(logic.Word, len(n.Port("in")))
+		drive := func(sims ...*Simulator) {
+			for i := range w {
+				w[i] = randomTrit(r)
+			}
+			for _, s := range sims {
+				s.SetPort("in", w)
+			}
+		}
+		step := func(sims ...*Simulator) {
+			for _, s := range sims {
+				s.Step()
+			}
+		}
+		for c := 0; c < 12; c++ {
+			drive(scalar, packed)
+			step(scalar, packed)
+		}
+		drive(scalar, packed)
+		fromS, fromP := scalar.Snapshot(), packed.Snapshot()
+		for c := 0; c < 8; c++ {
+			step(scalar, packed)
+			drive(scalar, packed)
+		}
+
+		// Swap the snapshots; each engine's own restore is the
+		// reference for the other's.
+		packed.Restore(fromS)
+		scalar.Restore(fromP)
+		refS := NewEngine(n, lib, nil, EngineScalar)
+		refP := NewEngine(n, lib, nil, EnginePacked)
+		refS.Restore(fromS)
+		refP.Restore(fromP)
+		compareEngines(t, n, refS, packed, 0)
+		compareEngines(t, n, scalar, refP, 0)
+		for c := 1; c <= 20; c++ {
+			step(scalar, packed, refS, refP)
+			compareEngines(t, n, refS, packed, c)
+			compareEngines(t, n, scalar, refP, c)
+			if packed.Cycle() != refS.Cycle() || scalar.Cycle() != refP.Cycle() {
+				t.Fatalf("design %d: cycle counters %d/%d and %d/%d", d, packed.Cycle(), refS.Cycle(), scalar.Cycle(), refP.Cycle())
+			}
+			drive(scalar, packed, refS, refP)
+		}
 	}
 }
 

@@ -22,25 +22,28 @@
 // # Engines
 //
 // Two interchangeable engines implement those semantics behind one
-// Simulator API, selected at construction with NewEngine:
+// Simulator API, selected at construction with NewEngine. Both keep net
+// state in one layout, laid out by the netlist's PackedPlan: the
+// current and previous cycle's value/known bit-planes of 64-bit words
+// (canonical v&^k == 0, so zero known bits mean X) and an activity
+// plane. Val, Active, SetNet, snapshots, the activity walks and the
+// portable state codec therefore exist once, and a snapshot taken on
+// one engine restores on the other. Only evaluation differs:
 //
-//   - EnginePacked (the default) holds net state as two bit-planes of
-//     64-bit words (value/known, canonical v&^k == 0) and evaluates the
-//     netlist's PackedPlan: same-kind gate batches, word-parallel
-//     cell.EvalPlanes evaluation of every batch every cycle, in one
-//     topologically ordered pass that also derives each batch's
-//     activity. Each level's inputs are gathered once, by one flat
-//     rotate-and-mask program over the value, known and activity
-//     planes together. Activity toggles fall out of a packed XOR of the
-//     previous and current planes; only unchanged-X gates need the
-//     per-gate driven-by-active cascade. Snapshots copy the planes —
-//     an eighth of the scalar state — which is what makes the symbolic
-//     engine's per-cycle rolling snapshot cheap.
-//   - EngineScalar is the straightforward one-Trit-per-net,
-//     one-cell.Eval-per-gate reference implementation. It is retained
-//     as the differential-testing oracle: the property tests in this
-//     package drive random netlists through both engines and require
-//     bit-identical values, activity flags, and state hashes.
+//   - EnginePacked (the default) evaluates the PackedPlan: same-kind
+//     gate batches, word-parallel cell.EvalPlanes evaluation of every
+//     batch every cycle, in one topologically ordered pass that also
+//     derives each batch's activity. Each level's inputs are gathered
+//     once, by one flat rotate-and-mask program over the value, known
+//     and activity planes together. Activity toggles fall out of a
+//     packed XOR of the previous and current planes; only unchanged-X
+//     gates need the per-gate driven-by-active cascade.
+//   - EngineScalar is the straightforward one-cell.Eval-per-gate
+//     reference implementation, reading and writing one net at a time
+//     through the planes. It is retained as the differential-testing
+//     oracle: the property tests in this package drive random netlists
+//     through both engines and require word-identical planes and equal
+//     state hashes.
 //
 // Both engines are deterministic; a concrete execution is always a
 // refinement of a symbolic one, and the two engines agree symbol for
@@ -49,6 +52,7 @@ package gsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/cell"
@@ -109,15 +113,14 @@ type Simulator struct {
 	bus    Bus
 	engine Engine
 
-	// Scalar engine state (EngineScalar only).
-	vals    []logic.Trit
-	prev    []logic.Trit
-	active  []bool
-	prevAct []bool
-	order   []netlist.CellID // combinational cells in topological order
-	seqNx   []logic.Trit
+	planes // net state, shared by both engines
 
-	// Packed engine state (EnginePacked only).
+	// Scalar engine scratch (EngineScalar only).
+	order   []netlist.CellID // combinational cells in topological order
+	prevAct []uint64         // last cycle's activity plane
+
+	// Packed engine state (EnginePacked only); its planes alias the
+	// Simulator's.
 	pk *packedSim
 
 	seq []netlist.CellID
@@ -173,24 +176,15 @@ func NewEngine(n *netlist.Netlist, lib *cell.Library, bus Bus, engine Engine) *S
 	for ci := 0; ci < n.NumCells(); ci++ {
 		s.clkTotalFJ += lib.Params(n.Cell(netlist.CellID(ci)).Kind).EnergyClk
 	}
+	s.planes = newPlanes(n.Packed())
 	switch engine {
 	case EnginePacked:
-		s.pk = newPackedSim(n.Packed())
+		s.pk = newPackedSim(s.planes)
 	case EngineScalar:
-		order := make([]netlist.CellID, 0, n.NumCells())
 		for _, level := range n.Levels() {
-			order = append(order, level...)
+			s.order = append(s.order, level...)
 		}
-		s.vals = make([]logic.Trit, n.NumNets())
-		s.prev = make([]logic.Trit, n.NumNets())
-		s.active = make([]bool, n.NumNets())
-		s.prevAct = make([]bool, n.NumNets())
-		s.order = order
-		s.seqNx = make([]logic.Trit, len(s.seq))
-		for i := range s.vals {
-			s.vals[i] = logic.X
-			s.prev[i] = logic.X
-		}
+		s.prevAct = make([]uint64, len(s.act))
 	default:
 		panic("gsim: unknown engine")
 	}
@@ -212,29 +206,79 @@ func (s *Simulator) Cycle() uint64 { return s.cycle }
 // AddHook registers a per-cycle observer.
 func (s *Simulator) AddHook(h CycleHook) { s.hooks = append(s.hooks, h) }
 
-// Val returns the settled value of a net in the current cycle.
-func (s *Simulator) Val(id netlist.NetID) logic.Trit {
-	if s.pk != nil {
-		return s.pk.val(id)
-	}
-	return s.vals[id]
+// planes is the net state of both engines: the value/known planes of
+// the current and previous cycle (canonical v&^k == 0; all-zero planes
+// are the all-X initial condition) and the activity plane, one bit per
+// net at the position the netlist's PackedPlan assigns it.
+type planes struct {
+	plan *netlist.PackedPlan
+
+	curV, curK   []uint64 // settled values of the current cycle
+	prevV, prevK []uint64 // settled values of the previous cycle
+	act          []uint64 // activity flags, one bit per net position
 }
+
+func newPlanes(plan *netlist.PackedPlan) planes {
+	nw := plan.Words
+	return planes{
+		plan:  plan,
+		curV:  make([]uint64, nw),
+		curK:  make([]uint64, nw),
+		prevV: make([]uint64, nw),
+		prevK: make([]uint64, nw),
+		act:   make([]uint64, nw),
+	}
+}
+
+func (p *planes) val(id netlist.NetID) logic.Trit {
+	pos := p.plan.Pos[id]
+	return logic.TritFromPlane(p.curV[pos>>6], p.curK[pos>>6], uint(pos&63))
+}
+
+func (p *planes) prevVal(id netlist.NetID) logic.Trit {
+	pos := p.plan.Pos[id]
+	return logic.TritFromPlane(p.prevV[pos>>6], p.prevK[pos>>6], uint(pos&63))
+}
+
+func (p *planes) isActive(id netlist.NetID) bool {
+	return planeBit(p.act, p.plan.Pos[id])
+}
+
+// planeBit reads one bit of a one-bit-per-net plane.
+func planeBit(plane []uint64, pos int32) bool {
+	return plane[pos>>6]>>uint(pos&63)&1 == 1
+}
+
+// setTrit writes one net immediately (staged inputs at cycle start, bus
+// writes mid-cycle, the scalar engine's evaluation).
+func (p *planes) setTrit(id netlist.NetID, t logic.Trit) {
+	pos := p.plan.Pos[id]
+	w, b := pos>>6, uint(pos&63)
+	nv, nk := logic.PlaneFromTrit(t)
+	mask := uint64(1) << b
+	p.curV[w] = p.curV[w]&^mask | nv<<b
+	p.curK[w] = p.curK[w]&^mask | nk<<b
+}
+
+// setActive writes one net's activity flag.
+func (p *planes) setActive(id netlist.NetID, on bool) {
+	pos := p.plan.Pos[id]
+	w, mask := pos>>6, uint64(1)<<uint(pos&63)
+	if on {
+		p.act[w] |= mask
+	} else {
+		p.act[w] &^= mask
+	}
+}
+
+// Val returns the settled value of a net in the current cycle.
+func (s *Simulator) Val(id netlist.NetID) logic.Trit { return s.val(id) }
 
 // PrevVal returns the settled value of a net in the previous cycle.
-func (s *Simulator) PrevVal(id netlist.NetID) logic.Trit {
-	if s.pk != nil {
-		return s.pk.prevVal(id)
-	}
-	return s.prev[id]
-}
+func (s *Simulator) PrevVal(id netlist.NetID) logic.Trit { return s.prevVal(id) }
 
 // Active reports whether the net was active in the current cycle.
-func (s *Simulator) Active(id netlist.NetID) bool {
-	if s.pk != nil {
-		return s.pk.isActive(id)
-	}
-	return s.active[id]
-}
+func (s *Simulator) Active(id netlist.NetID) bool { return s.isActive(id) }
 
 // SetNet drives a primary-input net. Outside Step the assignment is
 // staged and takes effect at the start of the next cycle; a Bus calling
@@ -246,11 +290,7 @@ func (s *Simulator) SetNet(id netlist.NetID, v logic.Trit) {
 		panic(fmt.Sprintf("gsim: SetNet on non-input net %s", s.n.NetName(id)))
 	}
 	if s.inStep {
-		if s.pk != nil {
-			s.pk.setTrit(id, v)
-		} else {
-			s.vals[id] = v
-		}
+		s.setTrit(id, v)
 		return
 	}
 	s.staged = append(s.staged, stagedInput{id, v})
@@ -314,11 +354,22 @@ func (s *Simulator) PortUint(name string) (uint64, bool) {
 
 // Step advances simulation by one clock cycle.
 func (s *Simulator) Step() {
+	copy(s.prevV, s.curV)
+	copy(s.prevK, s.curK)
+	s.inStep = true
+
+	// 0. Staged input assignments become the new cycle's input values.
+	for _, si := range s.staged {
+		s.setTrit(si.id, si.v)
+	}
+	s.staged = s.staged[:0]
+
 	if s.pk != nil {
 		s.stepPacked()
 	} else {
 		s.stepScalar()
 	}
+	s.inStep = false
 	s.cycle++
 	for _, h := range s.hooks {
 		h(s.cycle, s)
@@ -333,14 +384,12 @@ func (s *Simulator) Run(n int) {
 }
 
 // Snapshot is a restorable copy of simulator state (net values only; bus
-// state is snapshotted by the system owning the bus). Only the fields of
-// the engine that produced it are populated.
+// state is snapshotted by the system owning the bus). Both engines keep
+// net state in the same planes, so a snapshot taken on either engine
+// restores on either.
 type Snapshot struct {
-	// Vals and Prev are the scalar engine's net values.
-	Vals []logic.Trit
-	Prev []logic.Trit
-	// PlaneV/PlaneK and PrevPlaneV/PrevPlaneK are the packed engine's
-	// current and previous value/known planes.
+	// PlaneV/PlaneK and PrevPlaneV/PrevPlaneK are the current and
+	// previous cycle's value/known planes.
 	PlaneV, PlaneK         []uint64
 	PrevPlaneV, PrevPlaneK []uint64
 	Staged                 []stagedInput
@@ -359,16 +408,10 @@ func (s *Simulator) Snapshot() *Snapshot {
 // the allocation-free form used by the symbolic engine's per-cycle
 // rolling snapshot.
 func (s *Simulator) SnapshotInto(sn *Snapshot) {
-	if s.pk != nil {
-		p := s.pk
-		sn.PlaneV = append(sn.PlaneV[:0], p.curV...)
-		sn.PlaneK = append(sn.PlaneK[:0], p.curK...)
-		sn.PrevPlaneV = append(sn.PrevPlaneV[:0], p.prevV...)
-		sn.PrevPlaneK = append(sn.PrevPlaneK[:0], p.prevK...)
-	} else {
-		sn.Vals = append(sn.Vals[:0], s.vals...)
-		sn.Prev = append(sn.Prev[:0], s.prev...)
-	}
+	sn.PlaneV = append(sn.PlaneV[:0], s.curV...)
+	sn.PlaneK = append(sn.PlaneK[:0], s.curK...)
+	sn.PrevPlaneV = append(sn.PrevPlaneV[:0], s.prevV...)
+	sn.PrevPlaneK = append(sn.PrevPlaneK[:0], s.prevK...)
 	sn.Staged = append(sn.Staged[:0], s.staged...)
 	sn.Cycle = s.cycle
 }
@@ -377,8 +420,6 @@ func (s *Simulator) SnapshotInto(sn *Snapshot) {
 // symbolic engine to retain fork snapshots from a recycled pool instead
 // of allocating fresh state per fork.
 func (sn *Snapshot) CloneInto(dst *Snapshot) {
-	dst.Vals = append(dst.Vals[:0], sn.Vals...)
-	dst.Prev = append(dst.Prev[:0], sn.Prev...)
 	dst.PlaneV = append(dst.PlaneV[:0], sn.PlaneV...)
 	dst.PlaneK = append(dst.PlaneK[:0], sn.PlaneK...)
 	dst.PrevPlaneV = append(dst.PrevPlaneV[:0], sn.PrevPlaneV...)
@@ -420,24 +461,15 @@ func (sn *Snapshot) SetStagedRecs(recs []StagedInputRec) {
 	}
 }
 
-// Restore rewinds the simulator to a snapshot.
+// Restore rewinds the simulator to a snapshot taken on either engine.
 func (s *Simulator) Restore(sn *Snapshot) {
+	copy(s.curV, sn.PlaneV)
+	copy(s.curK, sn.PlaneK)
+	copy(s.prevV, sn.PrevPlaneV)
+	copy(s.prevK, sn.PrevPlaneK)
+	clear(s.act)
 	if s.pk != nil {
-		p := s.pk
-		copy(p.curV, sn.PlaneV)
-		copy(p.curK, sn.PlaneK)
-		copy(p.prevV, sn.PrevPlaneV)
-		copy(p.prevK, sn.PrevPlaneK)
-		p.boundValid = false
-		for i := range p.act {
-			p.act[i] = 0
-		}
-	} else {
-		copy(s.vals, sn.Vals)
-		copy(s.prev, sn.Prev)
-		for i := range s.active {
-			s.active[i] = false
-		}
+		s.pk.boundValid = false
 	}
 	s.staged = append(s.staged[:0], sn.Staged...)
 	s.cycle = sn.Cycle
@@ -453,52 +485,51 @@ func (s *Simulator) ActiveCells(dst []netlist.CellID) []netlist.CellID {
 }
 
 // ForEachActiveCell calls f for every cell whose output is active in the
-// current cycle. On the packed engine this scans the activity plane's
-// set bits — O(active) rather than O(cells) — which is what keeps the
-// streaming power sink off the all-cells path. Both engines visit cells
-// in ascending plane position, so order-sensitive consumers (the power
-// sink's per-module float accumulation) are engine-independent.
+// current cycle. It scans the activity plane's set bits — O(active)
+// rather than O(cells) — which is what keeps the streaming power sink
+// off the all-cells path. Cells come in ascending plane position on
+// either engine, so order-sensitive consumers (the power sink's
+// per-module float accumulation) are engine-independent.
 func (s *Simulator) ForEachActiveCell(f func(netlist.CellID)) {
-	if s.pk != nil {
-		s.pk.forEachActiveCell(f)
-		return
-	}
-	for _, ci := range s.n.Packed().CellOfPos {
-		if ci >= 0 && s.active[s.n.Cell(ci).Out] {
-			f(ci)
+	cells := s.plan.CellOfPos
+	for w, a := range s.act {
+		base := w * 64
+		for a != 0 {
+			bit := bits.TrailingZeros64(a)
+			a &^= 1 << uint(bit)
+			if ci := cells[base+bit]; ci >= 0 {
+				f(ci)
+			}
 		}
 	}
 }
 
 // NewActiveAccumulator returns a zeroed union-activity accumulator for
-// use with AccumulateNewActive. Its contents are engine-internal; treat
-// it as opaque and per-Simulator.
+// use with AccumulateNewActive. Treat it as opaque and per-Simulator.
 func (s *Simulator) NewActiveAccumulator() []uint64 {
-	return make([]uint64, s.n.Packed().Words)
+	return make([]uint64, len(s.act))
 }
 
 // AccumulateNewActive ORs this cycle's activity into acc and calls f
 // exactly once per cell the first cycle it turns active — the running
-// "potentially toggled" union of the paper's Figures 1.5/3.4. On the
-// packed engine the OR is word-parallel and per-cell work happens only
-// on first activation, so a whole run costs O(distinct active cells)
-// beyond the word ops.
+// "potentially toggled" union of the paper's Figures 1.5/3.4. The OR is
+// word-parallel and per-cell work happens only on first activation, so
+// a whole run costs O(distinct active cells) beyond the word ops.
 func (s *Simulator) AccumulateNewActive(acc []uint64, f func(netlist.CellID)) {
-	if s.pk != nil {
-		s.pk.accumulateNewActive(acc, f)
-		return
-	}
-	pos := s.n.Packed().Pos
-	for ci := 0; ci < s.n.NumCells(); ci++ {
-		out := s.n.Cell(netlist.CellID(ci)).Out
-		if !s.active[out] {
+	cells := s.plan.CellOfPos
+	for w, a := range s.act {
+		fresh := a &^ acc[w]
+		if fresh == 0 {
 			continue
 		}
-		p := pos[out]
-		w, b := p>>6, uint(p&63)
-		if acc[w]>>b&1 == 0 {
-			acc[w] |= 1 << b
-			f(netlist.CellID(ci))
+		acc[w] |= a
+		base := w * 64
+		for fresh != 0 {
+			bit := bits.TrailingZeros64(fresh)
+			fresh &^= 1 << uint(bit)
+			if ci := cells[base+bit]; ci >= 0 {
+				f(ci)
+			}
 		}
 	}
 }
@@ -521,7 +552,7 @@ func (s *Simulator) BoundEnergyFJ() float64 {
 	if s.pk != nil {
 		return s.pk.boundEnergyFJ(s)
 	}
-	plan := s.n.Packed()
+	plan := s.plan
 	e := s.clkTotalFJ
 	for bi := range plan.Seq {
 		e += s.scalarBatchBoundFJ(&plan.Seq[bi])
@@ -548,7 +579,7 @@ func (s *Simulator) scalarBatchBoundFJ(b *netlist.PackedBatch) float64 {
 		var nRise, nFall, nMax, nXRise, nXFall int
 		for i := 0; i < n; i++ {
 			out := s.n.Cell(b.Cells[lane0+i]).Out
-			prev, cur := s.prev[out], s.vals[out]
+			prev, cur := s.prevVal(out), s.val(out)
 			switch {
 			case prev.Known() && cur.Known():
 				if prev != cur {
@@ -558,7 +589,7 @@ func (s *Simulator) scalarBatchBoundFJ(b *netlist.PackedBatch) float64 {
 						nFall++
 					}
 				}
-			case !s.active[out]:
+			case !s.isActive(out):
 				// Temporally constant unknown: cannot toggle.
 			case prev == logic.X && cur == logic.X:
 				nMax++
@@ -618,10 +649,11 @@ func (s *Simulator) StateHash2() uint64 {
 
 // EnableMemo turns on whole-step result memoization (stepmemo.go) with
 // the given table byte budget (<= 0 selects the default). It reports
-// false on the scalar engine, which has no packed planes to key on.
-// Memoization never changes simulation results — only whether a cycle
-// phase is evaluated or replayed — so it is safe to enable on any
-// packed simulator.
+// false on the scalar engine: the oracle evaluates every cycle, so that
+// nothing it reports was replayed rather than computed. Memoization
+// never changes simulation results — only whether a cycle phase is
+// evaluated or replayed — so it is safe to enable on any packed
+// simulator.
 func (s *Simulator) EnableMemo(maxBytes int) bool {
 	if s.pk == nil {
 		return false

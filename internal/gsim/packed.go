@@ -4,14 +4,13 @@ import (
 	"math/bits"
 
 	"repro/internal/cell"
-	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
-// packedSim is the bit-packed engine's state: net values live in two
-// planes of 64-bit words (value/known, canonical v&^k == 0) laid out by
-// the netlist's PackedPlan, so one word operation evaluates up to 64
-// same-kind gates and a pair of XORs yields 64 toggle flags.
+// packedSim is the bit-packed engine's state. It evaluates the shared
+// planes a word at a time, in the netlist's PackedPlan layout: one word
+// operation evaluates up to 64 same-kind gates and a pair of XORs
+// yields 64 toggle flags.
 //
 // Every cycle settles every batch, in one topologically ordered pass.
 // Each level starts with one walk of its flat gather program, which
@@ -23,11 +22,10 @@ import (
 // word per 64 gates; the driven-by-active cascade for unchanged-X
 // outputs is one AND with the OR of the pins' gathered flags.
 type packedSim struct {
-	plan *netlist.PackedPlan
-
-	curV, curK   []uint64 // settled values of the current cycle
-	prevV, prevK []uint64 // settled values of the previous cycle
-	act          []uint64 // activity flags, one bit per net position
+	// planes is a by-value copy of the Simulator's: the slice headers
+	// alias the same arrays, so the hot loops reach them with no
+	// pointer hop.
+	planes
 
 	// slots is the combinational levels' gather scratch, one value,
 	// known, flag triple per slot of the widest level; seqSlots is the
@@ -48,48 +46,16 @@ type packedSim struct {
 	boundValid bool
 }
 
-func newPackedSim(plan *netlist.PackedPlan) *packedSim {
-	nw := plan.Words
+func newPackedSim(pl planes) *packedSim {
 	widest := 0
-	for li := range plan.Levels {
-		widest = max(widest, plan.Levels[li].Gather.Slots)
+	for li := range pl.plan.Levels {
+		widest = max(widest, pl.plan.Levels[li].Gather.Slots)
 	}
 	return &packedSim{
-		plan:     plan,
-		curV:     make([]uint64, nw),
-		curK:     make([]uint64, nw), // known = 0 everywhere: all nets X
-		prevV:    make([]uint64, nw),
-		prevK:    make([]uint64, nw),
-		act:      make([]uint64, nw),
+		planes:   pl,
 		slots:    make([][3]uint64, widest),
-		seqSlots: make([][3]uint64, plan.SeqGather.Slots),
+		seqSlots: make([][3]uint64, pl.plan.SeqGather.Slots),
 	}
-}
-
-func (p *packedSim) val(id netlist.NetID) logic.Trit {
-	pos := p.plan.Pos[id]
-	return logic.TritFromPlane(p.curV[pos>>6], p.curK[pos>>6], uint(pos&63))
-}
-
-func (p *packedSim) prevVal(id netlist.NetID) logic.Trit {
-	pos := p.plan.Pos[id]
-	return logic.TritFromPlane(p.prevV[pos>>6], p.prevK[pos>>6], uint(pos&63))
-}
-
-func (p *packedSim) isActive(id netlist.NetID) bool {
-	pos := p.plan.Pos[id]
-	return p.act[pos>>6]>>uint(pos&63)&1 == 1
-}
-
-// setTrit writes one net immediately (staged inputs at cycle start, bus
-// writes mid-cycle).
-func (p *packedSim) setTrit(id netlist.NetID, t logic.Trit) {
-	pos := p.plan.Pos[id]
-	w, b := pos>>6, uint(pos&63)
-	nv, nk := logic.PlaneFromTrit(t)
-	mask := uint64(1) << b
-	p.curV[w] = p.curV[w]&^mask | nv<<b
-	p.curK[w] = p.curK[w]&^mask | nk<<b
 }
 
 // laneMask returns the low-n-bits mask (n in 1..64).
@@ -191,19 +157,11 @@ func pinSlots(slots [][3]uint64, b *netlist.PackedBatch, c int) (pa, pb, pc [3]u
 	return pa, pb, pc
 }
 
-// stepPacked is the packed engine's cycle. It mirrors stepScalar phase
-// for phase; only the evaluation strategy differs.
+// stepPacked is the packed engine's cycle after Step's phase 0. It
+// mirrors stepScalar phase for phase; only the evaluation strategy
+// differs.
 func (s *Simulator) stepPacked() {
 	p := s.pk
-	copy(p.prevV, p.curV)
-	copy(p.prevK, p.curK)
-	s.inStep = true
-
-	// 0. Staged input assignments become the new cycle's input values.
-	for _, si := range s.staged {
-		p.setTrit(si.id, si.v)
-	}
-	s.staged = s.staged[:0]
 
 	// 1. Clock edge: flip-flop batches capture from the previous planes.
 	// act still holds last cycle's flags, which settle's flip-flop
@@ -235,8 +193,6 @@ func (s *Simulator) stepPacked() {
 		s.memoMisses.Add(int64(st.stepMisses))
 		st.stepHits, st.stepMisses = 0, 0
 	}
-
-	s.inStep = false
 }
 
 // settle evaluates every combinational batch and computes the per-net
@@ -361,45 +317,6 @@ func chunkBoundFJ(pv, pk, cv, ck, actW, m uint64, rise, fall, maxE float64) floa
 		e += float64(bits.OnesCount64(xa&pv)+bits.OnesCount64(xa&ck&^cv)) * fall
 	}
 	return e
-}
-
-// forEachActiveCell scans the activity plane's set bits and reports the
-// driving cell of each active net position, skipping primary inputs.
-func (p *packedSim) forEachActiveCell(f func(netlist.CellID)) {
-	cells := p.plan.CellOfPos
-	for w, a := range p.act {
-		base := w * 64
-		for a != 0 {
-			bit := bits.TrailingZeros64(a)
-			a &^= 1 << uint(bit)
-			if ci := cells[base+bit]; ci >= 0 {
-				f(ci)
-			}
-		}
-	}
-}
-
-// accumulateNewActive ORs the activity plane into acc and calls f for
-// every newly set position that maps to a cell. Work beyond the word
-// ORs is proportional to positions never active before, so a whole-run
-// union costs O(distinct active cells) total, not O(cells) per cycle.
-func (p *packedSim) accumulateNewActive(acc []uint64, f func(netlist.CellID)) {
-	cells := p.plan.CellOfPos
-	for w, a := range p.act {
-		fresh := a &^ acc[w]
-		if fresh == 0 {
-			continue
-		}
-		acc[w] |= a
-		base := w * 64
-		for fresh != 0 {
-			bit := bits.TrailingZeros64(fresh)
-			fresh &^= 1 << uint(bit)
-			if ci := cells[base+bit]; ci >= 0 {
-				f(ci)
-			}
-		}
-	}
 }
 
 // boundEnergyFJ is the packed fast path of the streaming Algorithm 2

@@ -6,36 +6,25 @@ import (
 	"repro/internal/netlist"
 )
 
-// stepScalar is the reference engine's cycle: one cell.Eval per gate in
-// one flat topological pass, then the per-gate activity rules. It is
-// deliberately simple — the packed engine is differentially tested
-// against it.
+// stepScalar is the reference engine's cycle after Step's phase 0:
+// one cell.Eval per gate in one flat topological pass, then the
+// per-gate activity rules. It is deliberately simple — the packed
+// engine is differentially tested against it — and touches the shared
+// planes one net at a time.
 func (s *Simulator) stepScalar() {
-	copy(s.prev, s.vals)
-	s.inStep = true
-
-	// 0. Staged input assignments become the new cycle's input values.
-	for _, si := range s.staged {
-		s.vals[si.id] = si.v
-	}
-	s.staged = s.staged[:0]
-
 	// 1. Clock edge: flip-flops capture next state computed from the
-	// previous cycle's settled values.
-	for i, ci := range s.seq {
+	// previous cycle's settled values (which no capture overwrites).
+	for _, ci := range s.seq {
 		c := s.n.Cell(ci)
 		var a, b, cc logic.Trit
-		a = s.prev[c.In[0]]
+		a = s.prevVal(c.In[0])
 		if c.In[1] >= 0 {
-			b = s.prev[c.In[1]]
+			b = s.prevVal(c.In[1])
 		}
 		if c.In[2] >= 0 {
-			cc = s.prev[c.In[2]]
+			cc = s.prevVal(c.In[2])
 		}
-		s.seqNx[i] = cell.Eval(c.Kind, a, b, cc, s.prev[c.Out])
-	}
-	for i, ci := range s.seq {
-		s.vals[s.n.Cell(ci).Out] = s.seqNx[i]
+		s.setTrit(c.Out, cell.Eval(c.Kind, a, b, cc, s.prevVal(c.Out)))
 	}
 
 	// 2. External bus observes registered outputs and drives read data.
@@ -48,15 +37,15 @@ func (s *Simulator) stepScalar() {
 		c := s.n.Cell(ci)
 		var a, b, cc logic.Trit
 		if c.In[0] >= 0 {
-			a = s.vals[c.In[0]]
+			a = s.val(c.In[0])
 		}
 		if c.In[1] >= 0 {
-			b = s.vals[c.In[1]]
+			b = s.val(c.In[1])
 		}
 		if c.In[2] >= 0 {
-			cc = s.vals[c.In[2]]
+			cc = s.val(c.In[2])
 		}
-		s.vals[c.Out] = cell.Eval(c.Kind, a, b, cc, 0)
+		s.setTrit(c.Out, cell.Eval(c.Kind, a, b, cc, 0))
 	}
 
 	// 4. Activity: toggled, or X driven by an active gate (the paper's
@@ -66,48 +55,47 @@ func (s *Simulator) stepScalar() {
 	// function of last cycle's inputs, so their X-activity derives from
 	// last cycle's activity flags; combinational gates settle within the
 	// cycle and use current flags in topological order.
-	copy(s.prevAct, s.active)
+	copy(s.prevAct, s.act)
+	pos := s.plan.Pos
 	for _, ci := range s.seq {
 		c := s.n.Cell(ci)
 		out := c.Out
-		if s.prev[out] != s.vals[out] {
-			s.active[out] = true
+		if s.prevVal(out) != s.val(out) {
+			s.setActive(out, true)
 			continue
 		}
 		act := false
-		if s.vals[out] == logic.X && s.seqCanCapture(c) {
+		if s.val(out) == logic.X && s.seqCanCapture(c) {
 			for pin := 0; pin < c.Kind.NumInputs(); pin++ {
-				if s.prevAct[c.In[pin]] {
+				if planeBit(s.prevAct, pos[c.In[pin]]) {
 					act = true
 					break
 				}
 			}
 		}
-		s.active[out] = act
+		s.setActive(out, act)
 	}
 	for _, id := range s.n.Inputs() {
-		s.active[id] = s.prev[id] != s.vals[id] || s.vals[id] == logic.X
+		s.setActive(id, s.prevVal(id) != s.val(id) || s.val(id) == logic.X)
 	}
 	for _, ci := range s.order {
 		c := s.n.Cell(ci)
 		out := c.Out
-		if s.prev[out] != s.vals[out] {
-			s.active[out] = true
+		if s.prevVal(out) != s.val(out) {
+			s.setActive(out, true)
 			continue
 		}
 		act := false
-		if s.vals[out] == logic.X {
+		if s.val(out) == logic.X {
 			for pin := 0; pin < c.Kind.NumInputs(); pin++ {
-				if s.active[c.In[pin]] {
+				if s.isActive(c.In[pin]) {
 					act = true
 					break
 				}
 			}
 		}
-		s.active[out] = act
+		s.setActive(out, act)
 	}
-
-	s.inStep = false
 }
 
 // seqCanCapture reports whether a flip-flop could have captured a new
@@ -120,7 +108,7 @@ func (s *Simulator) seqCanCapture(c *netlist.Cell) bool {
 	if c.Kind != cell.Dffre {
 		return true
 	}
-	rst := s.prev[c.In[1]]
-	en := s.prev[c.In[2]]
+	rst := s.prevVal(c.In[1])
+	en := s.prevVal(c.In[2])
 	return !(en == logic.L && rst == logic.L)
 }

@@ -21,14 +21,15 @@ import (
 // The codec carries no netlist or image data, and memory only as the
 // state's sparse diff against memory as loaded: like RestorePortable, a
 // decoded state is only meaningful on a System built from the same
-// netlist, engine, image, inputs, and peripheral configuration, which
-// the journal's owning layer guarantees by keying checkpoint files to
-// the analysis cache key.
+// netlist, image, inputs, and peripheral configuration, which the
+// journal's owning layer guarantees by keying checkpoint files to the
+// analysis cache key. The gate engine may differ: both keep net state
+// in the same planes.
 
 // portableMagic identifies (and versions) the encoding. Bump on any
 // layout change: stale checkpoint files must fail decode, not
 // misinterpret.
-var portableMagic = [4]byte{'u', 'p', 's', '3'}
+var portableMagic = [4]byte{'u', 'p', 's', '4'}
 
 // EncodePortable serializes st into one buffer sized up front.
 func EncodePortable(st *PortableState) []byte {
@@ -39,15 +40,12 @@ func EncodePortable(st *PortableState) []byte {
 	}
 	sn := st.sim
 	size := len(portableMagic) +
-		4 + len(sn.Vals) + 4 + len(sn.Prev) +
 		4*4 + 8*(len(sn.PlaneV)+len(sn.PlaneK)+len(sn.PrevPlaneV)+len(sn.PrevPlaneK)) +
 		4 + 5*len(staged) + 8 +
 		4 + 6*len(st.patches) +
 		4 + 1 + binary.Size(st.bus) + 4 + len(errText)
 	b := make([]byte, 0, size)
 	b = append(b, portableMagic[:]...)
-	b = putTrits(b, sn.Vals)
-	b = putTrits(b, sn.Prev)
 	b = putU64s(b, sn.PlaneV)
 	b = putU64s(b, sn.PlaneK)
 	b = putU64s(b, sn.PrevPlaneV)
@@ -82,8 +80,6 @@ func DecodePortable(data []byte) (*PortableState, error) {
 		return nil, fmt.Errorf("ulp430: portable state: bad magic %q", magic[:])
 	}
 	st := &PortableState{sim: &gsim.Snapshot{}}
-	st.sim.Vals = getTrits(r)
-	st.sim.Prev = getTrits(r)
 	st.sim.PlaneV = getU64s(r)
 	st.sim.PlaneK = getU64s(r)
 	st.sim.PrevPlaneV = getU64s(r)
@@ -139,14 +135,6 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	return st, nil
 }
 
-func putTrits(b []byte, ts []logic.Trit) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
-	for _, t := range ts {
-		b = append(b, byte(t))
-	}
-	return b
-}
-
 func putU64s(b []byte, vs []uint64) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(vs)))
 	for _, v := range vs {
@@ -200,23 +188,6 @@ func getU64(r *byteReader) uint64 {
 	var t [8]byte
 	r.read(t[:])
 	return binary.LittleEndian.Uint64(t[:])
-}
-
-func getTrits(r *byteReader) []logic.Trit {
-	n := int(getU32(r))
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > r.remaining() {
-		r.err = errors.New("short read")
-		return nil
-	}
-	ts := make([]logic.Trit, n)
-	for i := range ts {
-		ts[i] = logic.Trit(r.buf[r.off+i])
-	}
-	r.off += n
-	return ts
 }
 
 func getU64s(r *byteReader) []uint64 {

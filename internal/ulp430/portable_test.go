@@ -2,18 +2,20 @@ package ulp430
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/gsim"
 	"repro/internal/isa"
+	"repro/internal/netlist"
 	"repro/internal/periph"
 )
 
 // buildIRQSystem assembles the interrupt program on the given engine with
 // the peripheral bus enabled, so a captured state exercises every codec
-// section (planes or scalar vals, memory, staged inputs, bus state).
+// section (planes, memory, staged inputs, bus state).
 func buildIRQSystem(t testing.TB, engine gsim.Engine) *System {
 	t.Helper()
 	img, err := isa.Assemble("irq", irqProg)
@@ -85,6 +87,70 @@ func TestPortableCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPortableAcrossEngines sends a portable state through the codec
+// into a system on the other gate engine: both engines keep net state in
+// the same planes, so a state captured on the packed engine resumes on
+// the scalar one, and the reverse. The receiver must then run in
+// lockstep with the donor restored from the same state: equal value
+// planes, active cells, energy bound and state key every cycle.
+func TestPortableAcrossEngines(t *testing.T) {
+	for _, engines := range [][2]gsim.Engine{
+		{gsim.EnginePacked, gsim.EngineScalar},
+		{gsim.EngineScalar, gsim.EnginePacked},
+	} {
+		t.Run(engines[0].String()+"-to-"+engines[1].String(), func(t *testing.T) {
+			donor := buildIRQSystem(t, engines[0])
+			for c := 0; c < 40; c++ {
+				donor.Step()
+			}
+			sn := donor.Snapshot()
+			for c := 0; c < 25; c++ {
+				donor.Step()
+			}
+			var st PortableState
+			donor.CapturePortableAt(sn, &st)
+			dec, err := DecodePortable(EncodePortable(&st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv := buildIRQSystem(t, engines[1])
+			recv.RestorePortable(dec)
+			donor.RestorePortable(&st)
+
+			var snD, snR gsim.Snapshot
+			var actD, actR []netlist.CellID
+			for c := 0; c < 400; c++ {
+				donor.Step()
+				recv.Step()
+				donor.Sim.SnapshotInto(&snD)
+				recv.Sim.SnapshotInto(&snR)
+				for _, pl := range [][2][]uint64{
+					{snD.PlaneV, snR.PlaneV}, {snD.PlaneK, snR.PlaneK},
+					{snD.PrevPlaneV, snR.PrevPlaneV}, {snD.PrevPlaneK, snR.PrevPlaneK},
+				} {
+					if !slices.Equal(pl[0], pl[1]) {
+						t.Fatalf("cycle %d after restore: planes differ", c)
+					}
+				}
+				actD, actR = donor.Sim.ActiveCells(actD[:0]), recv.Sim.ActiveCells(actR[:0])
+				if !slices.Equal(actD, actR) {
+					t.Fatalf("cycle %d after restore: %d vs %d active cells", c, len(actD), len(actR))
+				}
+				if bd, br := donor.Sim.BoundEnergyFJ(), recv.Sim.BoundEnergyFJ(); bd != br {
+					t.Fatalf("cycle %d after restore: energy bound %v vs %v", c, bd, br)
+				}
+				if stateKey(donor) != stateKey(recv) {
+					t.Fatalf("cycle %d after restore: state keys differ", c)
+				}
+				if donor.Halted() && recv.Halted() {
+					return
+				}
+			}
+			t.Fatal("restored runs never halted")
+		})
+	}
+}
+
 // TestPortableCodecErrState checks the captured fault text survives the
 // round trip (a resumed task that had already faulted must still fault).
 func TestPortableCodecErrState(t *testing.T) {
@@ -130,7 +196,7 @@ func TestPortableCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodePortable(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decoding with trailing garbage succeeded")
 	}
-	for _, magic := range []string{"ups1", "ups2"} {
+	for _, magic := range []string{"ups1", "ups2", "ups3"} {
 		stale := append([]byte(nil), enc...)
 		copy(stale, magic)
 		if _, err := DecodePortable(stale); err == nil || !strings.Contains(err.Error(), "bad magic") {

@@ -561,10 +561,10 @@ func (s *System) Restore(sn *SysSnapshot) {
 // PortableState is a self-contained capture of full system state — unlike
 // SysSnapshot, whose memory component is a position in the owning system's
 // undo journal, a PortableState carries its memory and can be installed
-// on a *different* System built on the same netlist, library, engine,
-// image, inputs, and peripheral configuration. It is the unit of work
-// transfer for parallel symbolic exploration: a pending fork captured on
-// one worker's system resumes on another's.
+// on a *different* System built on the same netlist, library, image,
+// inputs, and peripheral configuration, on either gate engine. It is the
+// unit of work transfer for parallel symbolic exploration: a pending
+// fork captured on one worker's system resumes on another's.
 //
 // Memory is held as a sparse diff against memory as loaded: the words
 // that differ from it, in ascending index order. Both sides hold the
@@ -625,7 +625,8 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 }
 
 // RestorePortable installs a portable state captured on a compatible
-// system (same netlist/engine/image/inputs/peripheral configuration).
+// system (same netlist/image/inputs/peripheral configuration, either
+// gate engine).
 // Memory is reset to memory as loaded and the state's patches applied,
 // so nothing the previous path left in memory survives. The memory undo
 // journal restarts empty: a portable restore is a new exploration root,

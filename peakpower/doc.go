@@ -59,7 +59,7 @@
 //   - WithClockHz sets the operating clock (default: the target's).
 //   - WithMaxCycles / WithMaxNodes bound the symbolic exploration.
 //   - WithCOI sets how many cycles of interest are attributed.
-//   - WithProgress / WithProgressEvery configure progress reporting for
+//   - WithProgress configures progress reporting and its cadence for
 //     long analyses (honored by both Analyze* and RunConcrete).
 //   - WithWorkers sets the AnalyzeAll worker-pool size.
 //   - WithEngine selects the gate-level evaluation engine.
@@ -70,10 +70,12 @@
 // Analyses default to EnginePacked, the bit-packed levelized gate
 // engine (64 nets per word operation — see PERFORMANCE.md).
 // EngineScalar is the original one-gate-at-a-time implementation,
-// retained as the verification oracle: differential tests hold the two
+// retained as the verification oracle: it evaluates gate by gate over
+// the same net-state planes, and differential tests hold the two
 // engines to identical explorations, toggle sets, and bounds on the
-// full benchmark suite, so EngineScalar exists to cross-check results
-// and bisect suspected engine bugs, not for throughput. Report.Engine records which engine produced a result.
+// full benchmark suite. EngineScalar exists to cross-check results and
+// bisect suspected engine bugs, not for throughput. Report.Engine
+// records which engine produced a result.
 //
 // # Error taxonomy
 //

@@ -149,28 +149,16 @@ func WithCOI(k int) Option {
 
 // WithProgress registers a callback invoked from the analyzing
 // goroutine roughly every interval cycles and once when the analysis
-// finishes. An interval <= 0 leaves the reporting cadence unchanged
-// (the default — 8192 cycles for symbolic exploration, 4096 for
-// RunConcrete — or whatever WithProgressEvery set). The callback must
-// be fast, and must be safe for concurrent invocation if the option is
-// used with AnalyzeAll or a shared Analyzer.
+// finishes. The interval also paces context-cancellation polling; one
+// <= 0 leaves the default cadence (8192 cycles for symbolic
+// exploration, 4096 for RunConcrete). The callback must be fast, and
+// must be safe for concurrent invocation if the option is used with
+// AnalyzeAll or a shared Analyzer.
 func WithProgress(fn func(Progress), interval int) Option {
 	return func(c *config) {
 		c.progress = fn
 		if interval > 0 {
 			c.progressEvery = interval
-		}
-	}
-}
-
-// WithProgressEvery sets the progress-reporting (and cancellation-polling)
-// interval in cycles without replacing the callback registered by
-// WithProgress. Values <= 0 are ignored (the defaults stay: 8192 cycles for
-// symbolic exploration, 4096 for RunConcrete).
-func WithProgressEvery(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.progressEvery = n
 		}
 	}
 }

@@ -164,8 +164,8 @@ func segSum(n *symx.Node) float64 {
 }
 
 // concreteCancelEvery is the default interval (in cycles) at which
-// RunConcrete polls its context and reports progress; WithProgressEvery
-// (or WithProgress's interval) overrides it.
+// RunConcrete polls its context and reports progress; WithProgress's
+// interval overrides it.
 const concreteCancelEvery = 4096
 
 // RunConcrete executes the binary with concrete inputs and measures its
@@ -173,10 +173,10 @@ const concreteCancelEvery = 4096
 // portIn, when non-nil, supplies P1IN port reads. A bus error (e.g. a
 // store to ROM) or a run that does not halt within maxCycles fails.
 //
-// RunConcrete honors WithProgress / WithProgressEvery: the callback is
-// invoked from the running goroutine every progress interval (default
-// 4096 cycles) with the cycle count, and once when the run finishes; the
-// same interval paces context-cancellation polling.
+// RunConcrete honors WithProgress: the callback is invoked from the
+// running goroutine every progress interval (default 4096 cycles) with
+// the cycle count, and once when the run finishes; the same interval
+// paces context-cancellation polling.
 func (a *Analyzer) RunConcrete(ctx context.Context, img *Image, inputs []uint16, portIn func() uint16, maxCycles int, opts ...Option) (*ConcreteRun, error) {
 	cfg := a.resolve(opts)
 	if ctx == nil {

@@ -99,7 +99,7 @@ func TestRunConcreteBoundedByAnalyze(t *testing.T) {
 }
 
 // TestRunConcreteProgressAndCancel: RunConcrete honors the progress
-// options (WithProgress / WithProgressEvery) and polls its context at the
+// option (WithProgress and its interval) and polls its context at the
 // same cadence — the callback can cancel a run mid-flight.
 func TestRunConcreteProgressAndCancel(t *testing.T) {
 	a := analyzer(t)
@@ -114,7 +114,7 @@ func TestRunConcreteProgressAndCancel(t *testing.T) {
 			mu.Lock()
 			snaps = append(snaps, p)
 			mu.Unlock()
-		}, 0), WithProgressEvery(256))
+		}, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRunConcreteProgressAndCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err = a.RunConcrete(ctx, img, []uint16{1, 2}, nil, 1_000_000,
-		WithProgress(func(Progress) { cancel() }, 0), WithProgressEvery(64))
+		WithProgress(func(Progress) { cancel() }, 64))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
