@@ -57,11 +57,13 @@ determinism:
 # counts, SIGKILL-resume, and a 2-worker fleet, all diffed against the
 # committed golden hashes. CI fails here if a memo change ever leaks
 # into Report bytes. The gsim half checks the table itself: its
-# admission rule (nothing recorded before a revisit) and every replayed
-# cycle against the scalar engine.
+# admission rule (nothing recorded before a revisit), its chain (cached
+# clock edges and predicted successors across staged inputs, restores
+# and overwrites) and every replayed cycle, on random designs and on the
+# ULP430 with interrupts, against the scalar engine.
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
-	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists' ./internal/gsim/
+	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists|TestEnginesAgreeOnInterruptRuns' ./internal/gsim/
 
 # Gather/layout guard: the packed plan's gather programs decoded back
 # to every lane's source position, the packed engine against the scalar

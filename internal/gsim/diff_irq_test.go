@@ -9,6 +9,7 @@ package gsim_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,11 +112,18 @@ adc_isr:
 // compare values, random ADC windows and delivery latencies — and
 // requires identical state keys and dynamic energy every cycle,
 // including across snapshot/restore rewinds through ISR entry sequences.
+// A third system runs the packed engine with the step memo on: its
+// replays (cached clock edges and predicted successors through the ISR
+// wait loops, bus read data landing mid-cycle, rewinds) must leave the
+// same planes, active cells and energy bound as the live packed engine.
 func TestEnginesAgreeOnInterruptRuns(t *testing.T) {
 	runs := 12
 	if testing.Short() {
 		runs = 4
 	}
+	var memoHits int64
+	var snP, snM gsim.Snapshot
+	var actP, actM []netlist.CellID
 	for d := 0; d < runs; d++ {
 		r := rand.New(rand.NewSource(int64(7_777_7 * (d + 1))))
 		taccr := 5 + r.Intn(40)
@@ -141,39 +149,66 @@ func TestEnginesAgreeOnInterruptRuns(t *testing.T) {
 		}
 		scalar := newSys(gsim.EngineScalar)
 		packed := newSys(gsim.EnginePacked)
+		memo := newSys(gsim.EnginePacked)
+		memo.Sim.EnableMemo(0)
+		systems := []*ulp430.System{scalar, packed, memo}
 
-		var snapS, snapP *ulp430.SysSnapshot
+		var snaps []*ulp430.SysSnapshot
 		for c := 0; c < 3000 && !scalar.Halted(); c++ {
-			scalar.Step()
-			packed.Step()
-			if err := scalar.Err(); err != nil {
-				t.Fatalf("run %d cycle %d: scalar: %v", d, c, err)
+			for _, sys := range systems {
+				sys.Step()
+				if err := sys.Err(); err != nil {
+					t.Fatalf("run %d cycle %d: %v engine: %v", d, c, sys.Sim.Engine(), err)
+				}
 			}
-			if err := packed.Err(); err != nil {
-				t.Fatalf("run %d cycle %d: packed: %v", d, c, err)
-			}
-			if sh, ph := stateKey(scalar), stateKey(packed); sh != ph {
-				t.Fatalf("run %d cycle %d: state key diverged: %x vs %x", d, c, sh, ph)
+			if sh, ph, mh := stateKey(scalar), stateKey(packed), stateKey(memo); sh != ph || ph != mh {
+				t.Fatalf("run %d cycle %d: state key diverged: %x vs %x vs memoized %x", d, c, sh, ph, mh)
 			}
 			if se, pe := scalar.Sim.DynamicEnergyFJ(), packed.Sim.DynamicEnergyFJ(); se != pe {
 				t.Fatalf("run %d cycle %d: dynamic energy diverged: %v vs %v", d, c, se, pe)
 			}
-			switch {
-			case snapS == nil && r.Intn(40) == 0:
-				snapS, snapP = scalar.Snapshot(), packed.Snapshot()
-			case snapS != nil && r.Intn(50) == 0:
-				scalar.Restore(snapS)
-				packed.Restore(snapP)
-				if sh, ph := stateKey(scalar), stateKey(packed); sh != ph {
-					t.Fatalf("run %d: state key diverged after restore: %x vs %x", d, sh, ph)
+			packed.Sim.SnapshotInto(&snP)
+			memo.Sim.SnapshotInto(&snM)
+			for _, pl := range [][2][]uint64{
+				{snP.PlaneV, snM.PlaneV}, {snP.PlaneK, snM.PlaneK},
+				{snP.PrevPlaneV, snM.PrevPlaneV}, {snP.PrevPlaneK, snM.PrevPlaneK},
+			} {
+				if !slices.Equal(pl[0], pl[1]) {
+					t.Fatalf("run %d cycle %d: memoized planes differ from the live packed engine's", d, c)
 				}
-				snapS, snapP = nil, nil
+			}
+			actP, actM = packed.Sim.ActiveCells(actP[:0]), memo.Sim.ActiveCells(actM[:0])
+			if !slices.Equal(actP, actM) {
+				t.Fatalf("run %d cycle %d: memoized active cells differ from the live packed engine's", d, c)
+			}
+			if pb, mb := packed.Sim.BoundEnergyFJ(), memo.Sim.BoundEnergyFJ(); pb != mb {
+				t.Fatalf("run %d cycle %d: memoized energy bound %v, live %v", d, c, mb, pb)
+			}
+			switch {
+			case snaps == nil && r.Intn(40) == 0:
+				snaps = []*ulp430.SysSnapshot{scalar.Snapshot(), packed.Snapshot(), memo.Snapshot()}
+			case snaps != nil && r.Intn(50) == 0:
+				for i, sys := range systems {
+					sys.Restore(snaps[i])
+				}
+				if sh, ph, mh := stateKey(scalar), stateKey(packed), stateKey(memo); sh != ph || ph != mh {
+					t.Fatalf("run %d: state key diverged after restore: %x vs %x vs memoized %x", d, sh, ph, mh)
+				}
+				snaps = nil
 			}
 		}
-		if !scalar.Halted() || !packed.Halted() {
-			t.Fatalf("run %d: halted scalar=%v packed=%v", d, scalar.Halted(), packed.Halted())
+		for _, sys := range systems {
+			if !sys.Halted() {
+				t.Fatalf("run %d: %v engine did not halt", d, sys.Sim.Engine())
+			}
 		}
+		hits, _ := memo.Sim.MemoStats()
+		memoHits += hits
 	}
+	if memoHits == 0 {
+		t.Fatal("the step memo never replayed a cycle of an interrupt run")
+	}
+	t.Logf("step-memo replays: %d", memoHits)
 }
 
 // pcSink records the PC stream — enough payload to make tree comparison

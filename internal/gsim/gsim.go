@@ -15,6 +15,12 @@
 //  4. per-gate activity is derived by comparing against the previous
 //     cycle's settled values.
 //
+// With the step memo on (EnableMemo, packed engine), phases 3 and 4 of
+// a state seen before are replayed from a table, keyed and verified on
+// the planes phases 1 and 2 produced; in a replayed orbit phase 1 is
+// also replayed, from the flip-flop words the chained entry cached the
+// first time it was followed (stepmemo.go).
+//
 // Activity follows the paper's definition: a gate is active in a cycle if
 // its output value changed, or if its output is X and it is driven by an
 // active gate (Section 3.1).
@@ -334,13 +340,20 @@ func (s *Simulator) Port(name string) logic.Word {
 }
 
 // PortUint reads a named port as a concrete value; ok is false if any bit
-// is X. Unlike Port, it does not allocate — bus models and power sinks
-// call it every cycle.
+// is X. Unlike Port, it does not allocate.
 func (s *Simulator) PortUint(name string) (uint64, bool) {
 	nets := s.n.Port(name)
 	if nets == nil {
 		panic("gsim: unknown port " + name)
 	}
+	return s.NetsUint(nets)
+}
+
+// NetsUint reads nets as a concrete value (bit i from nets[i]); ok is
+// false if any bit is X. Bus models and power sinks read ports every
+// cycle through nets they looked up once, skipping PortUint's by-name
+// lookup.
+func (s *Simulator) NetsUint(nets []netlist.NetID) (uint64, bool) {
 	var v uint64
 	for i, id := range nets {
 		t := s.Val(id)
@@ -470,9 +483,38 @@ func (s *Simulator) Restore(sn *Snapshot) {
 	clear(s.act)
 	if s.pk != nil {
 		s.pk.boundValid = false
+		s.pk.chain = nil
 	}
 	s.staged = append(s.staged[:0], sn.Staged...)
 	s.cycle = sn.Cycle
+}
+
+// CheckSnapshot reports whether sn fits the simulator: four planes of
+// its plane length and staged inputs that drive primary inputs with
+// valid values. Restore trusts its snapshot; a decoder installing one
+// from outside checks it first.
+func (s *Simulator) CheckSnapshot(sn *Snapshot) error {
+	nw := len(s.curV)
+	for _, pl := range []struct {
+		name  string
+		words []uint64
+	}{
+		{"PlaneV", sn.PlaneV}, {"PlaneK", sn.PlaneK},
+		{"PrevPlaneV", sn.PrevPlaneV}, {"PrevPlaneK", sn.PrevPlaneK},
+	} {
+		if len(pl.words) != nw {
+			return fmt.Errorf("gsim: snapshot %s has %d words, want %d", pl.name, len(pl.words), nw)
+		}
+	}
+	for _, st := range sn.Staged {
+		if st.id < 0 || int(st.id) >= s.n.NumNets() || !s.n.IsInput(st.id) {
+			return fmt.Errorf("gsim: snapshot stages net %d, not a primary input", st.id)
+		}
+		if st.v > logic.X {
+			return fmt.Errorf("gsim: snapshot stages value %d on net %s", st.v, s.n.NetName(st.id))
+		}
+	}
+	return nil
 }
 
 // ActiveCells appends to dst the IDs of cells whose outputs are active in
@@ -662,6 +704,7 @@ func (s *Simulator) EnableMemo(maxBytes int) bool {
 		maxBytes = defaultStepMemoBytes
 	}
 	s.pk.stepMemo = newStepTable(maxBytes)
+	s.pk.chain = nil
 	return true
 }
 

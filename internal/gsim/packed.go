@@ -35,8 +35,17 @@ type packedSim struct {
 	slots, seqSlots [][3]uint64
 
 	// stepMemo, when non-nil, replays whole settle+activity phases for
-	// revisited states (see stepmemo.go).
+	// revisited states (see stepmemo.go). chain is the entry whose
+	// output planes are the state at the end of the last step, or nil;
+	// every clock edge, Restore and EnableMemo clear it.
 	stepMemo *stepTable
+	chain    *stepEntry
+
+	// The flip-flop region [InputBits, end of plan.Seq) covers plane
+	// words [edgeLo, edgeLo+len(edgeMask)); edgeMask selects its bits
+	// in each, the words a cached clock edge stores.
+	edgeLo   int
+	edgeMask []uint64
 
 	// boundFJ caches the cycle's Algorithm 2 energy bound, computed
 	// for free during settle (which already holds every batch's
@@ -51,11 +60,24 @@ func newPackedSim(pl planes) *packedSim {
 	for li := range pl.plan.Levels {
 		widest = max(widest, pl.plan.Levels[li].Gather.Slots)
 	}
-	return &packedSim{
+	p := &packedSim{
 		planes:   pl,
 		slots:    make([][3]uint64, widest),
 		seqSlots: make([][3]uint64, pl.plan.SeqGather.Slots),
 	}
+	lo, hi := pl.plan.InputBits, pl.plan.InputBits
+	if seq := pl.plan.Seq; len(seq) > 0 {
+		last := &seq[len(seq)-1]
+		hi = int(last.FirstPos) + len(last.Cells)
+	}
+	if hi > lo {
+		p.edgeLo = lo >> 6
+		for w := lo >> 6; w <= (hi-1)>>6; w++ {
+			a, b := max(lo, 64*w), min(hi, 64*w+64)
+			p.edgeMask = append(p.edgeMask, laneMask(b-a)<<uint(a-64*w))
+		}
+	}
+	return p
 }
 
 // laneMask returns the low-n-bits mask (n in 1..64).
@@ -165,10 +187,22 @@ func (s *Simulator) stepPacked() {
 
 	// 1. Clock edge: flip-flop batches capture from the previous planes.
 	// act still holds last cycle's flags, which settle's flip-flop
-	// activity reads from the same slots.
-	gather(&p.plan.SeqGather, p.prevV, p.prevK, p.act, p.seqSlots)
-	for bi := range p.plan.Seq {
-		p.clockBatch(&p.plan.Seq[bi])
+	// activity reads from the same slots. A step that starts from a
+	// chained memo entry stores the edge the entry cached instead.
+	from := p.chain
+	p.chain = nil
+	edgeReplayed := from != nil && from.edgeOK
+	if edgeReplayed {
+		p.replayEdge(from.edge)
+		p.stepMemo.edgeReplays++
+	} else {
+		gather(&p.plan.SeqGather, p.prevV, p.prevK, p.act, p.seqSlots)
+		for bi := range p.plan.Seq {
+			p.clockBatch(&p.plan.Seq[bi])
+		}
+		if from != nil {
+			p.saveEdge(from)
+		}
 	}
 
 	// 2. External bus observes registered outputs and drives read data.
@@ -181,17 +215,41 @@ func (s *Simulator) stepPacked() {
 	// planes now in hand (every external write has landed); a
 	// whole-step memo hit replays it outright (see stepmemo.go).
 	st := p.stepMemo
-	if st == nil || !st.lookup(p) {
-		p.settle(s)
+	if st == nil || !st.lookup(p, from) {
+		p.settle(s, edgeReplayed)
 		if st != nil {
 			st.record(p)
 		}
+	}
+	if from != nil && p.chain != nil {
+		from.next = p.chain
 	}
 
 	if st != nil && st.stepHits|st.stepMisses != 0 {
 		s.memoHits.Add(int64(st.stepHits))
 		s.memoMisses.Add(int64(st.stepMisses))
 		st.stepHits, st.stepMisses = 0, 0
+	}
+}
+
+// saveEdge caches in e, the chained entry the step started from, the
+// flip-flop words the clock edge just wrote.
+func (p *packedSim) saveEdge(e *stepEntry) {
+	lo, n := p.edgeLo, len(p.edgeMask)
+	copy(e.edge[:n], p.curV[lo:lo+n])
+	copy(e.edge[n:], p.curK[lo:lo+n])
+	e.edgeOK = true
+}
+
+// replayEdge stores a cached clock edge: the flip-flop bits of each
+// edge word, leaving the staged inputs and combinational outputs that
+// share the region's first and last words as they are.
+func (p *packedSim) replayEdge(edge []uint64) {
+	lo, n := p.edgeLo, len(p.edgeMask)
+	v, k := p.curV[lo:lo+n], p.curK[lo:lo+n]
+	for i, m := range p.edgeMask {
+		v[i] = v[i]&^m | edge[i]&m
+		k[i] = k[i]&^m | edge[n+i]&m
 	}
 }
 
@@ -204,10 +262,16 @@ func (s *Simulator) stepPacked() {
 // levels set). Toggles are one packed XOR pair per word; only
 // unchanged-X outputs need the fan-in cascade. The cycle's energy bound
 // accumulates in the same pass, in plan order: clock energy, flip-flop
-// batches, then the levels.
-func (p *packedSim) settle(s *Simulator) {
+// batches, then the levels. gatherSeq is set when the clock edge was
+// replayed from the memo and left the flip-flop slots ungathered; prevV,
+// prevK and act still hold what the edge would have read.
+func (p *packedSim) settle(s *Simulator, gatherSeq bool) {
 	plan := p.plan
 	e := s.clkTotalFJ
+
+	if gatherSeq {
+		gather(&plan.SeqGather, p.prevV, p.prevK, p.act, p.seqSlots)
+	}
 
 	for bi := range plan.Seq {
 		e += p.seqActivity(s, &plan.Seq[bi])

@@ -10,6 +10,17 @@ import "slices"
 // planes that determine it, and replays the final planes, activity
 // flags and energy bound in three plain copies.
 //
+// Chaining: the simulator remembers the entry whose output planes are
+// its state at the end of the last step (packedSim.chain), and every
+// entry learns, the first time it is followed, two things about the
+// step after it: the flip-flop words the next clock edge writes (a pure
+// function of the entry's output planes) and its successor, the entry
+// that step hit or recorded. A step that starts from a chained entry
+// stores the cached edge instead of gathering and clocking the
+// flip-flops, and tries the predicted successor before it hashes. In a
+// replayed orbit every step is then one masked edge store, one
+// verification and three copies.
+//
 // Admission: a table records nothing until it has seen a revisit.
 // Before that, a miss keeps only its 64-bit plane hash in a small seen
 // set; path-divergent explorations (a search loop narrowing symbolic
@@ -26,17 +37,30 @@ import "slices"
 //     the cycle has already landed in the planes: staged inputs and bus
 //     writes are in curV/curK, the clock edge has captured, and settle
 //     reads only curV/curK/prevV/prevK plus the previous cycle's flags
-//     (act, and the flip-flop slots the clock edge gathered from
-//     prevV/prevK/act). The phase's output state is therefore a pure
-//     function of (curV, curK, prevV, prevK, act).
+//     (act, and the flip-flop slots gathered from prevV/prevK/act). The
+//     phase's output state is therefore a pure function of (curV, curK,
+//     prevV, prevK, act).
 //   - Replay writes only what a later reader sees: the final current
 //     planes, the activity flags and the cached energy bound (the very
-//     float64 the live pass produced for these planes). The gather
-//     slots are scratch of the phase being skipped: the next clock edge
-//     and settle overwrite them before reading them.
+//     float64 the live pass produced for these planes). The
+//     combinational gather slots are scratch of the phase being
+//     skipped; a hit never reads the flip-flop slots, and a miss after
+//     a replayed edge gathers them in settle, from the prevV/prevK/act
+//     the clock edge would have read.
+//   - The chain invariant: chain's output planes are exactly the
+//     planes at the end of the last step. Replay and a stored record
+//     set it; every clock edge, Restore and EnableMemo clear it. Outside
+//     a step only Restore writes the planes (SetNet only stages), and
+//     the clock edge reads only prevV/prevK/act, copies of those output
+//     planes, so the cached edge is exact. It is stored under a
+//     per-word mask of the flip-flop positions, so staged inputs in a
+//     shared word survive. An entry overwritten in place drops its edge
+//     and successor, which described its old output planes.
 //   - Collisions cannot corrupt state: the full source planes are
-//     compared before a hit is taken. Admission only decides what is
-//     stored, so a collision in seen can only start recording early.
+//     compared before a hit is taken. A predicted successor is verified
+//     the same way, and a wrong one is an ordinary miss. Admission only
+//     decides what is stored, so a collision in seen can only start
+//     recording early.
 const (
 	// memoBasis and memoPrime seed and step the FNV-style plane hash.
 	memoBasis = 0x9E3779B97F4A7C15
@@ -58,18 +82,25 @@ const (
 	stepProbationHits    = 8
 
 	// defaultStepMemoBytes bounds one simulator's step table. Entries
-	// are large (eight plane-sized arrays); when full, existing entries
-	// still serve hits.
+	// are large (eight plane-sized arrays plus the flip-flop words of
+	// the next clock edge); when full, existing entries still serve
+	// hits.
 	defaultStepMemoBytes = 24 << 20
 )
 
 // stepEntry holds one recorded cycle phase: the exact five source
 // planes (collision-proof verification) and the resulting current
-// planes, activity flags and energy bound.
+// planes, activity flags and energy bound; and, once the entry has been
+// followed, the next clock edge and the successor entry.
 type stepEntry struct {
+	// src, out and edge share one allocation.
 	src   []uint64 // curV ‖ curK ‖ prevV ‖ prevK ‖ act, 5×Words
 	out   []uint64 // final curV ‖ curK ‖ act, 3×Words
+	edge  []uint64 // next clock edge's curV ‖ curK flip-flop words
 	bound float64
+
+	edgeOK bool       // edge holds the clock edge that follows out
+	next   *stepEntry // the entry the following step hit or recorded
 }
 
 // stepTable is a per-simulator (single-goroutine) whole-step store.
@@ -95,6 +126,10 @@ type stepTable struct {
 
 	// Per-step counters drained into the Simulator's atomics.
 	stepHits, stepMisses uint64
+
+	// edgeReplays and nextHits count cached clock edges and verified
+	// successor predictions taken.
+	edgeReplays, nextHits uint64
 }
 
 func newStepTable(maxBytes int) *stepTable {
@@ -104,14 +139,24 @@ func newStepTable(maxBytes int) *stepTable {
 	}
 }
 
-// lookup hashes the five source planes and replays a verified hit,
-// returning true (the caller skips settle). On a miss of a recording
-// table it captures the planes and leaves them pending for record;
-// before the first revisit it only notes the hash in seen.
-func (st *stepTable) lookup(p *packedSim) bool {
+// lookup replays a verified hit, returning true (the caller skips
+// settle). It first tries from's predicted successor, from being the
+// chained entry the step started from (nil if none); otherwise it
+// hashes the five source planes. On a miss of a recording table it
+// captures the planes and leaves them pending for record; before the
+// first revisit it only notes the hash in seen.
+func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 	st.pending = false
 	if st.disabled {
 		return false
+	}
+	if from != nil && from.next != nil && st.verify(p, from.next) {
+		st.lookups++
+		st.hits++
+		st.stepHits++
+		st.nextHits++
+		st.replay(p, from.next)
+		return true
 	}
 	h := uint64(memoBasis)
 	for _, plane := range [5][]uint64{p.curV, p.curK, p.prevV, p.prevK, p.act} {
@@ -180,18 +225,25 @@ func (st *stepTable) capture(p *packedSim, h uint64, e *stepEntry) {
 func (st *stepTable) verify(p *packedSim, e *stepEntry) bool {
 	n := len(p.curV)
 	s := e.src
-	for w := 0; w < n; w++ {
-		if s[w] != p.curV[w] || s[n+w] != p.curK[w] ||
-			s[2*n+w] != p.prevV[w] || s[3*n+w] != p.prevK[w] ||
-			s[4*n+w] != p.act[w] {
-			return false
-		}
-	}
-	return true
+	return sameWords(s[:n], p.curV) && sameWords(s[n:2*n], p.curK) &&
+		sameWords(s[2*n:3*n], p.prevV) && sameWords(s[3*n:4*n], p.prevK) &&
+		sameWords(s[4*n:], p.act)
 }
 
-// replay applies a recorded cycle phase: the final current planes,
-// activity flags and energy bound.
+// sameWords reports whether a and b (at least as long) hold the same
+// words. It ORs the differences without an early exit: nearly every
+// comparison is a hit, which reads every word anyway.
+func sameWords(a, b []uint64) bool {
+	b = b[:len(a)]
+	var d uint64
+	for i, w := range a {
+		d |= w ^ b[i]
+	}
+	return d == 0
+}
+
+// replay applies a recorded cycle phase — the final current planes,
+// activity flags and energy bound — and chains the simulator to it.
 func (st *stepTable) replay(p *packedSim, e *stepEntry) {
 	n := len(p.curV)
 	copy(p.curV, e.out[:n])
@@ -199,10 +251,12 @@ func (st *stepTable) replay(p *packedSim, e *stepEntry) {
 	copy(p.act, e.out[2*n:])
 	p.boundFJ = e.bound
 	p.boundValid = true
+	p.chain = e
 }
 
-// record stores the just-computed cycle phase for the pending miss.
-// A full table overwrites colliding entries but admits no new ones.
+// record stores the just-computed cycle phase for the pending miss and
+// chains the simulator to it. A full table overwrites colliding entries
+// but admits no new ones.
 func (st *stepTable) record(p *packedSim) {
 	if !st.pending {
 		return
@@ -211,20 +265,27 @@ func (st *stepTable) record(p *packedSim) {
 	e := st.pendEntry
 	n := len(p.curV)
 	if e == nil {
-		size := (len(st.src) + 3*n) * 8
-		if st.bytes+size > st.maxBytes {
+		words := len(st.src) + 3*n + 2*len(p.edgeMask)
+		if st.bytes+8*words > st.maxBytes {
 			return
 		}
+		all := make([]uint64, words)
 		e = &stepEntry{
-			src: make([]uint64, len(st.src)),
-			out: make([]uint64, 3*n),
+			src:  all[: 5*n : 5*n],
+			out:  all[5*n : 8*n : 8*n],
+			edge: all[8*n:],
 		}
-		st.bytes += size
+		st.bytes += 8 * words
 		st.entries[st.pendKey] = e
+	} else {
+		// The old edge and successor followed the old output planes.
+		e.edgeOK = false
+		e.next = nil
 	}
 	copy(e.src, st.src)
 	copy(e.out[:n], p.curV)
 	copy(e.out[n:2*n], p.curK)
 	copy(e.out[2*n:], p.act)
 	e.bound = p.boundFJ
+	p.chain = e
 }

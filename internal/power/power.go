@@ -302,7 +302,7 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 		fc = fetchCtx{fetch: s.seed.Fetch, prev: s.seed.Prev}
 	}
 	if sim.Val(s.stateNets[ulp430.StFetch]) == logic.H {
-		if a, ok := sim.PortUint("mab"); ok {
+		if a, ok := sim.NetsUint(s.mabNets); ok {
 			fc.prev = fc.fetch
 			fc.fetch = uint16(a)
 		}

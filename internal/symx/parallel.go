@@ -457,7 +457,9 @@ func (w *worker) runTask(t *ptask) error {
 	w.taskFirst = len(w.nodes)
 	w.taskKids = w.taskKids[:0]
 	if t.state != nil {
-		w.sys.RestorePortable(t.state)
+		if err := w.sys.RestorePortable(t.state); err != nil {
+			return fmt.Errorf("symx: task %d: %w", t.id, err)
+		}
 	} else {
 		w.sys.Reset()
 	}
@@ -623,7 +625,7 @@ outer:
 		// A fully unknown PC that is not a forkable jump condition means
 		// an input-dependent computed branch target — out of scope for
 		// the fork rule, and an analysis error rather than silence.
-		if _, known := sys.Sim.PortUint("pc"); !known {
+		if _, known := sys.PC(); !known {
 			return fmt.Errorf("symx: PC became X at cycle %d — input-dependent branch target (computed jump/call on input data) is not supported", sys.Sim.Cycle())
 		}
 		if len(w.local) > 0 {

@@ -1,14 +1,17 @@
 package symx
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cell"
 	"repro/internal/isa"
 	"repro/internal/periph"
+	"repro/internal/power"
 	"repro/internal/ulp430"
 )
 
@@ -335,4 +338,43 @@ func TestSnapPoolDoubleFreePanics(t *testing.T) {
 		}
 	}()
 	p.put(sn)
+}
+
+// TestTaskStateMustFit runs a remote task whose start state has its
+// current value plane cut to one word — what a corrupt journal or
+// fleet record decodes to. The task must fail with the restore's error
+// instead of resuming over the planes of the system's previous path.
+func TestTaskStateMustFit(t *testing.T) {
+	img, err := isa.Assemble("t", parallelTreePrograms[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSys := func() *ulp430.System {
+		sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Reset()
+		return sys
+	}
+	donor := newSys()
+	for c := 0; c < 20; c++ {
+		donor.Step()
+	}
+	var st ulp430.PortableState
+	donor.CapturePortableAt(donor.Snapshot(), &st)
+	enc := ulp430.EncodePortable(&st)
+	// The encoding opens with a 4-byte magic and PlaneV as a 32-bit
+	// word count followed by the words; keep only the first word.
+	words := int(binary.LittleEndian.Uint32(enc[4:8]))
+	cut := append([]byte(nil), enc[:4]...)
+	cut = binary.LittleEndian.AppendUint32(cut, 1)
+	cut = append(cut, enc[8:16]...)
+	cut = append(cut, enc[8+8*words:]...)
+
+	_, err = RunRemoteTask(newSys(), &workerCountSink{}, Options{}, power.Codec{},
+		RemoteTask{ID: 3, State: cut}, nil, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "PlaneV has 1 words") {
+		t.Fatalf("RunRemoteTask = %v, want the short-plane restore error", err)
+	}
 }

@@ -65,8 +65,12 @@ func TestPortableCodecRoundTrip(t *testing.T) {
 			// Restore the decoded state on a fresh system and the original
 			// capture on the donor; they must be the same machine.
 			fresh := buildIRQSystem(t, engine)
-			fresh.RestorePortable(dec)
-			sys.RestorePortable(&st)
+			if err := fresh.RestorePortable(dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RestorePortable(&st); err != nil {
+				t.Fatal(err)
+			}
 			if stateKey(fresh) != stateKey(sys) {
 				t.Fatal("state key differs after decoded restore")
 			}
@@ -114,8 +118,12 @@ func TestPortableAcrossEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			recv := buildIRQSystem(t, engines[1])
-			recv.RestorePortable(dec)
-			donor.RestorePortable(&st)
+			if err := recv.RestorePortable(dec); err != nil {
+				t.Fatal(err)
+			}
+			if err := donor.RestorePortable(&st); err != nil {
+				t.Fatal(err)
+			}
 
 			var snD, snR gsim.Snapshot
 			var actD, actR []netlist.CellID
@@ -297,7 +305,9 @@ func TestRestorePortableOntoDirtySystem(t *testing.T) {
 			}
 			var st PortableState
 			a.CapturePortableAt(sn, &st)
-			a.RestorePortable(&st)
+			if err := a.RestorePortable(&st); err != nil {
+				t.Fatal(err)
+			}
 			if got := a.MemWord(inAddr).String(); got != loaded {
 				t.Fatalf("input word at the capture point is %s, want %s as loaded", got, loaded)
 			}
@@ -315,7 +325,9 @@ func TestRestorePortableOntoDirtySystem(t *testing.T) {
 				t.Fatal("B already hashes like the captured state before restore")
 			}
 
-			b.RestorePortable(&st)
+			if err := b.RestorePortable(&st); err != nil {
+				t.Fatal(err)
+			}
 			if got := b.MemWord(inAddr).String(); got != loaded {
 				t.Fatalf("after restore B's input word is %s, want %s", got, loaded)
 			}
@@ -330,10 +342,63 @@ func TestRestorePortableOntoDirtySystem(t *testing.T) {
 	}
 }
 
+// TestRestorePortableRejectsMisfit checks that a decoded state that
+// does not fit the system (a plane cut short, a staged input on a
+// driven net) fails RestorePortable and leaves the system's state as it
+// was, instead of restoring part of it over the previous path.
+func TestRestorePortableRejectsMisfit(t *testing.T) {
+	sys := buildIRQSystem(t, gsim.EnginePacked)
+	for c := 0; c < 40; c++ {
+		sys.Step()
+	}
+	var st PortableState
+	sys.CapturePortableAt(sys.Snapshot(), &st)
+	enc := EncodePortable(&st)
+	driven := sys.Sim.Netlist().Port("mab")[0]
+
+	for _, tc := range []struct {
+		name string
+		cut  func(st *PortableState)
+		want string
+	}{
+		{"short PlaneV", func(st *PortableState) { st.sim.PlaneV = st.sim.PlaneV[:1] }, "PlaneV has 1 words"},
+		{"long PrevPlaneK", func(st *PortableState) { st.sim.PrevPlaneK = append(st.sim.PrevPlaneK, 0) }, "PrevPlaneK has"},
+		{"staged driven net", func(st *PortableState) {
+			st.sim.SetStagedRecs([]gsim.StagedInputRec{{ID: driven}})
+		}, "not a primary input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec, err := DecodePortable(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.cut(dec)
+			// Round-trip the cut state: the decoder accepts it, the
+			// restore must not.
+			if dec, err = DecodePortable(EncodePortable(dec)); err != nil {
+				t.Fatal(err)
+			}
+			recv := buildIRQSystem(t, gsim.EnginePacked)
+			for c := 0; c < 7; c++ {
+				recv.Step()
+			}
+			before := stateKey(recv)
+			err = recv.RestorePortable(dec)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestorePortable = %v, want an error containing %q", err, tc.want)
+			}
+			if stateKey(recv) != before {
+				t.Fatal("a rejected restore changed the system's state")
+			}
+		})
+	}
+}
+
 // FuzzDecodePortable feeds arbitrary bytes to the checkpoint codec's
 // decoder: it must return a state or an error, never panic or hang.
 // A decoded state must re-encode to the canonical form, which decodes
-// again and re-encodes byte-identically.
+// again and re-encodes byte-identically, and restoring it onto a real
+// system must succeed or return an error, never panic.
 func FuzzDecodePortable(f *testing.F) {
 	sys := buildIRQSystem(f, gsim.EnginePacked)
 	for c := 0; c < 40; c++ {
@@ -346,8 +411,12 @@ func FuzzDecodePortable(f *testing.F) {
 	// small enough that mutation explores the layout, not the patches.
 	st.patches = st.patches[:1]
 	f.Add(EncodePortable(&st))
+	// A plane cut to one word: decodes, but must not restore.
+	st.sim.PlaneV = st.sim.PlaneV[:1]
+	f.Add(EncodePortable(&st))
 	f.Add(portableMagic[:])
 	f.Add([]byte{})
+	recv := buildIRQSystem(f, gsim.EnginePacked)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodePortable(data)
@@ -362,6 +431,7 @@ func FuzzDecodePortable(f *testing.F) {
 		if re := EncodePortable(again); !bytes.Equal(enc, re) {
 			t.Fatal("canonical re-encoding is not stable")
 		}
+		_ = recv.RestorePortable(dec)
 	})
 }
 

@@ -92,6 +92,7 @@ type System struct {
 
 	// Cached port nets.
 	mabNets, mdbInNets, mdbOutNets  []netlist.NetID
+	pcNets                          []netlist.NetID
 	menNet, mwrNet, rstNet, haltNet netlist.NetID
 	jumpExecNet, jumpTakenNet       netlist.NetID
 	brForceEnNet, brForceValNet     netlist.NetID
@@ -146,6 +147,7 @@ func NewSystemEngine(engine gsim.Engine, n *netlist.Netlist, lib *cell.Library, 
 	}
 	s.Sim = gsim.NewEngine(n, lib, s, engine)
 	s.mabNets = n.Port("mab")
+	s.pcNets = n.Port("pc")
 	s.mdbInNets = n.Port("mdb_in")
 	s.mdbOutNets = n.Port("mdb_out")
 	s.menNet = n.Port("men")[0]
@@ -324,7 +326,7 @@ func (s *System) ClearForce() {
 // PC returns the architectural program counter; ok is false if any bit is
 // X.
 func (s *System) PC() (uint16, bool) {
-	v, ok := s.Sim.Port("pc").Uint()
+	v, ok := s.Sim.NetsUint(s.pcNets)
 	return uint16(v), ok
 }
 
@@ -355,7 +357,7 @@ func (s *System) MemWord(addr uint16) logic.Word {
 
 // Tick implements gsim.Bus: it services the registered memory access of
 // the cycle in flight. It is per-cycle hot and must not allocate: port
-// reads go through PortUint and the reusable scratch word.
+// reads go through NetsUint and the reusable scratch word.
 func (s *System) Tick(sim *gsim.Simulator) {
 	if s.bus != nil {
 		s.bus.Tick(sim.Cycle())
@@ -364,7 +366,7 @@ func (s *System) Tick(sim *gsim.Simulator) {
 		return // no access: hold mdb_in to minimize bus toggling
 	}
 	wr := sim.Val(s.mwrNet)
-	addr64, addrKnown := sim.PortUint("mab")
+	addr64, addrKnown := sim.NetsUint(s.mabNets)
 	addr := uint16(addr64)
 
 	if wr == logic.H {
@@ -630,8 +632,13 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 // Memory is reset to memory as loaded and the state's patches applied,
 // so nothing the previous path left in memory survives. The memory undo
 // journal restarts empty: a portable restore is a new exploration root,
-// not a rewind.
-func (s *System) RestorePortable(st *PortableState) {
+// not a rewind. A state that does not fit the system's netlist (planes
+// of another length, a staged input on no primary input: a corrupt
+// journal or fleet record) is an error and leaves the system as it was.
+func (s *System) RestorePortable(st *PortableState) error {
+	if err := s.Sim.CheckSnapshot(st.sim); err != nil {
+		return fmt.Errorf("ulp430: portable state: %w", err)
+	}
 	copy(s.mem, s.baseMem())
 	for _, p := range st.patches {
 		s.mem[p.idx] = p.w
@@ -645,6 +652,7 @@ func (s *System) RestorePortable(st *PortableState) {
 		s.bus.SetState(st.bus)
 	}
 	s.errState = st.err
+	return nil
 }
 
 // StateKey returns the exploration's 128-bit merge key over flip-flop
