@@ -39,11 +39,12 @@ race-irq:
 
 # The parallel-exploration determinism suite under the race detector:
 # the work-stealing engine's tree/budget/error parity with the
-# sequential engine, the canonical candidate merge, and the sealed
-# Report's bit-identity across worker counts.
+# sequential engine, the power sink's scope fold and canonical
+# candidate merge, and the sealed Report's bit-identity across worker
+# counts.
 race-parallel:
-	$(GO) test -race -run 'Parallel|ExploreWorkers|SnapPool|FuzzExplore|EnginesAgree' \
-		./internal/symx/... ./internal/gsim/... ./peakpower/...
+	$(GO) test -race -run 'Parallel|ExploreWorkers|SnapPool|FuzzExplore|EnginesAgree|FuzzScopeFold|MergeParallelReplay' \
+		./internal/symx/... ./internal/gsim/... ./internal/power/ ./peakpower/...
 
 # The determinism suites twenty times over: an assertion that depends on
 # goroutine scheduling fails here in review instead of intermittently on

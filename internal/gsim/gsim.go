@@ -532,9 +532,13 @@ func (s *Simulator) ActiveCells(dst []netlist.CellID) []netlist.CellID {
 // off the all-cells path. Cells come in ascending plane position on
 // either engine, so order-sensitive consumers (the power sink's
 // per-module float accumulation) are engine-independent.
-func (s *Simulator) ForEachActiveCell(f func(netlist.CellID)) {
+func (s *Simulator) ForEachActiveCell(f func(netlist.CellID)) { s.ForEachAccumulated(s.act, f) }
+
+// ForEachAccumulated calls f for every cell set in acc, an accumulator
+// filled by AccumulateNewActive, in ascending plane position.
+func (s *Simulator) ForEachAccumulated(acc []uint64, f func(netlist.CellID)) {
 	cells := s.plan.CellOfPos
-	for w, a := range s.act {
+	for w, a := range acc {
 		base := w * 64
 		for a != 0 {
 			bit := bits.TrailingZeros64(a)

@@ -21,14 +21,15 @@ package power
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/netlist"
 )
 
-// EnableCheckpoint does nothing: every task-mode sink keeps the per-task
-// records MarshalTask serializes. It remains only so existing callers
-// keep compiling.
+// EnableCheckpoint does nothing: every sink keeps the per-task records
+// MarshalTask serializes. It remains only so existing callers keep
+// compiling.
 func (s *Sink) EnableCheckpoint() {}
 
 // peakWire is Peak, flattened for the journal.
@@ -113,9 +114,6 @@ func fromWire(w peakWire) Peak {
 // MarshalTask implements symx.WorkerSink: flush the current segment and
 // serialize the observations of the task begun by the last BeginTask.
 func (s *Sink) MarshalTask() ([]byte, error) {
-	if !s.taskMode {
-		return nil, fmt.Errorf("power: MarshalTask outside task mode")
-	}
 	s.NewSegment()
 	w := taskWire{ISR: s.taskISR}
 	for _, c := range s.bestCands[s.taskBest0:] {
@@ -124,13 +122,12 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 	for _, c := range s.topkCands[s.taskTopk0:] {
 		w.TopK = append(w.TopK, candWire{Stream: c.Stream, peakWire: toWire(c.Peak)})
 	}
-	if len(s.taskActive) > 0 {
-		w.Active = make([]int32, len(s.taskActive))
-		for i, c := range s.taskActive {
-			w.Active[i] = int32(c)
-		}
-		sort.Slice(w.Active, func(i, j int) bool { return w.Active[i] < w.Active[j] })
-	}
+	// The task's cells are its accumulator's bits; one buffer serves
+	// every task.
+	s.cellBuf = s.cellBuf[:0]
+	s.sim.ForEachAccumulated(s.actAccum, func(ci netlist.CellID) { s.cellBuf = append(s.cellBuf, int32(ci)) })
+	slices.Sort(s.cellBuf)
+	w.Active = s.cellBuf
 	return json.Marshal(w)
 }
 
@@ -148,29 +145,33 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 // the canonical sort interleaves them with this run's live candidates
 // exactly where the uninterrupted run would have produced them, and the
 // order-insensitive folds (activity union, ISR peak) absorb the replayed
-// per-task sets directly.
+// per-task sets directly. Records are decoded in ascending task ID, so a
+// malformed one is reported deterministically. The union is folded into
+// the first sink's UnionActive.
 func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int, replayed map[int][]byte) (best Peak, topK []Peak, isrPeakMW float64, union []bool, err error) {
 	var bestC, topC []PeakCand
 	nmod := 0
 	if len(sinks) > 0 {
 		nmod = len(sinks[0].Modules())
 	}
-	for _, s := range sinks {
+	for i, s := range sinks {
 		bestC = append(bestC, s.bestCands...)
 		topC = append(topC, s.topkCands...)
 		if s.ISRPeakMW > isrPeakMW {
 			isrPeakMW = s.ISRPeakMW
 		}
-		if union == nil {
-			union = make([]bool, len(s.UnionActive))
+		if i == 0 {
+			union = s.UnionActive
+			continue
 		}
-		for i, b := range s.UnionActive {
+		for ci, b := range s.UnionActive {
 			if b {
-				union[i] = true
+				union[ci] = true
 			}
 		}
 	}
-	for task, blob := range replayed {
+	for _, task := range slices.Sorted(maps.Keys(replayed)) {
+		blob := replayed[task]
 		var w taskWire
 		if len(blob) > 0 {
 			if uerr := json.Unmarshal(blob, &w); uerr != nil {

@@ -1,33 +1,39 @@
-// Deterministic reduction for parallel symbolic exploration.
+// Deterministic reduction for symbolic exploration.
 //
-// In task mode (EnableTasks) a Sink serves one worker of
-// symx.ExploreParallel. The per-cycle quantities whose reduction is
-// order-insensitive fold locally exactly as in sequential mode: the
-// activity union is a set union, ISRPeakMW a plain maximum, and the
-// power trace itself is stored per segment on the tree. The
-// order-SENSITIVE reductions — Best (strict-> fold, so a tie keeps the
-// first cycle in sequential order, with its attribution metadata) and
-// TopK (an insertion process whose displacement decisions depend on
-// arrival order) — cannot be folded across tasks live without making the
-// Report depend on worker interleaving. Instead the sink runs the one
-// sequential fold (Sink.observe) over one scope at a time: a tree
-// segment. NewSegment, EndTask and MarshalTask flush the scope's Best and
-// TopK list as candidates tagged with their (task, stream) coordinates,
-// and MergeParallelReplay replays all candidates in canonical order —
-// ascending (final tree-node ID, within-task stream index), which is
-// exactly the order the sequential engine visits observations in —
-// through the very same fold/insertion code, reproducing the sequential
-// Best and TopK bit for bit.
+// A Sink follows its worker through symx's task protocol (BeginTask,
+// NewSegment, EndTask, MarshalTask). The per-cycle quantities whose
+// reduction is order-insensitive fold locally: the activity union is a
+// set union, ISRPeakMW a plain maximum, and the power trace itself is
+// stored per segment on the tree. The order-SENSITIVE reductions — Best
+// (strict-> fold, so a tie keeps the first cycle in canonical order, with
+// its attribution metadata) and TopK (an insertion process whose
+// displacement decisions depend on arrival order) — cannot be folded
+// across tasks live without making the Report depend on worker
+// interleaving. Instead the sink runs the one fold (Sink.observe) over one
+// scope at a time. The explorer ends a scope (NewSegment, and every task
+// boundary); the sink then flushes the scope's Best and TopK list as
+// candidates tagged with their (task, stream) coordinates, and
+// MergeParallelReplay replays all candidates in canonical order —
+// ascending (final tree-node ID, within-task stream index), the order the
+// canonical depth-first walk visits observations in — through the very
+// same fold/insertion code, reproducing the canonical Best and TopK bit
+// for bit.
 //
-// The per-scope fold is lossless because a segment is explored in one
-// contiguous run: its observations are contiguous in canonical order and
-// emitted in that order, so within a segment positions and stream indices
-// both advance by one per observation (a candidate's stream index is
-// scopeStream + PathPos − scopePos).
+// The per-scope fold is lossless when a scope's observations are in
+// canonical order among themselves, which is the explorer's to ensure: it
+// ends a scope wherever a claim can be grafted, i.e. where the subtree a
+// worker explores next may be re-anchored elsewhere in the canonical walk.
+// A lone in-process worker without a journal explores in canonical order
+// and every claim it wins is canonical, so its one task is one scope and
+// the sink materializes exactly the peaks a whole-run fold does. Such a
+// scope spans rewinds (positions jump back at every resumed fork while
+// stream indices keep rising), which is why each materialized record
+// keeps the stream index it was observed at rather than deriving it from
+// its path position.
 //
 //   - Best: the run's first cycle attaining the global maximum is also the
-//     first cycle attaining its own segment's maximum, which is exactly
-//     what the segment's strict-> fold keeps. A shared monotone floor
+//     first cycle attaining its own scope's maximum, which is exactly
+//     what the scope's strict-> fold keeps. A shared monotone floor
 //     (the highest power any worker has materialized so far) additionally
 //     skips materializing a scope maximum strictly below it: the floor
 //     never exceeds the final maximum, so such a cycle cannot be the
@@ -35,12 +41,12 @@
 //     attaining cycle always survives.
 //   - TopK: the insertion process keeps the k addresses ranked highest by
 //     (per-address maximum, earliest attaining cycle). An observation
-//     the segment's own top-k fold drops is either dominated by a
-//     same-address entry of the segment (equal or higher power, earlier)
-//     or lies below k stronger entries of the segment; those entries are
+//     the scope's own top-k fold drops is either dominated by a
+//     same-address entry of the scope (equal or higher power, earlier)
+//     or lies below k stronger entries of the scope; those entries are
 //     at least as strong in the global fold, so the dropped observation
 //     is a no-op or gets evicted there too. Every entry of the global
-//     list thus reaches the replay as its segment's candidate, and the
+//     list thus reaches the replay as its scope's candidate, and the
 //     replay over a superset of those winners ranks them identically.
 package power
 
@@ -48,8 +54,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-
-	"repro/internal/netlist"
 )
 
 // TaskSeed is the path context a mid-path exploration task inherits from
@@ -101,17 +105,9 @@ type PeakCand struct {
 	Task, Stream int
 }
 
-// EnableTasks switches the sink into task mode for one parallel
-// exploration: Best and TopK fold one tree segment at a time, and the
-// per-task records MarshalTask serializes are kept. Must be called before
-// any observation; shared must be the exploration's common Shared
-// instance.
-func (s *Sink) EnableTasks(shared *Shared) {
-	s.taskMode = true
-	s.shared = shared
-	s.taskAccum = make([]uint64, len(s.actAccum))
-	s.taskVisit = func(ci netlist.CellID) { s.taskActive = append(s.taskActive, ci) }
-}
+// EnableTasks attaches the exploration's common Shared floor. Must be
+// called before any observation.
+func (s *Sink) EnableTasks(shared *Shared) { s.shared = shared }
 
 // BeginTask implements symx.WorkerSink: reset per-path state for a task
 // rooted at absolute position basePos. seed is a TaskSeed (nil for the
@@ -131,34 +127,23 @@ func (s *Sink) BeginTask(task, basePos int, seed interface{}) {
 	s.taskBest0 = len(s.bestCands)
 	s.taskTopk0 = len(s.topkCands)
 	s.taskISR = 0
-	clear(s.taskAccum)
-	s.taskActive = s.taskActive[:0]
+	clear(s.actAccum)
 	s.NewSegment()
 }
 
 // EndTask implements symx.WorkerSink: flush the task's last segment.
 func (s *Sink) EndTask() { s.NewSegment() }
 
-// NewSegment implements symx.WorkerSink. In task mode it flushes the
-// scope's Best and TopK list as candidates and starts an empty scope at
-// the current position; outside task mode the scope is the whole run.
+// NewSegment implements symx.WorkerSink: flush the scope's Best and TopK
+// list as candidates and start an empty scope.
 func (s *Sink) NewSegment() {
-	if !s.taskMode {
-		return
-	}
 	if s.bestKept {
-		s.bestCands = append(s.bestCands, s.cand(s.Best))
+		s.bestCands = append(s.bestCands, PeakCand{Peak: s.Best, Task: s.task, Stream: s.bestStream})
 	}
 	for _, pk := range s.TopK {
-		s.topkCands = append(s.topkCands, s.cand(pk))
+		s.topkCands = append(s.topkCands, PeakCand{Peak: pk, Task: s.task, Stream: s.topkStream[pk.FetchAddr]})
 	}
 	s.Best, s.bestKept, s.TopK = Peak{}, false, s.TopK[:0]
-	s.scopePos, s.scopeStream = s.Pos(), s.stream
-}
-
-// cand tags a peak of the current scope with its canonical coordinates.
-func (s *Sink) cand(pk Peak) PeakCand {
-	return PeakCand{Peak: pk, Task: s.task, Stream: s.scopeStream + pk.PathPos - s.scopePos}
 }
 
 // SpawnSeed implements symx.WorkerSink: the path context just before

@@ -158,8 +158,8 @@ type Sink struct {
 	// UnionActive marks cells active in at least one explored cycle —
 	// the "potentially toggled" set of Figures 1.5 and 3.4.
 	UnionActive []bool
-	// Best is the peak across all explored cycles. In task mode it
-	// folds only the current tree segment (see EnableTasks).
+	// Best is the peak across the cycles of the current fold scope: the
+	// whole run unless the explorer ends scopes (see NewSegment).
 	Best Peak
 	// TopK holds the highest-power cycles with distinct fetch addresses
 	// (COI candidates), sorted descending. It folds the same scope as
@@ -178,8 +178,10 @@ type Sink struct {
 	leakMW  float64
 	fetches []fetchCtx
 
-	// actAccum is the engine's union-activity accumulator; unionVisit
-	// marks a cell in UnionActive the first cycle it turns active.
+	// actAccum is the engine's activity accumulator of the current task
+	// (the whole run when no task begins); unionVisit marks a cell in
+	// UnionActive the first cycle of the task it turns active.
+	sim        *gsim.Simulator
 	actAccum   []uint64
 	unionVisit func(netlist.CellID)
 
@@ -201,22 +203,22 @@ type Sink struct {
 	isrDepth []int8
 	curISR   bool
 
-	// Task mode (EnableTasks): the sink serves one worker of a parallel
-	// exploration. Trace/fetches/isrDepth become task-local (positions
-	// stay absolute via base), the path context at a task's start comes
-	// from a TaskSeed instead of history, and Best/TopK fold one tree
-	// segment at a time: the scope that starts at position scopePos,
-	// stream index scopeStream. Each segment's records are flushed as
-	// candidates tagged with their (task, stream) coordinates and folded
-	// canonically by MergeParallelReplay (see parallel.go).
-	taskMode    bool
-	shared      *Shared
-	base        int
-	task        int
-	stream      int
-	seed        TaskSeed
-	scopePos    int
-	scopeStream int
+	// Task protocol (symx.WorkerSink): Trace/fetches/isrDepth are
+	// task-local (positions stay absolute via base), the path context at
+	// a task's start comes from a TaskSeed, and stream counts the task's
+	// observations. A fold scope ends where the explorer says
+	// (NewSegment); its records are flushed as candidates tagged with
+	// their (task, stream) coordinates and folded canonically by
+	// MergeParallelReplay (see parallel.go). bestStream and topkStream
+	// (by fetch address: TopK holds one entry per address) record the
+	// stream index of each materialized record.
+	shared     *Shared
+	base       int
+	task       int
+	stream     int
+	seed       TaskSeed
+	bestStream int
+	topkStream map[uint16]int
 	// bestKept is false while Best is a scope maximum that was below the
 	// shared floor when observed: it cannot be the run's peak, so it is
 	// tracked but neither materialized nor flushed.
@@ -224,18 +226,14 @@ type Sink struct {
 	bestCands []PeakCand
 	topkCands []PeakCand
 
-	// Per-task records for MarshalTask. Candidate slices are sliced at
-	// task boundaries; the activity union and ISR peak — order-insensitive
-	// folds whose per-task contribution cannot be recovered from the
-	// running fold — get task-local accumulators, so a resumed run can
-	// replay exactly one task's contribution without its worker's
-	// history (see MarshalTask / MergeParallelReplay).
-	taskBest0  int
-	taskTopk0  int
-	taskISR    float64
-	taskAccum  []uint64
-	taskActive []netlist.CellID
-	taskVisit  func(netlist.CellID)
+	// Per-task records for MarshalTask: candidate slices are sliced at
+	// task boundaries, and the ISR peak and activity (actAccum) restart
+	// per task, so a resumed run can replay exactly one task's
+	// contribution without its worker's history.
+	taskBest0 int
+	taskTopk0 int
+	taskISR   float64
+	cellBuf   []int32
 }
 
 type fetchCtx struct {
@@ -259,7 +257,9 @@ func NewSink(sys *ulp430.System, model Model, img *isa.Image, k int) *Sink {
 		UnionActive:  make([]bool, nl.NumCells()),
 		modBuf:       make([]float64, len(nl.Modules())),
 		leakMW:       model.LeakageMW(nl),
+		sim:          sys.Sim,
 		actAccum:     sys.Sim.NewActiveAccumulator(),
+		topkStream:   make(map[uint16]int),
 		clkModFJ:     make([]float64, len(nl.Modules())),
 		stateNets:    nl.Port("state"),
 		mabNets:      nl.Port("mab"),
@@ -295,11 +295,9 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	s.Trace = append(s.Trace, p)
 
 	// Track the instruction in flight.
-	var fc fetchCtx
+	fc := fetchCtx{fetch: s.seed.Fetch, prev: s.seed.Prev}
 	if n := len(s.fetches); n > 0 {
 		fc = s.fetches[n-1]
-	} else if s.taskMode {
-		fc = fetchCtx{fetch: s.seed.Fetch, prev: s.seed.Prev}
 	}
 	if sim.Val(s.stateNets[ulp430.StFetch]) == logic.H {
 		if a, ok := sim.NetsUint(s.mabNets); ok {
@@ -313,11 +311,9 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	// directly; IRQ3 raises the nesting depth for the handler body, and
 	// RETI2 (the final unwind cycle, still in interrupt context) lowers
 	// it back.
-	var depth int8
+	depth := s.seed.Depth
 	if n := len(s.isrDepth); n > 0 {
 		depth = s.isrDepth[n-1]
-	} else if s.taskMode {
-		depth = s.seed.Depth
 	}
 	inISR := depth > 0 ||
 		s.lastStIdx == ulp430.StIrq1 || s.lastStIdx == ulp430.StIrq2 || s.lastStIdx == ulp430.StIrq3
@@ -336,31 +332,28 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	if inISR && p > s.ISRPeakMW {
 		s.ISRPeakMW = p
 	}
+	if inISR && p > s.taskISR {
+		s.taskISR = p
+	}
 
 	// Union of active cells: word-ORed accumulator, per-cell work only
-	// on first activation.
+	// on a cell's first activation in the task.
 	sim.AccumulateNewActive(s.actAccum, s.unionVisit)
-
-	if s.taskMode {
-		if inISR && p > s.taskISR {
-			s.taskISR = p
-		}
-		sim.AccumulateNewActive(s.taskAccum, s.taskVisit)
-	}
 	s.observe(p, fc.fetch, func(cells bool) Peak { return s.makePeak(p, pos, fc, cells, sim) })
 }
 
 // observe is the Best/TopK fold, the only one: strict > for Best, so a
 // tie keeps the first cycle with its attribution, and insertTopK for
 // TopK. mk materializes the observed cycle (with its active-cell list
-// when cells is set) and runs only when the cycle enters a record. In
-// task mode a new scope maximum below the shared floor is tracked but
-// not materialized: the floor never exceeds the run's peak, so the cycle
-// cannot be it.
+// when cells is set) and runs only when the cycle enters a record; the
+// record's stream index is kept with it. Against a shared floor a new
+// scope maximum below the floor is tracked but not materialized: the
+// floor never exceeds the run's peak, so the cycle cannot be it.
 func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
+	at := s.stream - 1
 	if p > s.Best.PowerMW {
 		if s.shared == nil || p >= s.shared.floor() {
-			s.Best, s.bestKept = mk(true), true
+			s.Best, s.bestKept, s.bestStream = mk(true), true, at
 			if s.shared != nil {
 				s.shared.raise(p)
 			}
@@ -369,12 +362,12 @@ func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
 			// module-split pass twice for the same state.
 			pre := s.Best
 			pre.ActiveCells = nil
-			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { return pre })
+			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.topkStream[fetch] = at; return pre })
 			return
 		}
 		s.Best, s.bestKept = Peak{PowerMW: p}, false
 	}
-	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { return mk(false) })
+	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.topkStream[fetch] = at; return mk(false) })
 }
 
 // makePeak materializes a cycle of interest, including the per-module
@@ -456,8 +449,8 @@ func bubbleTopK(list []Peak, i int) {
 	}
 }
 
-// Pos implements symx.Sink. Positions are absolute path positions even
-// in task mode (base is 0 outside it).
+// Pos implements symx.Sink. Positions are absolute path positions (base
+// is the current task's first position, 0 when no task begins).
 func (s *Sink) Pos() int { return s.base + len(s.Trace) }
 
 // Rewind implements symx.Sink.

@@ -443,3 +443,26 @@ func TestMergeParallelReplayRejectsMalformedRecords(t *testing.T) {
 		})
 	}
 }
+
+// TestMergeParallelReplayNamesLowestBadTask: replayed records are decoded
+// in ascending task ID, so of two malformed records the error always
+// names the lower ID, whatever the map's iteration order.
+func TestMergeParallelReplayNamesLowestBadTask(t *testing.T) {
+	img, err := isa.Assemble("p", branchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := []*Sink{NewSink(sys, model(), img, 4)}
+	nodeID := func(task, stream int) int { return stream }
+	replayed := map[int][]byte{12: []byte(`{"active":[-1]}`), 5: []byte(`{"active":[-2]}`)}
+	for range 20 {
+		_, _, _, _, err := MergeParallelReplay(sinks, 4, nodeID, replayed)
+		if err == nil || !strings.Contains(err.Error(), "task 5:") {
+			t.Fatalf("got err %v, want an error naming task 5", err)
+		}
+	}
+}

@@ -120,6 +120,9 @@ func (h remoteHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
 // donate is never reached: a fleet task keeps no local forks.
 func (remoteHost) donate(*worker) error { return nil }
 
+// canonical is false: a fleet task's claims may be grafted.
+func (remoteHost) canonical() bool { return false }
+
 type remoteClaimRec struct {
 	parent, seq, child int
 }

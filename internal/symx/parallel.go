@@ -42,14 +42,27 @@
 // The same canonical order also serializes the sink: observations are
 // ordered by (final node ID, within-task stream index), which is exactly
 // the single-worker observation order, so an order-sensitive reduction
-// (peak records with first-wins tie-breaking, top-k insertion) replays
-// per-task candidates in canonical order and reproduces the single-worker
-// result bit for bit. See power.MergeParallelReplay.
+// (peak records with first-wins tie-breaking, top-k insertion) folds one
+// scope at a time and replays the scopes' candidates in canonical order,
+// reproducing the single-worker result bit for bit (see
+// power.MergeParallelReplay). A scope may only hold observations whose
+// exploration order is their canonical order, and only this package knows
+// where that stops holding: wherever a claim can be grafted, because the
+// subtree explored next may be re-anchored elsewhere in the walk. So the
+// runner ends a scope (WorkerSink.NewSegment) at every won fork and every
+// resumed local fork unless its fork host is canonical. A lone in-process
+// worker without a journal is: it explores in the canonical depth-first
+// order itself, so every claim it wins is the canonical first encounter
+// and nothing is grafted. Its one task is one scope, which folds exactly
+// what a whole-run fold does; assemble checks that such a run indeed
+// re-decides no claim.
 package symx
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,12 +86,16 @@ type WorkerSink interface {
 	// EndTask marks the current task complete. It implies NewSegment,
 	// flushing the task's last segment.
 	EndTask()
-	// NewSegment marks a tree-segment boundary in the observation
-	// stream. Fork boundaries are invisible to a Sink (the engine does
-	// not rewind when it continues into the not-taken child), but the
-	// deterministic reduction may only fold a single segment at a time
-	// — across segments, canonical order can differ from this task's
-	// exploration order — so the sink flushes its per-segment fold here.
+	// NewSegment ends the sink's fold scope: the observations since the
+	// last scope boundary are in canonical order among themselves, but
+	// the ones that follow may not be — the next segment's claim may be
+	// grafted elsewhere in the canonical walk — so the sink flushes its
+	// order-sensitive folds here. The runner calls it at a won fork and
+	// at a resumed local fork unless its fork host is canonical (a lone
+	// in-process worker without a journal), whose one task is one scope.
+	// A scope may span rewinds: positions jump back while the task's
+	// stream index keeps rising, so a sink must tag what it flushes with
+	// the stream index of each observation, not derive it from positions.
 	NewSegment()
 	// SpawnSeed captures the path context just before absolute position
 	// pos, to seed a task that will resume there.
@@ -122,15 +139,10 @@ type ParallelResult struct {
 	// into its canonical merge (e.g. power.MergeParallelReplay).
 	Replayed map[int][]byte
 
-	// order maps a task ID to its segments' (streamStart, final node ID)
-	// pairs, sorted by streamStart; built on the first NodeID call.
-	order     map[int]taskOrder
-	orderOnce sync.Once
-}
-
-type taskOrder struct {
-	starts []int
-	ids    []int
+	// index holds every segment that recorded observations, sorted by
+	// task then streamStart; built on the first NodeID call.
+	index     []*Node
+	indexOnce sync.Once
 }
 
 // NodeID resolves a task-local observation stream index to the final
@@ -138,40 +150,22 @@ type taskOrder struct {
 // observation order — the order a single worker visits observations
 // in — is ascending (NodeID, stream index).
 func (r *ParallelResult) NodeID(task, stream int) int {
-	r.orderOnce.Do(r.indexOrder)
-	o, ok := r.order[task]
-	if !ok {
-		return -1
-	}
-	// Rightmost segment starting at or before stream; zero-length
+	r.indexOnce.Do(func() {
+		r.index = slices.DeleteFunc(slices.Clone(r.Tree.Nodes), func(n *Node) bool { return n.Len == 0 })
+		slices.SortFunc(r.index, func(a, b *Node) int {
+			return cmp.Or(cmp.Compare(a.task, b.task), cmp.Compare(a.streamStart, b.streamStart))
+		})
+	})
+	// Rightmost segment of task starting at or before stream; zero-length
 	// segments are not indexed, so the match is the containing one.
-	i := sort.SearchInts(o.starts, stream+1) - 1
-	if i < 0 {
+	i := sort.Search(len(r.index), func(i int) bool {
+		n := r.index[i]
+		return n.task > task || n.task == task && n.streamStart > stream
+	}) - 1
+	if i < 0 || r.index[i].task != task {
 		return -1
 	}
-	return o.ids[i]
-}
-
-// indexOrder builds the observation-order index: per task, (streamStart,
-// final ID) of every segment that recorded observations, sorted by
-// stream position.
-func (r *ParallelResult) indexOrder() {
-	byTask := make(map[int][]*Node)
-	for _, n := range r.Tree.Nodes {
-		if n.Len > 0 {
-			byTask[n.task] = append(byTask[n.task], n)
-		}
-	}
-	r.order = make(map[int]taskOrder, len(byTask))
-	for task, nodes := range byTask {
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].streamStart < nodes[j].streamStart })
-		o := taskOrder{starts: make([]int, len(nodes)), ids: make([]int, len(nodes))}
-		for i, n := range nodes {
-			o.starts[i] = n.streamStart
-			o.ids[i] = n.ID
-		}
-		r.order[task] = o
-	}
+	return r.index[i].ID
 }
 
 // snapPool is a free list of fork snapshots with a double-free guard:
@@ -393,6 +387,10 @@ type forkHost interface {
 	// donate is offered the worker's local forks after every resolved
 	// cycle while it holds any.
 	donate(w *worker) error
+	// canonical reports whether the worker explores in canonical order
+	// and every claim it wins is final, so that its sink's fold scope may
+	// span the whole task (see the file comment).
+	canonical() bool
 }
 
 // worker is one Algorithm-1 runner: a private System and sink, the fork
@@ -476,6 +474,7 @@ func (w *worker) runTask(t *ptask) error {
 	pending := t.forces
 
 	sys, sink, tl, opts := w.sys, w.sink, w.tally, w.opts
+	segmented := !w.host.canonical()
 
 	finishSegment := func(kind NodeKind) {
 		cur.Kind = kind
@@ -506,7 +505,9 @@ func (w *worker) runTask(t *ptask) error {
 		sys.Restore(pf.snap)
 		w.pool.put(pf.snap)
 		sink.Rewind(pf.sinkPos)
-		sink.NewSegment()
+		if segmented {
+			sink.NewSegment()
+		}
 		cur = w.newNode()
 		pf.branch.Taken = cur
 		segStart = pf.sinkPos
@@ -610,7 +611,9 @@ outer:
 			}
 			// Continue depth-first down the not-taken / not-arrived
 			// direction: re-step this same cycle with the extended forces.
-			sink.NewSegment()
+			if segmented {
+				sink.NewSegment()
+			}
 			child := w.newNode()
 			cur.NotTaken = child
 			cur = child
@@ -712,6 +715,10 @@ func (h *localHost) donate(w *worker) error {
 	w.pool.put(pf.snap)
 	return h.publishKid(w, t)
 }
+
+// canonical holds for a lone worker without a journal: it never
+// publishes, so it explores the whole tree depth-first in one task.
+func (h *localHost) canonical() bool { return h.workers == 1 && h.ck == nil }
 
 // starving reports whether a published fork would feed an idle peer.
 // A lone worker has no peers, so it never publishes outside checkpoint
@@ -864,7 +871,7 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 	if rs != nil {
 		lists = append([][]*Node{rs.nodes}, nodeLists...)
 	}
-	tree, err := assemble(lists, h.seen, h.merge)
+	tree, err := assemble(lists, h.seen, h.merge, h.canonical())
 	if err != nil {
 		return nil, err
 	}
@@ -881,8 +888,10 @@ func ExploreParallel(opts ParallelOptions) (*ParallelResult, error) {
 // creation-order IDs, and recomputes Paths and Cycles. lists holds every
 // explored segment; each list is in creation order. Every simulated
 // segment appears exactly once, so the walk must reach them all —
-// checked, since a miss means the claim discipline was violated.
-func assemble(lists [][]*Node, seen *claimTable, merge bool) (*Tree, error) {
+// checked, since a miss means the claim discipline was violated. A
+// canonical run's claims must come out of the walk unchanged — checked,
+// since its sinks folded across forks on that premise.
+func assemble(lists [][]*Node, seen *claimTable, merge, canonical bool) (*Tree, error) {
 	// The root is task 0's first-created node: task IDs are assigned at
 	// publish time and the root task is published first.
 	var root *Node
@@ -911,7 +920,14 @@ func assemble(lists [][]*Node, seen *claimTable, merge bool) (*Tree, error) {
 		if isFork {
 			tree.Cycles++ // the rewound fork-detection step
 			winner, dup := canon[cur.key]
-			if dup && merge {
+			dup = dup && merge
+			// A canonical run's claim winners are its keys' first
+			// encounters: a branch must stay one and a merge must stay
+			// a merge.
+			if canonical && dup == (cur.Kind == KindBranch) {
+				return nil, fmt.Errorf("symx: internal: canonical exploration re-decided fork key %#x:%#x", cur.key.Lo, cur.key.Hi)
+			}
+			if dup {
 				cur.Kind = KindMerge
 				cur.MergeTo = winner
 				cur.NotTaken, cur.Taken = nil, nil

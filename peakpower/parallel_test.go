@@ -3,9 +3,14 @@ package peakpower
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/power"
+	"repro/internal/symx"
+	"repro/internal/ulp430"
 )
 
 // TestExploreWorkersDeterminism is the package-level determinism stress
@@ -113,5 +118,55 @@ func TestCacheSharedAcrossWorkerCounts(t *testing.T) {
 	}
 	if first.Hash != second.Hash {
 		t.Fatalf("cached result hash changed across worker counts: %s vs %s", first.Hash, second.Hash)
+	}
+}
+
+// TestOneWorkerFoldsOneScope pins that the single reduction path costs a
+// one-worker analysis without a journal nothing: its fork host is
+// canonical, so the runner never ends the sink's fold scope inside the
+// run, and the sink flushes at most one Best and k TopK candidates —
+// exactly the peaks a whole-run fold materializes. In that run the root
+// task is the whole exploration, so MarshalTask lists every candidate.
+// Every app forks, sensorDuty on interrupt arrival.
+func TestOneWorkerFoldsOneScope(t *testing.T) {
+	a := analyzer(t)
+	for _, name := range []string{"binSearch", "rle", "tHold", "PI", "sensorDuty"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := a.PlanBench(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink *power.Sink
+			res, err := symx.ExploreParallel(symx.ParallelOptions{
+				Options: p.ExploreOptions(context.Background()),
+				Workers: 1,
+				NewWorker: func(int) (*ulp430.System, symx.WorkerSink, error) {
+					sys, s, err := p.newWorker(power.NewShared())
+					sink = s
+					return sys, s, err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tree.Paths < 2 {
+				t.Fatalf("%d path: no fork to end a scope at", res.Tree.Paths)
+			}
+			blob, err := sink.MarshalTask()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec struct {
+				Best []json.RawMessage `json:"best"`
+				TopK []json.RawMessage `json:"topk"`
+			}
+			if err := json.Unmarshal(blob, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Best) != 1 || len(rec.TopK) == 0 || len(rec.TopK) > p.cfg.coiK {
+				t.Fatalf("one-worker run flushed %d Best and %d TopK candidates, want 1 and at most %d",
+					len(rec.Best), len(rec.TopK), p.cfg.coiK)
+			}
+		})
 	}
 }

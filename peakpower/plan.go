@@ -77,33 +77,31 @@ func (p *ExplorePlan) ExploreOptions(ctx context.Context) symx.Options {
 // sink seeds and segment payloads on the wire and in the journal.
 func (p *ExplorePlan) Codec() symx.CheckpointCodec { return power.Codec{} }
 
-// NewWorker builds one private System and task-mode sink for executing
-// this plan's remote tasks. Each call returns an independent pair; a
-// fleet worker creates one per job and reuses it across that job's tasks.
-// The sink's shared Best floor is process-local — a lower bound on the
-// in-process floor — so the per-segment folds materialize a superset of
-// what a single-process run does, which the canonical replay then
-// reduces identically (the fold is lossless at any floor below the final
-// maximum).
+// NewWorker builds one private System and sink for executing this plan's
+// remote tasks. Each call returns an independent pair; a fleet worker
+// creates one per job and reuses it across that job's tasks. A fleet
+// task's fork host is never canonical, so the runner ends the sink's fold
+// scope at every fork it wins. The sink's shared Best floor is
+// process-local — a lower bound on the in-process floor — so the scopes
+// materialize a superset of what a single-process run does, which the
+// canonical replay then reduces identically (the fold is lossless at any
+// floor below the final maximum).
 func (p *ExplorePlan) NewWorker() (*ulp430.System, symx.WorkerSink, error) {
 	return p.newWorker(power.NewShared())
 }
 
-// newWorker builds one private symbolic System and its power sink — the
-// construction shared by every explore worker and NewWorker. A nil
-// shared floor leaves the sink folding Best/TopK over the whole run (the
-// one-worker, no-checkpoint analysis); otherwise the sink is in task
-// mode against shared: it folds one tree segment at a time and keeps the
-// per-task records a journal or fleet result serializes.
+// newWorker builds one private symbolic System and its power sink on the
+// exploration's shared floor — the construction shared by every explore
+// worker and NewWorker. Where the sink's fold scopes end is the runner's
+// decision: at one worker without a journal the whole run is one scope
+// and the sink materializes exactly the peaks of a whole-run fold.
 func (p *ExplorePlan) newWorker(shared *power.Shared) (*ulp430.System, *power.Sink, error) {
 	sys, err := p.a.newSystem(p.img, p.cfg, ulp430.SymbolicInputs, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	sink := power.NewSink(sys, p.cfg.model(), p.img, p.cfg.coiK)
-	if shared != nil {
-		sink.EnableTasks(shared)
-	}
+	sink.EnableTasks(shared)
 	return sys, sink, nil
 }
 
@@ -172,13 +170,7 @@ func (p *ExplorePlan) analyze(ctx context.Context) (*Result, error) {
 			Codec: p.Codec(),
 		})
 	}
-	// One worker without a journal folds Best/TopK over the whole run in
-	// its one sink; every other run folds per tree segment in task mode
-	// and merges the candidates canonically.
-	var shared *power.Shared
-	if workers > 1 || ck != nil {
-		shared = power.NewShared()
-	}
+	shared := power.NewShared()
 	sinks := make([]*power.Sink, workers)
 	pres, err := symx.ExploreParallel(symx.ParallelOptions{
 		Options:    sxOpts,
@@ -202,10 +194,7 @@ func (p *ExplorePlan) analyze(ctx context.Context) (*Result, error) {
 		union   []bool
 		isrPeak float64
 	)
-	if err == nil && shared == nil {
-		s := sinks[0]
-		best, topK, isrPeak, union = s.Best, s.TopK, s.ISRPeakMW, s.UnionActive
-	} else if err == nil {
+	if err == nil {
 		best, topK, isrPeak, union, err = power.MergeParallelReplay(sinks, cfg.coiK, pres.NodeID, pres.Replayed)
 	}
 	if err != nil {
