@@ -59,8 +59,8 @@ determinism:
 # committed golden hashes. CI fails here if a memo change ever leaks
 # into Report bytes. The gsim half checks the table itself: its
 # admission rule (nothing recorded before a revisit), its chain (cached
-# clock edges and predicted successors across staged inputs, restores
-# and overwrites) and every replayed cycle, on random designs and on the
+# clock edges and predicted successors across staged inputs, restores,
+# and colliding records that leave a stale link) and every replayed cycle, on random designs and on the
 # ULP430 with interrupts, against the scalar engine.
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
@@ -70,13 +70,15 @@ memo-guard:
 # to every lane's source position, the packed engine against the scalar
 # oracle on random designs (bus-shaped ones included: multi-chunk
 # batches, word-crossing runs, broadcast fan-in), after a restore and
-# with snapshots swapped between the engines, the portable state codec
-# (the engines' shared state format) within and across engines, and the
-# sealed Reports of the benchmark suite under both engines against the
+# with snapshots swapped between the engines, compiled ports (word reads
+# and drives against the per-net path, on random designs and the
+# ULP430, under both engines), the portable state codec (the engines'
+# shared state format) within and across engines, and the sealed
+# Reports of the benchmark suite under both engines against the
 # committed golden hashes. A gather or layout bug fails here, apart from
 # the memo guard.
 engine-guard:
-	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms' ./internal/gsim/ ./internal/netlist/
+	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms|TestPortWords' ./internal/gsim/ ./internal/netlist/
 	$(GO) test -count=1 -run 'TestPortable|TestRestorePortable' ./internal/ulp430/
 	$(GO) test -count=1 -run 'TestEnginesAgreeOnBenchmarkSuite|TestReportGolden' ./peakpower/
 

@@ -101,8 +101,8 @@ func ParseEngine(s string) (Engine, error) {
 
 // Bus services memory/peripheral accesses. Tick is called once per cycle
 // after flip-flops have captured and before combinational settling; it
-// may read registered output nets with s.Val and must drive read-data
-// primary inputs with s.SetNet.
+// may read registered output nets with s.Val (or a WordPort) and must
+// drive read-data primary inputs with s.SetNet (or WordPort.Drive).
 type Bus interface {
 	Tick(s *Simulator)
 }
@@ -340,29 +340,97 @@ func (s *Simulator) Port(name string) logic.Word {
 }
 
 // PortUint reads a named port as a concrete value; ok is false if any bit
-// is X. Unlike Port, it does not allocate.
+// is X. Unlike Port, it does not allocate. It panics on a port wider
+// than 64 bits (see CompilePort).
 func (s *Simulator) PortUint(name string) (uint64, bool) {
 	nets := s.n.Port(name)
 	if nets == nil {
 		panic("gsim: unknown port " + name)
 	}
-	return s.NetsUint(nets)
+	p := CompilePort(s.n, nets)
+	return p.Uint(s)
 }
 
-// NetsUint reads nets as a concrete value (bit i from nets[i]); ok is
-// false if any bit is X. Bus models and power sinks read ports every
-// cycle through nets they looked up once, skipping PortUint's by-name
-// lookup.
-func (s *Simulator) NetsUint(nets []netlist.NetID) (uint64, bool) {
-	var v uint64
+// WordPort is a port of at most 64 nets compiled against its netlist's
+// plane layout, read and driven as one word per plane (bit i is
+// nets[i]). Bus models and power sinks compile the ports they touch
+// every cycle once. When the nets' positions are consecutive, a read is
+// one extract per plane and a drive inside a step one masked store per
+// plane; any other port goes net by net. A WordPort serves every
+// simulator of the netlist it was compiled for.
+type WordPort struct {
+	nets  []netlist.NetID
+	first int32 // nets[i] sits at plane position first+i; -1 if not consecutive
+	input bool  // every net is a primary input, so Drive may write it
+}
+
+// CompilePort compiles nets of n (bit i from nets[i]) into a WordPort.
+// It panics on more than 64 nets, which one word cannot hold.
+func CompilePort(n *netlist.Netlist, nets []netlist.NetID) WordPort {
+	if len(nets) > 64 {
+		panic(fmt.Sprintf("gsim: port of %d nets is wider than a 64-bit word", len(nets)))
+	}
+	pos := n.Packed().Pos
+	p := WordPort{nets: nets, first: -1, input: true}
+	consecutive := len(nets) > 0
 	for i, id := range nets {
-		t := s.Val(id)
-		if t == logic.X {
-			return 0, false
+		if i > 0 && pos[id] != pos[nets[i-1]]+1 {
+			consecutive = false
 		}
-		v |= uint64(t) << uint(i)
+		p.input = p.input && n.IsInput(id)
+	}
+	if consecutive {
+		p.first = pos[nets[0]]
+	}
+	return p
+}
+
+// Planes reads the port's value and known bits (bit i is nets[i]; an X
+// bit is 0 in both, as in the planes).
+func (p *WordPort) Planes(s *Simulator) (v, k uint64) {
+	if p.first >= 0 {
+		return extract(s.curV, p.first, len(p.nets)), extract(s.curK, p.first, len(p.nets))
+	}
+	for i, id := range p.nets {
+		pos := s.plan.Pos[id]
+		w, b := pos>>6, uint(pos&63)
+		v |= s.curV[w] >> b & 1 << uint(i)
+		k |= s.curK[w] >> b & 1 << uint(i)
+	}
+	return v, k
+}
+
+// Uint reads the port as a concrete value; ok is false if any bit is X.
+func (p *WordPort) Uint(s *Simulator) (uint64, bool) {
+	v, k := p.Planes(s)
+	if k != laneMask(len(p.nets)) {
+		return 0, false
 	}
 	return v, true
+}
+
+// Drive drives the port's input nets as SetNet drives each: bit i of v
+// and k is nets[i]'s value and known bit (a bit with k clear is X).
+// Outside Step every net is staged; from a Bus's Tick the port is
+// written at once, one masked store per plane when it is consecutive.
+// Drive panics on a port with a net that is not a primary input.
+func (p *WordPort) Drive(s *Simulator, v, k uint64) {
+	if !p.input {
+		panic("gsim: Drive on a port with a non-input net")
+	}
+	v &= k
+	if s.inStep && p.first >= 0 {
+		s.store(p.first, len(p.nets), v, k)
+		return
+	}
+	for i, id := range p.nets {
+		t := logic.TritFromPlane(v, k, uint(i))
+		if s.inStep {
+			s.setTrit(id, t)
+		} else {
+			s.staged = append(s.staged, stagedInput{id, t})
+		}
+	}
 }
 
 // Step advances simulation by one clock cycle.

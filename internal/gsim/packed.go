@@ -43,9 +43,12 @@ type packedSim struct {
 
 	// The flip-flop region [InputBits, end of plan.Seq) covers plane
 	// words [edgeLo, edgeLo+len(edgeMask)); edgeMask selects its bits
-	// in each, the words a cached clock edge stores.
+	// in each, the words a cached clock edge stores. Current words
+	// [0, srcHi) hold the inputs and the flip-flop region: the only
+	// positions a step writes before its memo lookup.
 	edgeLo   int
 	edgeMask []uint64
+	srcHi    int
 
 	// boundFJ caches the cycle's Algorithm 2 energy bound, computed
 	// for free during settle (which already holds every batch's
@@ -77,10 +80,11 @@ func newPackedSim(pl planes) *packedSim {
 			p.edgeMask = append(p.edgeMask, laneMask(b-a)<<uint(a-64*w))
 		}
 	}
+	p.srcHi = max(p.edgeLo+len(p.edgeMask), (lo+63)>>6)
 	return p
 }
 
-// laneMask returns the low-n-bits mask (n in 1..64).
+// laneMask returns the low-n-bits mask (n in 0..64).
 func laneMask(n int) uint64 {
 	return ^uint64(0) >> (64 - uint(n))
 }
@@ -119,9 +123,9 @@ func gather(g *netlist.GatherProgram, v, k, a []uint64, slots [][3]uint64) {
 	}
 }
 
-// store writes n result lanes (bits [0,n) of ov/ok) to plane positions
-// [pos, pos+n), read-modify-write.
-func (p *packedSim) store(pos int32, n int, ov, ok uint64) {
+// store writes n lanes (bits [0,n) of ov/ok) to the current planes at
+// positions [pos, pos+n), read-modify-write.
+func (p *planes) store(pos int32, n int, ov, ok uint64) {
 	w, b := pos>>6, uint(pos&63)
 	m := laneMask(n)
 	lm := m << b

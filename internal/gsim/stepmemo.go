@@ -18,8 +18,8 @@ import "slices"
 // that step hit or recorded. A step that starts from a chained entry
 // stores the cached edge instead of gathering and clocking the
 // flip-flops, and tries the predicted successor before it hashes. In a
-// replayed orbit every step is then one masked edge store, one
-// verification and three copies.
+// replayed orbit every step is then one masked edge store, one short
+// verification (the input and flip-flop words only) and three copies.
 //
 // Admission: a table records nothing until it has seen a revisit.
 // Before that, a miss keeps only its 64-bit plane hash in a small seen
@@ -47,20 +47,33 @@ import "slices"
 //     skipped; a hit never reads the flip-flop slots, and a miss after
 //     a replayed edge gathers them in settle, from the prevV/prevK/act
 //     the clock edge would have read.
+//   - Entries are immutable: record never rewrites a mapped entry's
+//     source or output planes. A colliding miss (same hash, different
+//     planes) records a fresh entry that replaces the map slot, within
+//     the byte budget like any other. Only edge and next change, and
+//     both describe the output planes, which never do. A link to a
+//     replaced entry therefore stays exact.
 //   - The chain invariant: chain's output planes are exactly the
 //     planes at the end of the last step. Replay and a stored record
 //     set it; every clock edge, Restore and EnableMemo clear it. Outside
-//     a step only Restore writes the planes (SetNet only stages), and
-//     the clock edge reads only prevV/prevK/act, copies of those output
-//     planes, so the cached edge is exact. It is stored under a
-//     per-word mask of the flip-flop positions, so staged inputs in a
-//     shared word survive. An entry overwritten in place drops its edge
-//     and successor, which described its old output planes.
-//   - Collisions cannot corrupt state: the full source planes are
-//     compared before a hit is taken. A predicted successor is verified
-//     the same way, and a wrong one is an ordinary miss. Admission only
-//     decides what is stored, so a collision in seen can only start
-//     recording early.
+//     a step only Restore writes the planes (SetNet and WordPort.Drive
+//     only stage), and the clock edge reads only prevV/prevK/act, copies
+//     of those output planes, so the cached edge is exact. It is stored
+//     under a per-word mask of the flip-flop positions, so staged
+//     inputs in a shared word survive.
+//   - The successor check reads only current words [0, srcHi), the
+//     input and flip-flop words. Between the end of one step and the
+//     next lookup only staged inputs and bus writes (input nets) and the
+//     clock edge (flip-flop positions) write the planes. So at lookup
+//     prevV/prevK/act and every current word at or past srcHi equal
+//     from's output planes. The successor's source holds the same
+//     values in those words: the link was made by a step that started
+//     from the same output planes, and neither entry changes after
+//     record.
+//   - Collisions cannot corrupt state: a hashed lookup compares the
+//     full source planes before a hit is taken. A wrong predicted
+//     successor is an ordinary miss. Admission only decides what is
+//     stored, so a collision in seen can only start recording early.
 const (
 	// memoBasis and memoPrime seed and step the FNV-style plane hash.
 	memoBasis = 0x9E3779B97F4A7C15
@@ -99,6 +112,8 @@ type stepEntry struct {
 	edge  []uint64 // next clock edge's curV ‖ curK flip-flop words
 	bound float64
 
+	// edge, edgeOK and next are the only fields that change after
+	// record; they describe out, which does not.
 	edgeOK bool       // edge holds the clock edge that follows out
 	next   *stepEntry // the entry the following step hit or recorded
 }
@@ -119,10 +134,9 @@ type stepTable struct {
 
 	// pending carries a miss from lookup to record across the live
 	// settle.
-	pending   bool
-	pendKey   uint64
-	pendEntry *stepEntry
-	src       []uint64 // capture scratch, 5×Words; made on first capture
+	pending bool
+	pendKey uint64
+	src     []uint64 // capture scratch, 5×Words; made on first capture
 
 	// Per-step counters drained into the Simulator's atomics.
 	stepHits, stepMisses uint64
@@ -141,16 +155,17 @@ func newStepTable(maxBytes int) *stepTable {
 
 // lookup replays a verified hit, returning true (the caller skips
 // settle). It first tries from's predicted successor, from being the
-// chained entry the step started from (nil if none); otherwise it
-// hashes the five source planes. On a miss of a recording table it
-// captures the planes and leaves them pending for record; before the
-// first revisit it only notes the hash in seen.
+// chained entry the step started from (nil if none), with the short
+// check of verifyNext; otherwise it hashes the five source planes. On a
+// miss of a recording table it captures the planes and leaves them
+// pending for record; before the first revisit it only notes the hash
+// in seen.
 func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 	st.pending = false
 	if st.disabled {
 		return false
 	}
-	if from != nil && from.next != nil && st.verify(p, from.next) {
+	if from != nil && from.next != nil && st.verifyNext(p, from.next) {
 		st.lookups++
 		st.hits++
 		st.stepHits++
@@ -171,7 +186,7 @@ func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 		st.stepMisses++
 		st.seen = nil
 		st.entries = make(map[uint64]*stepEntry)
-		st.capture(p, h, nil)
+		st.capture(p, h)
 		return false
 	}
 	e := st.entries[h]
@@ -197,14 +212,13 @@ func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 		st.seen = append(st.seen, h)
 		return false
 	}
-	st.capture(p, h, e)
+	st.capture(p, h)
 	return false
 }
 
 // capture copies the five source planes into the scratch and leaves
-// them pending for record under key h; e is the stale or colliding
-// entry to overwrite in place, or nil.
-func (st *stepTable) capture(p *packedSim, h uint64, e *stepEntry) {
+// them pending for record under key h.
+func (st *stepTable) capture(p *packedSim, h uint64) {
 	if st.src == nil {
 		st.src = make([]uint64, 0, 5*len(p.curV))
 	}
@@ -217,17 +231,25 @@ func (st *stepTable) capture(p *packedSim, h uint64, e *stepEntry) {
 	st.src = src
 	st.pending = true
 	st.pendKey = h
-	st.pendEntry = e
 }
 
 // verify compares an entry's recorded source planes against the live
-// planes — the collision-proof check a replay requires.
+// planes — the collision-proof check a hashed replay requires.
 func (st *stepTable) verify(p *packedSim, e *stepEntry) bool {
 	n := len(p.curV)
 	s := e.src
 	return sameWords(s[:n], p.curV) && sameWords(s[n:2*n], p.curK) &&
 		sameWords(s[2*n:3*n], p.prevV) && sameWords(s[3*n:4*n], p.prevK) &&
 		sameWords(s[4*n:], p.act)
+}
+
+// verifyNext is verify for the predicted successor e of the entry the
+// step started from: it compares only current words [0, srcHi). The
+// rest of e's source equals the live planes by construction (see the
+// successor check above).
+func (st *stepTable) verifyNext(p *packedSim, e *stepEntry) bool {
+	n, hi := len(p.curV), p.srcHi
+	return sameWords(e.src[:hi], p.curV) && sameWords(e.src[n:n+hi], p.curK)
 }
 
 // sameWords reports whether a and b (at least as long) hold the same
@@ -254,34 +276,27 @@ func (st *stepTable) replay(p *packedSim, e *stepEntry) {
 	p.chain = e
 }
 
-// record stores the just-computed cycle phase for the pending miss and
-// chains the simulator to it. A full table overwrites colliding entries
-// but admits no new ones.
+// record stores the just-computed cycle phase for the pending miss as
+// a fresh entry, which replaces a colliding one in its map slot, and
+// chains the simulator to it. A full table records nothing.
 func (st *stepTable) record(p *packedSim) {
 	if !st.pending {
 		return
 	}
 	st.pending = false
-	e := st.pendEntry
 	n := len(p.curV)
-	if e == nil {
-		words := len(st.src) + 3*n + 2*len(p.edgeMask)
-		if st.bytes+8*words > st.maxBytes {
-			return
-		}
-		all := make([]uint64, words)
-		e = &stepEntry{
-			src:  all[: 5*n : 5*n],
-			out:  all[5*n : 8*n : 8*n],
-			edge: all[8*n:],
-		}
-		st.bytes += 8 * words
-		st.entries[st.pendKey] = e
-	} else {
-		// The old edge and successor followed the old output planes.
-		e.edgeOK = false
-		e.next = nil
+	words := len(st.src) + 3*n + 2*len(p.edgeMask)
+	if st.bytes+8*words > st.maxBytes {
+		return
 	}
+	all := make([]uint64, words)
+	e := &stepEntry{
+		src:  all[: 5*n : 5*n],
+		out:  all[5*n : 8*n : 8*n],
+		edge: all[8*n:],
+	}
+	st.bytes += 8 * words
+	st.entries[st.pendKey] = e
 	copy(e.src, st.src)
 	copy(e.out[:n], p.curV)
 	copy(e.out[n:2*n], p.curK)

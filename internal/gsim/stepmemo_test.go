@@ -2,6 +2,7 @@ package gsim
 
 import (
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,16 +16,19 @@ import (
 // scalar oracle. Random designs run held-input orbits, where every step
 // starts from a chained entry; between chained steps the test stages a
 // one-cycle input excursion, rewinds with Restore, re-enables the memo
-// on a fresh table, or forces an in-place overwrite of an entry that
-// holds a cached edge. Planes must be word-equal and bounds equal every
-// cycle, and the runs must have replayed edges and taken successor
-// predictions.
+// on a fresh table, or plants a collision: the next step's lookup finds
+// another entry in its slot and records a fresh entry over it, while a
+// predecessor's link still names the replaced entry. The replaced entry
+// must come out of the collision unchanged, and a later step must
+// replay it through that stale link. Planes must be word-equal and
+// bounds equal every cycle, and the runs must have replayed edges,
+// taken successor predictions and replayed stale links.
 func TestStepMemoChain(t *testing.T) {
 	designs, cycles := 48, 300
 	if testing.Short() {
 		designs, cycles = 16, 200
 	}
-	var edges, nexts, excursions, restores, reenables, overwrites int
+	var edges, nexts, excursions, restores, reenables, collisions, staleReplays int
 	for d := 0; d < designs; d++ {
 		r := rand.New(rand.NewSource(int64(31_337 * (d + 1))))
 		gen := randomNetlist
@@ -49,9 +53,12 @@ func TestStepMemoChain(t *testing.T) {
 		}
 		w := make(logic.Word, len(held))
 		var snaps []*Snapshot
-		// planted is the entry this step is forced to overwrite in
-		// place, if any.
+		// planted is the entry a collision replaces this step, if any,
+		// and plantedWords a copy of its planes; stale holds the
+		// replaced entries of the current table.
 		var planted *stepEntry
+		var plantedWords []uint64
+		stale := map[*stepEntry]bool{}
 		for c := 0; c < cycles; c++ {
 			copy(w, held)
 			chained := memo.pk.chain != nil && memo.pk.chain.edgeOK
@@ -76,18 +83,29 @@ func TestStepMemoChain(t *testing.T) {
 			case k == 3 && r.Intn(8) == 0:
 				drain()
 				memo.EnableMemo(0)
+				clear(stale)
 				reenables++
 			case k == 4:
-				planted = plantOverwrite(memo.pk)
+				if planted = plantCollision(memo.pk); planted != nil {
+					plantedWords = entryWords(planted)
+				}
 			}
 			for _, s := range sims {
 				s.SetPort("in", w)
 				s.Step()
 			}
-			if planted != nil && memo.pk.chain == planted && !planted.edgeOK {
-				overwrites++
+			if planted != nil {
+				if !slices.Equal(entryWords(planted), plantedWords) {
+					t.Fatalf("design %d cycle %d: a colliding record rewrote the entry it replaced", d, c)
+				}
+				if !slices.Contains(slices.Collect(maps.Values(memo.pk.stepMemo.entries)), planted) {
+					stale[planted] = true
+					collisions++
+				}
+				planted = nil
+			} else if stale[memo.pk.chain] {
+				staleReplays++
 			}
-			planted = nil
 			compareEngines(t, n, scalar, memo, c)
 			compareEngines(t, n, packed, memo, c)
 			if pe, me := packed.BoundEnergyFJ(), memo.BoundEnergyFJ(); pe != me {
@@ -96,40 +114,51 @@ func TestStepMemoChain(t *testing.T) {
 		}
 		drain()
 	}
-	t.Logf("edge replays %d, successor hits %d, excursions %d, restores %d, re-enables %d, overwrites %d",
-		edges, nexts, excursions, restores, reenables, overwrites)
-	if edges == 0 || nexts == 0 || excursions == 0 || restores == 0 || reenables == 0 || overwrites == 0 {
+	t.Logf("edge replays %d, successor hits %d, excursions %d, restores %d, re-enables %d, collisions %d, stale replays %d",
+		edges, nexts, excursions, restores, reenables, collisions, staleReplays)
+	if edges == 0 || nexts == 0 || excursions == 0 || restores == 0 || reenables == 0 ||
+		collisions == 0 || staleReplays == 0 {
 		t.Fatal("a chained-memo path went unexercised")
 	}
 }
 
-// plantOverwrite forces the next step of p, if it follows the chain's
-// predicted successor, into an in-place overwrite: it drops the
-// prediction and files another entry, one holding a cached edge, under
-// the successor's key, so the lookup finds an entry that fails
-// verification and records over it. It returns that entry, or nil when
-// the chain offers no such pair.
-func plantOverwrite(p *packedSim) *stepEntry {
+// plantCollision sets up a colliding record on the next step of p, if
+// it would follow the chain's predicted successor S: it moves another
+// entry V, one that some entry's link names, out of its own slot into
+// S's and drops the prediction. The step's lookup then hashes to S's
+// slot, finds V, fails to verify it and records a fresh entry in its
+// place, so V is left in no slot while its predecessor still links to
+// it. It returns V, or nil when the table offers no such pair.
+func plantCollision(p *packedSim) *stepEntry {
 	from := p.chain
 	if from == nil || from.next == nil {
 		return nil
 	}
 	st := p.stepMemo
+	linked := map[*stepEntry]bool{}
+	for _, e := range st.entries {
+		linked[e.next] = true
+	}
 	// Walk the keys in order: the choice must not depend on map order.
-	keys := slices.Sorted(maps.Keys(st.entries))
-	var key uint64
+	var sKey, vKey uint64
 	var victim *stepEntry
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(st.entries)) {
 		if e := st.entries[k]; e == from.next {
-			key = k
-		} else if victim == nil && e.edgeOK && e.next != nil {
-			victim = e
+			sKey = k
+		} else if victim == nil && linked[e] {
+			vKey, victim = k, e
 		}
 	}
-	if victim == nil {
+	if victim == nil || st.entries[sKey] != from.next {
 		return nil
 	}
-	st.entries[key] = victim
+	delete(st.entries, vKey)
+	st.entries[sKey] = victim
 	from.next = nil
 	return victim
+}
+
+// entryWords copies an entry's recorded planes and bound.
+func entryWords(e *stepEntry) []uint64 {
+	return append(slices.Clone(e.src), append(slices.Clone(e.out), math.Float64bits(e.bound))...)
 }

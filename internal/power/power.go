@@ -30,6 +30,8 @@
 package power
 
 import (
+	"math/bits"
+
 	"repro/internal/cell"
 	"repro/internal/gsim"
 	"repro/internal/isa"
@@ -193,15 +195,17 @@ type Sink struct {
 	splitVisit func(netlist.CellID)
 	curSim     *gsim.Simulator
 
-	stateNets []netlist.NetID
-	mabNets   []netlist.NetID
-	lastState string
-	lastStIdx int
+	// state and mab are the one-hot controller state and the memory
+	// address ports; lastStIdx is the cycle's state index, -1 if none.
+	state, mab gsim.WordPort
+	lastStIdx  int
 
 	// isrDepth tracks interrupt nesting along the current path, parallel
 	// to Trace (rewound with it); curISR flags the cycle being recorded.
+	// inFetch is set when the cycle's StFetch state bit is known 1.
 	isrDepth []int8
 	curISR   bool
+	inFetch  bool
 
 	// Task protocol (symx.WorkerSink): Trace/fetches/isrDepth are
 	// task-local (positions stay absolute via base), the path context at
@@ -261,8 +265,8 @@ func NewSink(sys *ulp430.System, model Model, img *isa.Image, k int) *Sink {
 		actAccum:     sys.Sim.NewActiveAccumulator(),
 		topkStream:   make(map[uint16]int),
 		clkModFJ:     make([]float64, len(nl.Modules())),
-		stateNets:    nl.Port("state"),
-		mabNets:      nl.Port("mab"),
+		state:        gsim.CompilePort(nl, nl.Port("state")),
+		mab:          gsim.CompilePort(nl, nl.Port("mab")),
 	}
 	for ci := 0; ci < nl.NumCells(); ci++ {
 		s.clkModFJ[nl.ModuleIndex(netlist.CellID(ci))] += model.Lib.Params(nl.Cell(netlist.CellID(ci)).Kind).EnergyClk
@@ -299,8 +303,8 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	if n := len(s.fetches); n > 0 {
 		fc = s.fetches[n-1]
 	}
-	if sim.Val(s.stateNets[ulp430.StFetch]) == logic.H {
-		if a, ok := sim.NetsUint(s.mabNets); ok {
+	if s.inFetch {
+		if a, ok := s.mab.Uint(sim); ok {
 			fc.prev = fc.fetch
 			fc.fetch = uint16(a)
 		}
@@ -396,20 +400,24 @@ func (s *Sink) makePeak(p float64, pos int, fc fetchCtx, withCells bool, sim *gs
 	return pk
 }
 
-func (s *Sink) stateName() string { return s.lastState }
-
-// refreshState derives the controller state name from the one-hot state
-// port; called once per OnCycle before peaks are recorded.
-func (s *Sink) refreshState(sim *gsim.Simulator) {
-	for i, id := range s.stateNets {
-		if sim.Val(id) == logic.H {
-			s.lastState = ulp430.StateName(i)
-			s.lastStIdx = i
-			return
-		}
+func (s *Sink) stateName() string {
+	if s.lastStIdx < 0 {
+		return "?"
 	}
-	s.lastState = "?"
+	return ulp430.StateName(s.lastStIdx)
+}
+
+// refreshState derives the controller state from the one-hot state
+// port, read as one word: the lowest bit that is known and 1. Called
+// once per OnCycle before peaks are recorded.
+func (s *Sink) refreshState(sim *gsim.Simulator) {
+	v, k := s.state.Planes(sim)
+	hot := v & k
+	s.inFetch = hot>>ulp430.StFetch&1 == 1
 	s.lastStIdx = -1
+	if hot != 0 {
+		s.lastStIdx = bits.TrailingZeros64(hot)
+	}
 }
 
 // insertTopK is the top-k insertion step, shared verbatim by the scope

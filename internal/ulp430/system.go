@@ -24,17 +24,11 @@ var allXWord = memWord{0, 0xFFFF}
 // memWords is the memory size in words (the full 64 KB address space).
 const memWords = 1 << 15
 
-func wordFromLogic(w logic.Word) memWord {
-	var m memWord
-	for i, t := range w {
-		switch t {
-		case logic.H:
-			m.val |= 1 << uint(i)
-		case logic.X:
-			m.xmask |= 1 << uint(i)
-		}
-	}
-	return m
+// readWord reads a 16-bit port as a memory word: the port's known
+// plane is the complement of xmask.
+func readWord(sim *gsim.Simulator, p *gsim.WordPort) memWord {
+	v, k := p.Planes(sim)
+	return memWord{val: uint16(v), xmask: ^uint16(k)}
 }
 
 func (m memWord) toLogic(dst logic.Word) {
@@ -90,9 +84,8 @@ type System struct {
 	// (EnableInterrupts); nil leaves the device address space unmapped.
 	bus *periph.Bus
 
-	// Cached port nets.
-	mabNets, mdbInNets, mdbOutNets  []netlist.NetID
-	pcNets                          []netlist.NetID
+	// Ports compiled once, and single nets looked up once.
+	mab, mdbIn, mdbOut, pc          gsim.WordPort
 	menNet, mwrNet, rstNet, haltNet netlist.NetID
 	jumpExecNet, jumpTakenNet       netlist.NetID
 	brForceEnNet, brForceValNet     netlist.NetID
@@ -101,7 +94,6 @@ type System struct {
 	lastDin                         memWord
 	lastLine                        logic.Trit // value currently driven on the irq net
 	irqForce                        uint8      // one-shot Line override for the next Step
-	scratch                         logic.Word
 }
 
 // irqForce values: no override / force "not arrived" / force "arrived".
@@ -136,20 +128,19 @@ func NewSystemEngine(engine gsim.Engine, n *netlist.Netlist, lib *cell.Library, 
 		}
 	}
 	s := &System{
-		img:     img,
-		mode:    mode,
-		inputs:  append([]uint16(nil), inputs...),
-		mem:     make([]memWord, memWords),
-		scratch: make(logic.Word, 16),
+		img:    img,
+		mode:   mode,
+		inputs: append([]uint16(nil), inputs...),
+		mem:    make([]memWord, memWords),
 	}
 	if err := s.load(s.mem); err != nil {
 		return nil, err
 	}
 	s.Sim = gsim.NewEngine(n, lib, s, engine)
-	s.mabNets = n.Port("mab")
-	s.pcNets = n.Port("pc")
-	s.mdbInNets = n.Port("mdb_in")
-	s.mdbOutNets = n.Port("mdb_out")
+	s.mab = gsim.CompilePort(n, n.Port("mab"))
+	s.pc = gsim.CompilePort(n, n.Port("pc"))
+	s.mdbIn = gsim.CompilePort(n, n.Port("mdb_in"))
+	s.mdbOut = gsim.CompilePort(n, n.Port("mdb_out"))
 	s.menNet = n.Port("men")[0]
 	s.mwrNet = n.Port("mwr")[0]
 	s.rstNet = n.Port("rst")[0]
@@ -326,7 +317,7 @@ func (s *System) ClearForce() {
 // PC returns the architectural program counter; ok is false if any bit is
 // X.
 func (s *System) PC() (uint16, bool) {
-	v, ok := s.Sim.NetsUint(s.pcNets)
+	v, ok := s.pc.Uint(s.Sim)
 	return uint16(v), ok
 }
 
@@ -356,8 +347,9 @@ func (s *System) MemWord(addr uint16) logic.Word {
 }
 
 // Tick implements gsim.Bus: it services the registered memory access of
-// the cycle in flight. It is per-cycle hot and must not allocate: port
-// reads go through NetsUint and the reusable scratch word.
+// the cycle in flight. It is per-cycle hot and must not allocate: the
+// address and data ports are compiled WordPorts, read and driven as
+// plane words.
 func (s *System) Tick(sim *gsim.Simulator) {
 	if s.bus != nil {
 		s.bus.Tick(sim.Cycle())
@@ -366,7 +358,7 @@ func (s *System) Tick(sim *gsim.Simulator) {
 		return // no access: hold mdb_in to minimize bus toggling
 	}
 	wr := sim.Val(s.mwrNet)
-	addr64, addrKnown := sim.NetsUint(s.mabNets)
+	addr64, addrKnown := s.mab.Uint(sim)
 	addr := uint16(addr64)
 
 	if wr == logic.H {
@@ -378,10 +370,7 @@ func (s *System) Tick(sim *gsim.Simulator) {
 			return // handled by gate-level peripheral logic
 		}
 		if s.bus != nil && s.bus.Claims(addr) {
-			for i, id := range s.mdbOutNets {
-				s.scratch[i] = sim.Val(id)
-			}
-			data := wordFromLogic(s.scratch)
+			data := readWord(sim, &s.mdbOut)
 			if data.xmask != 0 {
 				s.setErr("ulp430: store of unknown (X) data to device register %#04x at cycle %d — device configuration must be input-independent", addr, sim.Cycle())
 				return
@@ -399,10 +388,7 @@ func (s *System) Tick(sim *gsim.Simulator) {
 			s.setErr("ulp430: store to non-RAM address %#04x at cycle %d", addr, sim.Cycle())
 			return
 		}
-		for i, id := range s.mdbOutNets {
-			s.scratch[i] = sim.Val(id)
-		}
-		data := wordFromLogic(s.scratch)
+		data := readWord(sim, &s.mdbOut)
 		idx := int32(addr / 2)
 		s.journal = append(s.journal, journalEntry{idx: idx, old: s.mem[idx]})
 		s.mem[idx] = data
@@ -458,10 +444,7 @@ func (s *System) Tick(sim *gsim.Simulator) {
 	}
 	if out != s.lastDin {
 		s.lastDin = out
-		out.toLogic(s.scratch)
-		for i, id := range s.mdbInNets {
-			sim.SetNet(id, s.scratch[i])
-		}
+		s.mdbIn.Drive(sim, uint64(out.val), uint64(^out.xmask))
 	}
 }
 

@@ -506,7 +506,15 @@ main:
 func TestMemWordAndLogicRoundTrip(t *testing.T) {
 	w := logic.Word{logic.H, logic.L, logic.X, logic.H, logic.L, logic.L, logic.X, logic.H,
 		logic.L, logic.H, logic.L, logic.H, logic.X, logic.L, logic.H, logic.L}
-	m := wordFromLogic(w)
+	var m memWord
+	for i, t := range w {
+		switch t {
+		case logic.H:
+			m.val |= 1 << uint(i)
+		case logic.X:
+			m.xmask |= 1 << uint(i)
+		}
+	}
 	back := make(logic.Word, 16)
 	m.toLogic(back)
 	if !w.Equal(back) {
