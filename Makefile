@@ -61,10 +61,16 @@ determinism:
 # admission rule (nothing recorded before a revisit), its chain (cached
 # clock edges and predicted successors across staged inputs, restores,
 # and colliding records that leave a stale link) and every replayed cycle, on random designs and on the
-# ULP430 with interrupts, against the scalar engine.
+# ULP430 with interrupts, against the scalar engine; the one-cycle rewind
+# against Restore of a full snapshot (planes, activity, bound, staged
+# inputs, cycle and memo chain, on both engines, and on the ULP430 with
+# interrupts and memory writes) and its refusal rule. The power half
+# checks the union stamp: per-task activity lists and the union equal
+# with the memo on and off.
 memo-guard:
 	$(GO) test -count=1 -run 'TestMemo|TestCacheKeyIgnoresMemo' ./peakpower/
-	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists|TestEnginesAgreeOnInterruptRuns' ./internal/gsim/
+	$(GO) test -count=1 -run 'TestStepMemo|TestEnginesAgreeOnRandomNetlists|TestEnginesAgreeOnInterruptRuns|TestRewind' ./internal/gsim/
+	$(GO) test -count=1 -run 'TestActiveUnionMemoStamp' ./internal/power/
 
 # Gather/layout guard: the packed plan's gather programs decoded back
 # to every lane's source position, the packed engine against the scalar

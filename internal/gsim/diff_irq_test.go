@@ -286,3 +286,109 @@ func stateKey(s *ulp430.System) [2]uint64 {
 	lo, hi := s.StateKey()
 	return [2]uint64{lo, hi}
 }
+
+// TestRewindEqualsRestoreOnInterruptRuns is TestRewindEqualsRestore on
+// the ULP430 with interrupts, on both engines and with the step memo on
+// the packed one: two systems run the random interrupt schedules of
+// TestEnginesAgreeOnInterruptRuns in lockstep, one marking before every
+// cycle and the other taking a snapshot, and a random share of cycles is
+// rewound and re-stepped up to twice, with Rewind on one and Restore on
+// the other. Some rewinds follow a ForceIRQ that the rewind must drop.
+// After every step and rewind the systems' full portable states
+// (planes, staged inputs, cycle, memory, bus registers, read-data latch,
+// IRQ line, error) must encode to the same bytes, with the same active
+// cells, energy bound and memo counters. The rewound cycles must include
+// memory writes.
+func TestRewindEqualsRestoreOnInterruptRuns(t *testing.T) {
+	runs := 6
+	if testing.Short() {
+		runs = 2
+	}
+	var rewinds, writes int
+	for d := 0; d < runs; d++ {
+		r := rand.New(rand.NewSource(int64(4_243 * (d + 1))))
+		minLat := 1 + r.Intn(20)
+		cfg := periph.Config{
+			MinLatency:      minLat,
+			MaxLatency:      minLat + r.Intn(12),
+			ConcreteLatency: minLat + r.Intn(12),
+		}
+		img, err := isa.Assemble("irqrewind", concreteIRQProg(5+r.Intn(40), r.Intn(2) == 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []gsim.Engine{gsim.EnginePacked, gsim.EngineScalar} {
+			newSys := func() *ulp430.System {
+				sys, err := ulp430.NewSystemEngine(e, irqCPU(t), cell.ULP65(), img, ulp430.ConcreteInputs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.EnableInterrupts(cfg)
+				sys.Sim.EnableMemo(0)
+				sys.Reset()
+				return sys
+			}
+			rw, rs := newSys(), newSys()
+			mwr := gsim.CompilePort(irqCPU(t), irqCPU(t).Port("mwr"))
+			var sn ulp430.SysSnapshot
+			for c := 0; c < 3000 && !rs.Halted(); c++ {
+				rw.Mark()
+				rs.SnapshotInto(&sn)
+				for forks := 0; ; forks++ {
+					rw.Step()
+					rs.Step()
+					sameSystem(t, rw, rs, d, c, "step")
+					if forks == 2 || r.Intn(3) != 0 {
+						break
+					}
+					if v, _ := mwr.Uint(rw.Sim); v == 1 {
+						writes++
+					}
+					if r.Intn(2) == 0 {
+						rw.ForceIRQ(true)
+						rs.ForceIRQ(true)
+					}
+					if err := rw.Rewind(); err != nil {
+						t.Fatalf("run %d %v cycle %d: %v", d, e, c, err)
+					}
+					rs.Restore(&sn)
+					sameSystem(t, rw, rs, d, c, "rewind")
+					rewinds++
+				}
+			}
+			if !rw.Halted() {
+				t.Fatalf("run %d: %v engine did not halt", d, e)
+			}
+		}
+	}
+	t.Logf("rewinds %d, of a cycle that wrote memory %d", rewinds, writes)
+	if writes == 0 {
+		t.Fatal("no rewound cycle wrote memory")
+	}
+}
+
+// sameSystem fails the test unless the rewound system rw and the
+// restored system rs hold the same state.
+func sameSystem(t *testing.T, rw, rs *ulp430.System, run, cycle int, after string) {
+	t.Helper()
+	if err := rs.Err(); err != nil {
+		t.Fatalf("run %d cycle %d: %v", run, cycle, err)
+	}
+	var a, b ulp430.PortableState
+	rw.CapturePortable(&a)
+	rs.CapturePortable(&b)
+	if !slices.Equal(ulp430.EncodePortable(&a), ulp430.EncodePortable(&b)) {
+		t.Fatalf("run %d %v cycle %d after %s: system state differs from the restored system's",
+			run, rw.Sim.Engine(), cycle, after)
+	}
+	if !slices.Equal(rw.Sim.ActiveCells(nil), rs.Sim.ActiveCells(nil)) ||
+		rw.Sim.BoundEnergyFJ() != rs.Sim.BoundEnergyFJ() {
+		t.Fatalf("run %d %v cycle %d after %s: activity or bound differs from the restored system's",
+			run, rw.Sim.Engine(), cycle, after)
+	}
+	h1, m1 := rw.Sim.MemoStats()
+	h2, m2 := rs.Sim.MemoStats()
+	if h1 != h2 || m1 != m2 {
+		t.Fatalf("run %d cycle %d after %s: memo %d/%d, restored %d/%d", run, cycle, after, h1, m1, h2, m2)
+	}
+}

@@ -21,6 +21,11 @@
 // also replayed, from the flip-flop words the chained entry cached the
 // first time it was followed (stepmemo.go).
 //
+// Step latches by rotating plane buffers rather than copying them, so
+// the planes a Step started from survive it: Mark and Rewind return to
+// the state before the last Step without a snapshot, exactly as Restore
+// of one would.
+//
 // Activity follows the paper's definition: a gate is active in a cycle if
 // its output value changed, or if its output is X and it is driven by an
 // active gate (Section 3.1).
@@ -101,8 +106,10 @@ func ParseEngine(s string) (Engine, error) {
 
 // Bus services memory/peripheral accesses. Tick is called once per cycle
 // after flip-flops have captured and before combinational settling; it
-// may read registered output nets with s.Val (or a WordPort) and must
-// drive read-data primary inputs with s.SetNet (or WordPort.Drive).
+// may read flip-flop outputs (registered outputs) and primary inputs
+// with s.Val (or a WordPort) and must drive read-data primary inputs
+// with s.SetNet (or WordPort.Drive). Every other net holds a stale
+// value until settle writes it (see planes), so Tick must not read one.
 type Bus interface {
 	Tick(s *Simulator)
 }
@@ -136,6 +143,13 @@ type Simulator struct {
 
 	cycle uint64
 	hooks []CycleHook
+
+	// The state Mark set, for Rewind: the staged inputs and cycle count
+	// (the planes survive one Step in prevV/prevK and oldV/oldK).
+	// marked is cleared by Restore.
+	marked     bool
+	markStaged []stagedInput
+	markCycle  uint64
 
 	// Memoization hit/miss totals, atomic so a progress reporter can
 	// read them while another goroutine steps the simulator.
@@ -216,23 +230,67 @@ func (s *Simulator) AddHook(h CycleHook) { s.hooks = append(s.hooks, h) }
 // the current and previous cycle (canonical v&^k == 0; all-zero planes
 // are the all-X initial condition) and the activity plane, one bit per
 // net at the position the netlist's PackedPlan assigns it.
+//
+// The latch rotates three value/known buffer pairs: the current planes
+// become the previous ones, the previous ones the spare pair old, and
+// the old pair is reused as the current one. Only the current words
+// [0, srcHi), the primary inputs and the flip-flop region, are copied
+// over: a step writes every later position (each gate's output) before
+// it reads it, and the inputs carry over unless restaged. So within a
+// step, before settle, the current words at or past srcHi are stale and
+// nothing may read them; the previous planes hold their values. After
+// a Step the old pair holds the previous planes the Step started from,
+// which is what makes Rewind a rotation back.
 type planes struct {
 	plan *netlist.PackedPlan
 
 	curV, curK   []uint64 // settled values of the current cycle
 	prevV, prevK []uint64 // settled values of the previous cycle
+	oldV, oldK   []uint64 // prevV/prevK before the last Step
 	act          []uint64 // activity flags, one bit per net position
+
+	// srcHi is the number of leading plane words holding the inputs and
+	// the flip-flop region [InputBits, end of plan.Seq): the only words
+	// a step writes before settle.
+	srcHi int
 }
 
 func newPlanes(plan *netlist.PackedPlan) planes {
 	nw := plan.Words
+	end := plan.InputBits
+	if seq := plan.Seq; len(seq) > 0 {
+		last := &seq[len(seq)-1]
+		end = int(last.FirstPos) + len(last.Cells)
+	}
 	return planes{
 		plan:  plan,
 		curV:  make([]uint64, nw),
 		curK:  make([]uint64, nw),
 		prevV: make([]uint64, nw),
 		prevK: make([]uint64, nw),
+		oldV:  make([]uint64, nw),
+		oldK:  make([]uint64, nw),
 		act:   make([]uint64, nw),
+		srcHi: (end + 63) >> 6,
+	}
+}
+
+// latch rotates the planes for a new cycle: the current planes become
+// the previous ones, and the current words [0, srcHi) start as a copy
+// of them.
+func (s *Simulator) latch() {
+	s.curV, s.prevV, s.oldV = s.oldV, s.curV, s.prevV
+	s.curK, s.prevK, s.oldK = s.oldK, s.curK, s.prevK
+	copy(s.curV[:s.srcHi], s.prevV)
+	copy(s.curK[:s.srcHi], s.prevK)
+	s.syncPlanes()
+}
+
+// syncPlanes refreshes the packed engine's aliasing copy of the planes
+// after a rotation.
+func (s *Simulator) syncPlanes() {
+	if s.pk != nil {
+		s.pk.planes = s.planes
 	}
 }
 
@@ -433,10 +491,11 @@ func (p *WordPort) Drive(s *Simulator, v, k uint64) {
 	}
 }
 
-// Step advances simulation by one clock cycle.
+// Step advances simulation by one clock cycle. The latch rotates the
+// plane buffers (see planes), so the planes the Step started from
+// survive until the next Step (see Rewind).
 func (s *Simulator) Step() {
-	copy(s.prevV, s.curV)
-	copy(s.prevK, s.curK)
+	s.latch()
 	s.inStep = true
 
 	// 0. Staged input assignments become the new cycle's input values.
@@ -486,8 +545,8 @@ func (s *Simulator) Snapshot() *Snapshot {
 }
 
 // SnapshotInto captures the current state into sn, reusing its buffers —
-// the allocation-free form used by the symbolic engine's per-cycle
-// rolling snapshot.
+// the allocation-free form behind the symbolic engine's pooled fork
+// snapshots.
 func (s *Simulator) SnapshotInto(sn *Snapshot) {
 	sn.PlaneV = append(sn.PlaneV[:0], s.curV...)
 	sn.PlaneK = append(sn.PlaneK[:0], s.curK...)
@@ -507,13 +566,6 @@ func (sn *Snapshot) CloneInto(dst *Snapshot) {
 	dst.PrevPlaneK = append(dst.PrevPlaneK[:0], sn.PrevPlaneK...)
 	dst.Staged = append(dst.Staged[:0], sn.Staged...)
 	dst.Cycle = sn.Cycle
-}
-
-// Clone returns an independent deep copy of sn.
-func (sn *Snapshot) Clone() *Snapshot {
-	c := &Snapshot{}
-	sn.CloneInto(c)
-	return c
 }
 
 // StagedInputRec is the exported form of one staged input assignment.
@@ -555,6 +607,42 @@ func (s *Simulator) Restore(sn *Snapshot) {
 	}
 	s.staged = append(s.staged[:0], sn.Staged...)
 	s.cycle = sn.Cycle
+	s.marked = false
+}
+
+// Mark records the current state as the one Rewind returns to: the
+// one-cycle rewind of the symbolic engine, taken before every cycle
+// instead of a snapshot. Only the staged inputs and the cycle count are
+// copied; the planes survive one Step in the latch's buffers.
+func (s *Simulator) Mark() {
+	s.marked = true
+	s.markStaged = append(s.markStaged[:0], s.staged...)
+	s.markCycle = s.cycle
+}
+
+// Rewind returns the simulator to the state Mark recorded, exactly as
+// Restore of a snapshot taken at the mark would: the planes, cleared
+// activity flags (BoundEnergyFJ recomputes), the staged inputs and the
+// cycle count. It rotates the plane buffers back, copying none: the
+// previous planes become the current ones again and the old pair the
+// previous ones. The mark stays set, so the same cycle may be stepped
+// and rewound again. Rewind refuses, changing nothing, unless exactly
+// one Step has run since the mark and no Restore since.
+func (s *Simulator) Rewind() error {
+	if !s.marked || s.cycle != s.markCycle+1 {
+		return fmt.Errorf("gsim: Rewind at cycle %d needs exactly one Step since Mark", s.cycle)
+	}
+	s.curV, s.prevV, s.oldV = s.prevV, s.oldV, s.curV
+	s.curK, s.prevK, s.oldK = s.prevK, s.oldK, s.curK
+	s.syncPlanes()
+	clear(s.act)
+	if s.pk != nil {
+		s.pk.boundValid = false
+		s.pk.chain = nil
+	}
+	s.staged = append(s.staged[:0], s.markStaged...)
+	s.cycle = s.markCycle
+	return nil
 }
 
 // CheckSnapshot reports whether sn fits the simulator: four planes of
@@ -600,13 +688,41 @@ func (s *Simulator) ActiveCells(dst []netlist.CellID) []netlist.CellID {
 // off the all-cells path. Cells come in ascending plane position on
 // either engine, so order-sensitive consumers (the power sink's
 // per-module float accumulation) are engine-independent.
-func (s *Simulator) ForEachActiveCell(f func(netlist.CellID)) { s.ForEachAccumulated(s.act, f) }
+func (s *Simulator) ForEachActiveCell(f func(netlist.CellID)) { s.forEachSet(s.act, f) }
 
-// ForEachAccumulated calls f for every cell set in acc, an accumulator
-// filled by AccumulateNewActive, in ascending plane position.
-func (s *Simulator) ForEachAccumulated(acc []uint64, f func(netlist.CellID)) {
+// ActiveAccumulator is a running union of activity planes, filled by
+// AccumulateNewActive. Its epoch names its contents: every accumulator
+// and every Reset gets an epoch no other has had, and a step-memo entry
+// records the last epoch its activity was folded into, so a replayed
+// cycle whose activity the accumulator already holds is skipped without
+// touching a word. The zero value is empty and belongs to no simulator;
+// Reset keeps it so.
+type ActiveAccumulator struct {
+	words []uint64
+	epoch uint64
+}
+
+// accEpochs issues accumulator epochs; 0 is never issued, so an entry
+// that was never folded matches no accumulator.
+var accEpochs atomic.Uint64
+
+// Reset empties the accumulator and starts a new epoch.
+func (a *ActiveAccumulator) Reset() {
+	clear(a.words)
+	a.epoch = accEpochs.Add(1)
+}
+
+// ForEachAccumulated calls f for every cell set in acc, in ascending
+// plane position.
+func (s *Simulator) ForEachAccumulated(acc *ActiveAccumulator, f func(netlist.CellID)) {
+	s.forEachSet(acc.words, f)
+}
+
+// forEachSet calls f for every cell whose bit is set in plane, in
+// ascending plane position.
+func (s *Simulator) forEachSet(plane []uint64, f func(netlist.CellID)) {
 	cells := s.plan.CellOfPos
-	for w, a := range acc {
+	for w, a := range plane {
 		base := w * 64
 		for a != 0 {
 			bit := bits.TrailingZeros64(a)
@@ -618,25 +734,34 @@ func (s *Simulator) ForEachAccumulated(acc []uint64, f func(netlist.CellID)) {
 	}
 }
 
-// NewActiveAccumulator returns a zeroed union-activity accumulator for
+// NewActiveAccumulator returns an empty union-activity accumulator for
 // use with AccumulateNewActive. Treat it as opaque and per-Simulator.
-func (s *Simulator) NewActiveAccumulator() []uint64 {
-	return make([]uint64, len(s.act))
+func (s *Simulator) NewActiveAccumulator() ActiveAccumulator {
+	return ActiveAccumulator{words: make([]uint64, len(s.act)), epoch: accEpochs.Add(1)}
 }
 
 // AccumulateNewActive ORs this cycle's activity into acc and calls f
 // exactly once per cell the first cycle it turns active — the running
 // "potentially toggled" union of the paper's Figures 1.5/3.4. The OR is
 // word-parallel and per-cell work happens only on first activation, so
-// a whole run costs O(distinct active cells) beyond the word ops.
-func (s *Simulator) AccumulateNewActive(acc []uint64, f func(netlist.CellID)) {
+// a whole run costs O(distinct active cells) beyond the word ops. A
+// cycle replayed from a step-memo entry already folded into acc in its
+// current epoch returns at once: the OR would change nothing.
+func (s *Simulator) AccumulateNewActive(acc *ActiveAccumulator, f func(netlist.CellID)) {
+	var e *stepEntry
+	if s.pk != nil {
+		if e = s.pk.chain; e != nil && e.folded == acc.epoch {
+			return
+		}
+	}
 	cells := s.plan.CellOfPos
+	words := acc.words
 	for w, a := range s.act {
-		fresh := a &^ acc[w]
+		fresh := a &^ words[w]
 		if fresh == 0 {
 			continue
 		}
-		acc[w] |= a
+		words[w] |= a
 		base := w * 64
 		for fresh != 0 {
 			bit := bits.TrailingZeros64(fresh)
@@ -645,6 +770,9 @@ func (s *Simulator) AccumulateNewActive(acc []uint64, f func(netlist.CellID)) {
 				f(ci)
 			}
 		}
+	}
+	if e != nil {
+		e.folded = acc.epoch
 	}
 }
 

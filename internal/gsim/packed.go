@@ -37,23 +37,20 @@ type packedSim struct {
 	// stepMemo, when non-nil, replays whole settle+activity phases for
 	// revisited states (see stepmemo.go). chain is the entry whose
 	// output planes are the state at the end of the last step, or nil;
-	// every clock edge, Restore and EnableMemo clear it.
+	// every clock edge, Restore, Rewind and EnableMemo clear it.
 	stepMemo *stepTable
 	chain    *stepEntry
 
 	// The flip-flop region [InputBits, end of plan.Seq) covers plane
 	// words [edgeLo, edgeLo+len(edgeMask)); edgeMask selects its bits
-	// in each, the words a cached clock edge stores. Current words
-	// [0, srcHi) hold the inputs and the flip-flop region: the only
-	// positions a step writes before its memo lookup.
+	// in each, the words a cached clock edge stores.
 	edgeLo   int
 	edgeMask []uint64
-	srcHi    int
 
 	// boundFJ caches the cycle's Algorithm 2 energy bound, computed
 	// for free during settle (which already holds every batch's
 	// extracted planes and fresh activity word). boundValid is cleared
-	// by Restore; BoundEnergyFJ then recomputes on demand.
+	// by Restore and Rewind; BoundEnergyFJ then recomputes on demand.
 	boundFJ    float64
 	boundValid bool
 }
@@ -80,7 +77,6 @@ func newPackedSim(pl planes) *packedSim {
 			p.edgeMask = append(p.edgeMask, laneMask(b-a)<<uint(a-64*w))
 		}
 	}
-	p.srcHi = max(p.edgeLo+len(p.edgeMask), (lo+63)>>6)
 	return p
 }
 
@@ -396,7 +392,7 @@ func chunkBoundFJ(pv, pk, cv, ck, actW, m uint64, rise, fall, maxE float64) floa
 // package power. Settle computes the same sum for free each
 // Step (it already holds every word), so this usually
 // returns the cached value; the standalone walk below serves a
-// simulator whose activity flags were cleared by Restore.
+// simulator whose activity flags were cleared by Restore or Rewind.
 func (p *packedSim) boundEnergyFJ(s *Simulator) float64 {
 	if p.boundValid {
 		return p.boundFJ

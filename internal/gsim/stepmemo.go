@@ -6,9 +6,9 @@ import "slices"
 // processor states: a wait loop polling a symbolic input, a search loop
 // whose live registers cycle through a short orbit. The step table keys
 // the entire post-capture phase of a cycle — settle: combinational
-// evaluation, activity and the energy bound — on one hash of the five
-// planes that determine it, and replays the final planes, activity
-// flags and energy bound in three plain copies.
+// evaluation, activity and the energy bound — on one hash of the plane
+// words that determine it, and replays the final planes, activity flags
+// and energy bound in three plain copies.
 //
 // Chaining: the simulator remembers the entry whose output planes are
 // its state at the end of the last step (packedSim.chain), and every
@@ -37,9 +37,11 @@ import "slices"
 //     the cycle has already landed in the planes: staged inputs and bus
 //     writes are in curV/curK, the clock edge has captured, and settle
 //     reads only curV/curK/prevV/prevK plus the previous cycle's flags
-//     (act, and the flip-flop slots gathered from prevV/prevK/act). The
-//     phase's output state is therefore a pure function of (curV, curK,
-//     prevV, prevK, act).
+//     (act, and the flip-flop slots gathered from prevV/prevK/act). It
+//     reads a current word at or past srcHi only after writing it (the
+//     latch left those words stale; see planes). The phase's output
+//     state is therefore a pure function of the source: curV and curK
+//     words [0, srcHi), prevV, prevK and act.
 //   - Replay writes only what a later reader sees: the final current
 //     planes, the activity flags and the cached energy bound (the very
 //     float64 the live pass produced for these planes). The
@@ -50,28 +52,32 @@ import "slices"
 //   - Entries are immutable: record never rewrites a mapped entry's
 //     source or output planes. A colliding miss (same hash, different
 //     planes) records a fresh entry that replaces the map slot, within
-//     the byte budget like any other. Only edge and next change, and
-//     both describe the output planes, which never do. A link to a
-//     replaced entry therefore stays exact.
+//     the byte budget like any other. Only edge, next and folded
+//     change, and all three describe the output planes, which never
+//     do. A link to a replaced entry therefore stays exact.
 //   - The chain invariant: chain's output planes are exactly the
 //     planes at the end of the last step. Replay and a stored record
-//     set it; every clock edge, Restore and EnableMemo clear it. Outside
-//     a step only Restore writes the planes (SetNet and WordPort.Drive
-//     only stage), and the clock edge reads only prevV/prevK/act, copies
-//     of those output planes, so the cached edge is exact. It is stored
-//     under a per-word mask of the flip-flop positions, so staged
-//     inputs in a shared word survive.
-//   - The successor check reads only current words [0, srcHi), the
+//     set it; every clock edge, Restore, Rewind and EnableMemo clear it.
+//     Outside a step only Restore and Rewind write the planes (SetNet
+//     and WordPort.Drive only stage), and the clock edge reads only
+//     prevV/prevK/act, copies of those output planes, so the cached
+//     edge is exact. It is stored under a per-word mask of the
+//     flip-flop positions, so staged inputs in a shared word survive.
+//   - The successor check reads only the source's current words, the
 //     input and flip-flop words. Between the end of one step and the
-//     next lookup only staged inputs and bus writes (input nets) and the
-//     clock edge (flip-flop positions) write the planes. So at lookup
-//     prevV/prevK/act and every current word at or past srcHi equal
-//     from's output planes. The successor's source holds the same
-//     values in those words: the link was made by a step that started
-//     from the same output planes, and neither entry changes after
-//     record.
+//     next lookup only the latch, staged inputs and bus writes (input
+//     nets) and the clock edge (flip-flop positions) write the planes.
+//     So at lookup prevV/prevK/act equal from's output planes (the
+//     latch rotated them into place). The successor's source holds the
+//     same values in those planes: the link was made by a step that
+//     started from the same output planes, and neither entry changes
+//     after record.
+//   - The union stamp (folded) only lets AccumulateNewActive skip an
+//     OR that would change nothing: chain is set exactly when the live
+//     activity plane is the entry's output, and an accumulator only
+//     grows within one epoch.
 //   - Collisions cannot corrupt state: a hashed lookup compares the
-//     full source planes before a hit is taken. A wrong predicted
+//     whole source before a hit is taken. A wrong predicted
 //     successor is an ordinary miss. Admission only decides what is
 //     stored, so a collision in seen can only start recording early.
 const (
@@ -95,27 +101,28 @@ const (
 	stepProbationHits    = 8
 
 	// defaultStepMemoBytes bounds one simulator's step table. Entries
-	// are large (eight plane-sized arrays plus the flip-flop words of
-	// the next clock edge); when full, existing entries still serve
-	// hits.
+	// are large (six plane-sized arrays plus the input and flip-flop
+	// words of the source and of the next clock edge); when full,
+	// existing entries still serve hits.
 	defaultStepMemoBytes = 24 << 20
 )
 
-// stepEntry holds one recorded cycle phase: the exact five source
-// planes (collision-proof verification) and the resulting current
-// planes, activity flags and energy bound; and, once the entry has been
+// stepEntry holds one recorded cycle phase: the exact source words
+// (collision-proof verification) and the resulting current planes,
+// activity flags and energy bound; and, once the entry has been
 // followed, the next clock edge and the successor entry.
 type stepEntry struct {
 	// src, out and edge share one allocation.
-	src   []uint64 // curV ‖ curK ‖ prevV ‖ prevK ‖ act, 5×Words
+	src   []uint64 // curV[:srcHi] ‖ curK[:srcHi] ‖ prevV ‖ prevK ‖ act
 	out   []uint64 // final curV ‖ curK ‖ act, 3×Words
 	edge  []uint64 // next clock edge's curV ‖ curK flip-flop words
 	bound float64
 
-	// edge, edgeOK and next are the only fields that change after
-	// record; they describe out, which does not.
+	// edge, edgeOK, next and folded are the only fields that change
+	// after record; they describe out, which does not.
 	edgeOK bool       // edge holds the clock edge that follows out
 	next   *stepEntry // the entry the following step hit or recorded
+	folded uint64     // the last accumulator epoch out's activity was ORed into
 }
 
 // stepTable is a per-simulator (single-goroutine) whole-step store.
@@ -136,7 +143,7 @@ type stepTable struct {
 	// settle.
 	pending bool
 	pendKey uint64
-	src     []uint64 // capture scratch, 5×Words; made on first capture
+	src     []uint64 // capture scratch, in stepEntry.src's layout; made on first capture
 
 	// Per-step counters drained into the Simulator's atomics.
 	stepHits, stepMisses uint64
@@ -156,7 +163,7 @@ func newStepTable(maxBytes int) *stepTable {
 // lookup replays a verified hit, returning true (the caller skips
 // settle). It first tries from's predicted successor, from being the
 // chained entry the step started from (nil if none), with the short
-// check of verifyNext; otherwise it hashes the five source planes. On a
+// check of verifyNext; otherwise it hashes the source words. On a
 // miss of a recording table it captures the planes and leaves them
 // pending for record; before the first revisit it only notes the hash
 // in seen.
@@ -174,7 +181,8 @@ func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 		return true
 	}
 	h := uint64(memoBasis)
-	for _, plane := range [5][]uint64{p.curV, p.curK, p.prevV, p.prevK, p.act} {
+	hi := p.srcHi
+	for _, plane := range [5][]uint64{p.curV[:hi], p.curK[:hi], p.prevV, p.prevK, p.act} {
 		for _, w := range plane {
 			h = (h ^ w) * memoPrime
 		}
@@ -216,15 +224,16 @@ func (st *stepTable) lookup(p *packedSim, from *stepEntry) bool {
 	return false
 }
 
-// capture copies the five source planes into the scratch and leaves
-// them pending for record under key h.
+// capture copies the source words into the scratch and leaves them
+// pending for record under key h.
 func (st *stepTable) capture(p *packedSim, h uint64) {
+	hi := p.srcHi
 	if st.src == nil {
-		st.src = make([]uint64, 0, 5*len(p.curV))
+		st.src = make([]uint64, 0, 2*hi+3*len(p.curV))
 	}
 	src := st.src[:0]
-	src = append(src, p.curV...)
-	src = append(src, p.curK...)
+	src = append(src, p.curV[:hi]...)
+	src = append(src, p.curK[:hi]...)
 	src = append(src, p.prevV...)
 	src = append(src, p.prevK...)
 	src = append(src, p.act...)
@@ -233,23 +242,23 @@ func (st *stepTable) capture(p *packedSim, h uint64) {
 	st.pendKey = h
 }
 
-// verify compares an entry's recorded source planes against the live
+// verify compares an entry's recorded source words against the live
 // planes — the collision-proof check a hashed replay requires.
 func (st *stepTable) verify(p *packedSim, e *stepEntry) bool {
-	n := len(p.curV)
+	n, h2 := len(p.curV), 2*p.srcHi
 	s := e.src
-	return sameWords(s[:n], p.curV) && sameWords(s[n:2*n], p.curK) &&
-		sameWords(s[2*n:3*n], p.prevV) && sameWords(s[3*n:4*n], p.prevK) &&
-		sameWords(s[4*n:], p.act)
+	return st.verifyNext(p, e) &&
+		sameWords(s[h2:h2+n], p.prevV) && sameWords(s[h2+n:h2+2*n], p.prevK) &&
+		sameWords(s[h2+2*n:], p.act)
 }
 
 // verifyNext is verify for the predicted successor e of the entry the
-// step started from: it compares only current words [0, srcHi). The
-// rest of e's source equals the live planes by construction (see the
-// successor check above).
+// step started from: it compares only the current words [0, srcHi).
+// The rest of e's source equals the live planes by construction (see
+// the successor check above).
 func (st *stepTable) verifyNext(p *packedSim, e *stepEntry) bool {
-	n, hi := len(p.curV), p.srcHi
-	return sameWords(e.src[:hi], p.curV) && sameWords(e.src[n:n+hi], p.curK)
+	hi := p.srcHi
+	return sameWords(e.src[:hi], p.curV) && sameWords(e.src[hi:2*hi], p.curK)
 }
 
 // sameWords reports whether a and b (at least as long) hold the same
@@ -290,10 +299,11 @@ func (st *stepTable) record(p *packedSim) {
 		return
 	}
 	all := make([]uint64, words)
+	ns := len(st.src)
 	e := &stepEntry{
-		src:  all[: 5*n : 5*n],
-		out:  all[5*n : 8*n : 8*n],
-		edge: all[8*n:],
+		src:  all[:ns:ns],
+		out:  all[ns : ns+3*n : ns+3*n],
+		edge: all[ns+3*n:],
 	}
 	st.bytes += 8 * words
 	st.entries[st.pendKey] = e

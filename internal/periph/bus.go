@@ -182,8 +182,8 @@ func (b *Bus) TakeVector() (vec uint16, ok bool) {
 }
 
 // BusState is the flat, comparable snapshot of every device register —
-// cheap enough to copy into the per-cycle rolling snapshot the symbolic
-// engine keeps.
+// cheap enough to copy into the mark the symbolic engine sets before
+// every cycle.
 type BusState struct {
 	TimerEn, TimerIE, TimerIFG bool
 	TimerCnt, TimerCcr         uint16

@@ -125,7 +125,7 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 	// The task's cells are its accumulator's bits; one buffer serves
 	// every task.
 	s.cellBuf = s.cellBuf[:0]
-	s.sim.ForEachAccumulated(s.actAccum, func(ci netlist.CellID) { s.cellBuf = append(s.cellBuf, int32(ci)) })
+	s.sim.ForEachAccumulated(&s.actAccum, func(ci netlist.CellID) { s.cellBuf = append(s.cellBuf, int32(ci)) })
 	slices.Sort(s.cellBuf)
 	w.Active = s.cellBuf
 	return json.Marshal(w)

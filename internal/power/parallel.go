@@ -127,7 +127,7 @@ func (s *Sink) BeginTask(task, basePos int, seed interface{}) {
 	s.taskBest0 = len(s.bestCands)
 	s.taskTopk0 = len(s.topkCands)
 	s.taskISR = 0
-	clear(s.actAccum)
+	s.actAccum.Reset()
 	s.NewSegment()
 }
 

@@ -184,7 +184,7 @@ type Sink struct {
 	// (the whole run when no task begins); unionVisit marks a cell in
 	// UnionActive the first cycle of the task it turns active.
 	sim        *gsim.Simulator
-	actAccum   []uint64
+	actAccum   gsim.ActiveAccumulator
 	unionVisit func(netlist.CellID)
 
 	// clkModFJ is the per-module clock-pin energy constant; splitVisit
@@ -342,7 +342,7 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 
 	// Union of active cells: word-ORed accumulator, per-cell work only
 	// on a cell's first activation in the task.
-	sim.AccumulateNewActive(s.actAccum, s.unionVisit)
+	sim.AccumulateNewActive(&s.actAccum, s.unionVisit)
 	s.observe(p, fc.fetch, func(cells bool) Peak { return s.makePeak(p, pos, fc, cells, sim) })
 }
 

@@ -2,7 +2,9 @@ package power
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -464,5 +466,80 @@ func TestMergeParallelReplayNamesLowestBadTask(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "task 5:") {
 			t.Fatalf("got err %v, want an error naming task 5", err)
 		}
+	}
+}
+
+// TestActiveUnionMemoStamp checks the union stamp: a cycle replayed
+// from a step-memo entry whose activity the task's accumulator already
+// holds skips the union fold. One sink follows a ULP430 spinning in a
+// loop through several tasks, with the step memo on and off; every task
+// after the first replays only entries an earlier task folded. Each
+// task's Active list (the cells of its accumulator) and the run's
+// UnionActive must be the same either way, so BeginTask must start a
+// new accumulator epoch: a stamp from the previous task must not skip a
+// fold into the emptied accumulator.
+func TestActiveUnionMemoStamp(t *testing.T) {
+	img, err := isa.Assemble("spin", `
+.org 0xf000
+.entry main
+main:
+    mov #0x0A00, r1
+    mov #0x0080, &0x0120
+loop:
+    mov #3, r5
+    add r5, r6
+    mov #0, r6
+    jmp loop
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(memo bool) (active [][]int32, union []bool, hits int64) {
+		sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.ConcreteInputs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if memo {
+			sys.Sim.EnableMemo(0)
+		}
+		sink := NewSink(sys, model(), img, 4)
+		sys.Reset()
+		pos := 0
+		for task, n := range []int{160, 40, 1, 60, 25} {
+			sink.BeginTask(task, pos, nil)
+			for range n {
+				sys.Step()
+				sink.OnCycle(sys)
+				pos++
+			}
+			blob, err := sink.MarshalTask()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w taskWire
+			if err := json.Unmarshal(blob, &w); err != nil {
+				t.Fatal(err)
+			}
+			active = append(active, w.Active)
+		}
+		hits, _ = sys.Sim.MemoStats()
+		return active, sink.UnionActive, hits
+	}
+	liveActive, liveUnion, _ := run(false)
+	memoActive, memoUnion, hits := run(true)
+	if hits == 0 {
+		t.Fatal("the step memo never replayed a cycle of the loop")
+	}
+	for task := range liveActive {
+		if len(liveActive[task]) == 0 {
+			t.Fatalf("task %d: no active cells; the loop exercises nothing", task)
+		}
+		if !slices.Equal(liveActive[task], memoActive[task]) {
+			t.Fatalf("task %d: %d active cells with the memo on, %d with it off",
+				task, len(memoActive[task]), len(liveActive[task]))
+		}
+	}
+	if !slices.Equal(liveUnion, memoUnion) {
+		t.Fatal("UnionActive differs between memo on and off")
 	}
 }

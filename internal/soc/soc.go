@@ -130,6 +130,32 @@ func InDeviceSpace(a uint16) bool {
 	return ok && t == TagDevice
 }
 
+// Decoder classifies addresses like the predicates above, with one
+// Layout lookup per access and none at all while accesses stay in the
+// area last hit (the common case: fetches walk ROM, data and stack sit in
+// SRAM). The zero Decoder is ready to use; it is not safe for concurrent
+// use.
+type Decoder struct {
+	last periph.Area // the area last hit; empty (End 0) before the first
+}
+
+// TagUnmapped is Decoder.Tag's answer for an address in no area.
+const TagUnmapped = -1
+
+// Tag returns the tag of the Layout area holding byte address a, or
+// TagUnmapped.
+func (d *Decoder) Tag(a uint16) int {
+	if d.last.Contains(a) {
+		return d.last.Tag
+	}
+	area, ok := Layout.Lookup(a)
+	if !ok {
+		return TagUnmapped
+	}
+	d.last = area
+	return area.Tag
+}
+
 // RegionName names the region containing a, or "unmapped".
 func RegionName(a uint16) string {
 	area, ok := Layout.Lookup(a)

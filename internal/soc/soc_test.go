@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/periph"
@@ -93,5 +94,50 @@ func TestLayoutCoversVectors(t *testing.T) {
 	}
 	if periph.VecTimer+2 != periph.VecADC {
 		t.Fatal("vector table entries must be adjacent words")
+	}
+}
+
+// TestDecoderMatchesPredicates decodes every byte address through one
+// Decoder, in ascending order (long runs in one area) and in random
+// order (a jump to a new area nearly every access): each must classify
+// exactly as the predicates do, whatever area the Decoder hit last.
+func TestDecoderMatchesPredicates(t *testing.T) {
+	want := func(a uint16) int {
+		switch {
+		case InRAM(a):
+			return TagRAM
+		case InROM(a):
+			return TagROM
+		case IsPeripheral(a):
+			return TagCoreReg
+		case InDeviceSpace(a):
+			return TagDevice
+		}
+		return TagUnmapped
+	}
+	var d Decoder
+	check := func(a uint16) {
+		if got, w := d.Tag(a), want(a); got != w {
+			t.Fatalf("%#04x: decoded tag %d, want %d", a, got, w)
+		}
+	}
+	for a := uint32(0); a <= 0xFFFF; a++ {
+		check(uint16(a))
+	}
+	r := rand.New(rand.NewSource(1))
+	for range 1 << 16 {
+		check(uint16(r.Intn(1 << 16)))
+	}
+}
+
+// TestBusClaimsDeviceSpace pins what the ULP430 bus decode relies on:
+// the peripheral bus claims exactly the Layout's device space, so an
+// access outside it never needs the bus's own lookup.
+func TestBusClaimsDeviceSpace(t *testing.T) {
+	b := periph.NewBus(periph.Config{}, false)
+	for a := uint32(0); a <= 0xFFFF; a++ {
+		if addr := uint16(a); b.Claims(addr) != InDeviceSpace(addr) {
+			t.Fatalf("%#04x: bus claims %v, device space %v", addr, b.Claims(addr), InDeviceSpace(addr))
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (h remoteHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
 	// the coordinator assigns it an identity and journals it before
 	// answering, so the fork is durable before either direction is
 	// explored (the pub-before-done invariant).
-	child, err := encodeTask(w.spawn(pf, &w.roll), h.codec)
+	child, err := encodeTask(w.spawn(pf, nil), h.codec)
 	if err != nil {
 		return false, err
 	}

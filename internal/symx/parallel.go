@@ -382,7 +382,7 @@ type forkHost interface {
 	// sends the taken direction pf on: to the worker's local stack, to
 	// the in-process queue (journaled in checkpoint mode), or to the
 	// coordinator inside the claim RPC. The system sits at pf's
-	// pre-branch state (the worker's roll snapshot).
+	// pre-branch state (rewound to the cycle's mark).
 	fork(w *worker, key ForkKey, pf pendingFork) (won bool, err error)
 	// donate is offered the worker's local forks after every resolved
 	// cycle while it holds any.
@@ -403,7 +403,6 @@ type worker struct {
 	host  forkHost
 	tally *tally
 
-	roll  ulp430.SysSnapshot // one-cycle-back rolling snapshot
 	pool  snapPool
 	local []pendingFork // LIFO of won forks whose taken direction waits here
 
@@ -429,10 +428,15 @@ func (w *worker) newNode() *Node {
 }
 
 // spawn captures the taken direction of pf as a self-contained task. at
-// is pf's pre-branch state; it must still be LIFO-reachable on w.sys.
+// is pf's pre-branch state, which must still be LIFO-reachable on w.sys;
+// nil means the live state.
 func (w *worker) spawn(pf pendingFork, at *ulp430.SysSnapshot) *ptask {
 	st := &ulp430.PortableState{}
-	w.sys.CapturePortableAt(at, st)
+	if at == nil {
+		w.sys.CapturePortable(st)
+	} else {
+		w.sys.CapturePortableAt(at, st)
+	}
 	return &ptask{state: st, forces: pf.forces, branch: pf.branch, basePos: pf.sinkPos, seed: w.sink.SpawnSeed(pf.sinkPos)}
 }
 
@@ -493,8 +497,8 @@ func (w *worker) runTask(t *ptask) error {
 		}
 	}
 	// pop resumes the newest local fork's taken direction, or returns
-	// false. The outer loop re-snapshots and re-steps the forked cycle
-	// under the restored force set.
+	// false. The outer loop re-marks and re-steps the forked cycle under
+	// the restored force set.
 	pop := func() bool {
 		n := len(w.local)
 		if n == 0 {
@@ -559,8 +563,10 @@ outer:
 			return nodeBudgetErr(opts.MaxNodes)
 		}
 
-		sys.SnapshotInto(&w.roll)
-		rollPos := sink.Pos()
+		// The cycle's rewind point: the latch keeps the planes, the
+		// journal the memory, so marking copies no state.
+		sys.Mark()
+		markPos := sink.Pos()
 
 		// Resolve loop: re-step the cycle until every control condition is
 		// concrete. Jump conditions resolve before interrupt arrival, so a
@@ -587,14 +593,16 @@ outer:
 			}
 
 			// Rewind the cycle; this segment terminates at a fork.
-			sys.Restore(&w.roll)
+			if err := sys.Rewind(); err != nil {
+				return err
+			}
 			pc, _ := sys.PC()
 			cur.key = stateKey(sys, pending)
 			cur.BranchPC = pc
 			cur.IRQ = isIRQ
 			finishSegment(KindBranch)
 			won, err := w.host.fork(w, cur.key, pendingFork{
-				sinkPos: rollPos, branch: cur, forces: pending.with(isIRQ, true),
+				sinkPos: markPos, branch: cur, forces: pending.with(isIRQ, true),
 			})
 			if err != nil {
 				return err
@@ -617,7 +625,7 @@ outer:
 			child := w.newNode()
 			cur.NotTaken = child
 			cur = child
-			segStart = rollPos
+			segStart = markPos
 			pending = pending.with(isIRQ, false)
 		}
 
@@ -690,12 +698,12 @@ func (h *localHost) fork(w *worker, key ForkKey, pf pendingFork) (bool, error) {
 		return false, nil
 	}
 	if h.ck != nil || h.starving() {
-		// The system sits exactly at the rolled-back fork state, so the
-		// portable capture is a plain memory copy (empty journal suffix).
+		// The system sits exactly at the rewound fork state, so the
+		// portable capture is of the live state (no journal suffix).
 		// Checkpoint mode always publishes: only published tasks reach
 		// the journal, so a worker-local fork would be invisible to a
 		// resume.
-		return true, h.publishKid(w, w.spawn(pf, &w.roll))
+		return true, h.publishKid(w, w.spawn(pf, nil))
 	}
 	pf.snap = w.pool.take()
 	w.sys.SnapshotInto(pf.snap)

@@ -13,7 +13,7 @@ import (
 // refExplore is the reference Algorithm 1 the production explorers are
 // checked against. It is deliberately naive and shares no exploration
 // machinery with the production runner: a plain map of seen states, a
-// full Snapshot at every cycle (no rolling buffer, no pool), recursion
+// full Snapshot at every cycle (no Mark/Rewind, no pool), recursion
 // instead of a fork stack, and the tree built directly with IDs in
 // creation order. Callers leave the step memo off on sys. The budget errors are spelled out here rather than taken from the
 // production constructors, so their text is checked too.

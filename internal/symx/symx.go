@@ -36,10 +36,11 @@
 // goes — and the tally its cycles and nodes are charged to.
 //
 // Exploration is engineered around the gate engine's snapshot costs:
-// the one-cycle-back rolling snapshot reuses one buffer set
-// (SnapshotInto), and local fork snapshots are full plane copies
-// (SnapshotInto) recycled through a per-worker pool the moment the
-// pending direction has been restored.
+// the one-cycle rewind copies nothing ahead of time (System.Mark before
+// each cycle; Rewind rotates back the previous planes the latch kept and
+// undoes the memory journal), and local fork snapshots are full plane
+// copies (SnapshotInto) recycled through a per-worker pool the moment
+// the pending direction has been restored.
 package symx
 
 import (

@@ -58,8 +58,9 @@ const (
 
 // System couples the gate-level CPU to behavioral memory and exposes the
 // simulation controls the analyses need: reset, stepping, halting,
-// branch forcing, snapshot/restore (with an O(1)-per-cycle memory undo
-// journal), and architectural state inspection.
+// branch forcing, snapshot/restore and the one-cycle mark/rewind (with
+// an O(1)-per-cycle memory undo journal), and architectural state
+// inspection.
 type System struct {
 	// Sim is the underlying gate-level simulator.
 	Sim *gsim.Simulator
@@ -94,6 +95,22 @@ type System struct {
 	lastDin                         memWord
 	lastLine                        logic.Trit // value currently driven on the irq net
 	irqForce                        uint8      // one-shot Line override for the next Step
+
+	// dec classifies bus addresses, keeping the last area hit.
+	dec soc.Decoder
+
+	// mark is the system half of the state Mark recorded for Rewind.
+	mark sysMark
+}
+
+// sysMark is what Mark records beside the simulator's own mark: the
+// memory journal position and the bus-side registers a Step can change.
+type sysMark struct {
+	journal  int
+	lastDin  memWord
+	lastLine logic.Trit
+	bus      periph.BusState
+	err      error
 }
 
 // irqForce values: no override / force "not arrived" / force "arrived".
@@ -366,10 +383,11 @@ func (s *System) Tick(sim *gsim.Simulator) {
 			s.setErr("ulp430: memory write with unknown (X) address at cycle %d — input-dependent store address; the analysis cannot bound this program", sim.Cycle())
 			return
 		}
-		if soc.IsPeripheral(addr) {
+		switch tag := s.dec.Tag(addr); {
+		case tag == soc.TagCoreReg:
 			return // handled by gate-level peripheral logic
-		}
-		if s.bus != nil && s.bus.Claims(addr) {
+		case tag == soc.TagDevice && s.bus != nil:
+			// The bus claims exactly the device space.
 			data := readWord(sim, &s.mdbOut)
 			if data.xmask != 0 {
 				s.setErr("ulp430: store of unknown (X) data to device register %#04x at cycle %d — device configuration must be input-independent", addr, sim.Cycle())
@@ -379,12 +397,10 @@ func (s *System) Tick(sim *gsim.Simulator) {
 				s.setErr("ulp430: %v (cycle %d)", err, sim.Cycle())
 			}
 			return
-		}
-		if soc.InDeviceSpace(addr) {
+		case tag == soc.TagDevice:
 			s.setErr("ulp430: store to device register %#04x with no peripheral bus attached at cycle %d", addr, sim.Cycle())
 			return
-		}
-		if !soc.InRAM(addr) {
+		case tag != soc.TagRAM:
 			s.setErr("ulp430: store to non-RAM address %#04x at cycle %d", addr, sim.Cycle())
 			return
 		}
@@ -401,6 +417,10 @@ func (s *System) Tick(sim *gsim.Simulator) {
 
 	// Read.
 	var out memWord
+	tag := soc.TagUnmapped
+	if addrKnown {
+		tag = s.dec.Tag(addr)
+	}
 	switch {
 	case !addrKnown:
 		out = allXWord
@@ -423,9 +443,9 @@ func (s *System) Tick(sim *gsim.Simulator) {
 		} else {
 			out = memWord{val: 0}
 		}
-	case soc.IsPeripheral(addr):
+	case tag == soc.TagCoreReg:
 		out = memWord{val: 0} // internal logic supplies the data
-	case s.bus != nil && s.bus.Claims(addr):
+	case tag == soc.TagDevice && s.bus != nil:
 		v, xm, err := s.bus.Read(addr)
 		if err != nil {
 			s.setErr("ulp430: %v (cycle %d)", err, sim.Cycle())
@@ -433,10 +453,10 @@ func (s *System) Tick(sim *gsim.Simulator) {
 		} else {
 			out = memWord{val: v, xmask: xm}
 		}
-	case soc.InDeviceSpace(addr):
+	case tag == soc.TagDevice:
 		s.setErr("ulp430: load from device register %#04x with no peripheral bus attached at cycle %d", addr, sim.Cycle())
 		out = allXWord
-	case soc.InRAM(addr) || soc.InROM(addr):
+	case tag == soc.TagRAM || tag == soc.TagROM:
 		out = s.mem[addr/2]
 	default:
 		s.setErr("ulp430: load from unmapped address %#04x at cycle %d", addr, sim.Cycle())
@@ -496,14 +516,6 @@ func (s *System) SnapshotInto(sn *SysSnapshot) {
 	sn.err = s.errState
 }
 
-// Clone returns an independent deep copy of a snapshot (needed when a
-// rolling snapshot buffer must be retained across further reuse).
-func (sn *SysSnapshot) Clone() *SysSnapshot {
-	c := &SysSnapshot{}
-	sn.CloneInto(c)
-	return c
-}
-
 // CloneInto deep-copies sn into dst, reusing dst's buffers — the
 // allocation-free form backing the symbolic engine's fork-snapshot
 // pool.
@@ -541,6 +553,43 @@ func (s *System) Restore(sn *SysSnapshot) {
 		s.bus.SetState(sn.bus)
 	}
 	s.errState = sn.err
+}
+
+// Mark records the current state as the one Rewind returns to. It
+// copies no planes and no memory: the simulator keeps the planes the
+// next Step starts from, and the memory journal keeps what it overwrites.
+func (s *System) Mark() {
+	s.Sim.Mark()
+	s.mark = sysMark{journal: len(s.journal), lastDin: s.lastDin, lastLine: s.lastLine, err: s.errState}
+	if s.bus != nil {
+		s.mark.bus = s.bus.State()
+	}
+}
+
+// Rewind returns the system to the state Mark recorded, exactly as
+// Restore of a snapshot taken at the mark would (memory, bus registers,
+// error state, and no pending IRQ force). It refuses, changing nothing,
+// unless exactly one Step has run since the mark and no Restore since.
+func (s *System) Rewind() error {
+	if err := s.Sim.Rewind(); err != nil {
+		return err
+	}
+	if s.mark.journal > len(s.journal) {
+		panic("ulp430: rewinding to a mark newer than the memory journal")
+	}
+	for i := len(s.journal) - 1; i >= s.mark.journal; i-- {
+		e := s.journal[i]
+		s.mem[e.idx] = e.old
+	}
+	s.journal = s.journal[:s.mark.journal]
+	s.lastDin = s.mark.lastDin
+	s.lastLine = s.mark.lastLine
+	s.irqForce = forceNone
+	if s.bus != nil {
+		s.bus.SetState(s.mark.bus)
+	}
+	s.errState = s.mark.err
+	return nil
 }
 
 // PortableState is a self-contained capture of full system state — unlike
@@ -587,7 +636,6 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 		dst.sim = &gsim.Snapshot{}
 	}
 	sn.sim.CloneInto(dst.sim)
-	base := s.baseMem()
 	if s.capMem == nil {
 		s.capMem = make([]memWord, len(s.mem))
 	}
@@ -597,16 +645,40 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 		e := s.journal[i]
 		mem[e.idx] = e.old
 	}
+	s.diffMem(dst, mem)
+	dst.lastDin = sn.lastDin
+	dst.lastLine = sn.lastLine
+	dst.bus = sn.bus
+	dst.err = sn.err
+}
+
+// CapturePortable materializes the live system state into dst, as
+// CapturePortableAt of a snapshot taken now would.
+func (s *System) CapturePortable(dst *PortableState) {
+	if dst.sim == nil {
+		dst.sim = &gsim.Snapshot{}
+	}
+	s.Sim.SnapshotInto(dst.sim)
+	s.diffMem(dst, s.mem)
+	dst.lastDin = s.lastDin
+	dst.lastLine = s.lastLine
+	dst.bus = periph.BusState{}
+	if s.bus != nil {
+		dst.bus = s.bus.State()
+	}
+	dst.err = s.errState
+}
+
+// diffMem sets dst's patches to the words of mem that differ from
+// memory as loaded.
+func (s *System) diffMem(dst *PortableState, mem []memWord) {
+	base := s.baseMem()
 	dst.patches = dst.patches[:0]
 	for i, w := range mem {
 		if w != base[i] {
 			dst.patches = append(dst.patches, memPatch{idx: uint16(i), w: w})
 		}
 	}
-	dst.lastDin = sn.lastDin
-	dst.lastLine = sn.lastLine
-	dst.bus = sn.bus
-	dst.err = sn.err
 }
 
 // RestorePortable installs a portable state captured on a compatible

@@ -521,3 +521,22 @@ func TestMemWordAndLogicRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %v -> %v", w, back)
 	}
 }
+
+// TestBusReadsRegisteredNets pins what gsim's Bus contract requires of
+// System.Tick: every net it reads mid-step is a flip-flop output or a
+// primary input. The latch leaves combinational nets stale until
+// settle, so a bus read of one would see a value from two cycles back.
+func TestBusReadsRegisteredNets(t *testing.T) {
+	n := sharedCPU(t)
+	registered := map[netlist.NetID]bool{}
+	for _, ci := range n.Sequential() {
+		registered[n.Cell(ci).Out] = true
+	}
+	for _, port := range []string{"men", "mwr", "mab", "mdb_out"} {
+		for _, id := range n.Port(port) {
+			if !registered[id] && !n.IsInput(id) {
+				t.Errorf("bus port %s reads %s, neither a flip-flop output nor an input", port, n.NetName(id))
+			}
+		}
+	}
+}
