@@ -78,13 +78,16 @@ memo-guard:
 # batches, word-crossing runs, broadcast fan-in), after a restore and
 # with snapshots swapped between the engines, compiled ports (word reads
 # and drives against the per-net path, on random designs and the
-# ULP430, under both engines), the portable state codec (the engines'
+# ULP430, under both engines), the merge key's flip-flop hash (its
+# mask covers exactly the flip-flops; equal hashes go with equal
+# flip-flop values on both engines, on random designs and the ULP430),
+# the portable state codec (the engines'
 # shared state format) within and across engines, and the sealed
 # Reports of the benchmark suite under both engines against the
 # committed golden hashes. A gather or layout bug fails here, apart from
 # the memo guard.
 engine-guard:
-	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms|TestPortWords' ./internal/gsim/ ./internal/netlist/
+	$(GO) test -count=1 -run 'TestEnginesAgree|TestBoundEnergyAfterRestore|TestPackedPlan|TestGatherPrograms|TestPortWords|TestStateHash' ./internal/gsim/ ./internal/netlist/
 	$(GO) test -count=1 -run 'TestPortable|TestRestorePortable' ./internal/ulp430/
 	$(GO) test -count=1 -run 'TestEnginesAgreeOnBenchmarkSuite|TestReportGolden' ./peakpower/
 

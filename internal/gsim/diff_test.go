@@ -226,8 +226,9 @@ func compareEngines(t *testing.T, n *netlist.Netlist, scalar, packed *Simulator,
 				cycle, pl.name, w, pl.s[w], pl.p[w])
 		}
 	}
-	if sh, ph := scalar.StateHash(), packed.StateHash(); sh != ph {
-		t.Fatalf("cycle %d: state hash mismatch %x vs %x", cycle, sh, ph)
+	sl, sh := scalar.StateHash()
+	if pl, ph := packed.StateHash(); sl != pl || sh != ph {
+		t.Fatalf("cycle %d: state hash mismatch %x:%x vs %x:%x", cycle, sl, sh, pl, ph)
 	}
 	if se, pe := scalar.DynamicEnergyFJ(), packed.DynamicEnergyFJ(); se != pe {
 		t.Fatalf("cycle %d: dynamic energy %v vs %v", cycle, se, pe)

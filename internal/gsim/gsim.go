@@ -138,7 +138,7 @@ type Simulator struct {
 
 	seq []netlist.CellID
 
-	staged []stagedInput
+	staged []StagedInput
 	inStep bool
 
 	cycle uint64
@@ -148,7 +148,7 @@ type Simulator struct {
 	// (the planes survive one Step in prevV/prevK and oldV/oldK).
 	// marked is cleared by Restore.
 	marked     bool
-	markStaged []stagedInput
+	markStaged []StagedInput
 	markCycle  uint64
 
 	// Memoization hit/miss totals, atomic so a progress reporter can
@@ -161,12 +161,13 @@ type Simulator struct {
 	clkTotalFJ            float64
 }
 
-// stagedInput is an input assignment made between Steps; it takes effect
-// at the start of the next cycle, after the previous cycle's values have
-// been latched as "previous" (so input changes register as activity).
-type stagedInput struct {
-	id netlist.NetID
-	v  logic.Trit
+// StagedInput is an input assignment made between Steps: net ID is
+// driven to V at the start of the next cycle, after the previous
+// cycle's values have been latched as "previous" (so input changes
+// register as activity).
+type StagedInput struct {
+	ID netlist.NetID
+	V  logic.Trit
 }
 
 // New creates a simulator for a built netlist using the default packed
@@ -249,20 +250,21 @@ type planes struct {
 	oldV, oldK   []uint64 // prevV/prevK before the last Step
 	act          []uint64 // activity flags, one bit per net position
 
+	// The flip-flop region, positions [InputBits, end of plan.Seq),
+	// holds every flip-flop output and nothing else: the processor
+	// state. It covers plane words [ffLo, ffLo+len(ffMask)); ffMask
+	// selects its bits in each.
+	ffLo   int
+	ffMask []uint64
+
 	// srcHi is the number of leading plane words holding the inputs and
-	// the flip-flop region [InputBits, end of plan.Seq): the only words
-	// a step writes before settle.
+	// the flip-flop region: the only words a step writes before settle.
 	srcHi int
 }
 
 func newPlanes(plan *netlist.PackedPlan) planes {
 	nw := plan.Words
-	end := plan.InputBits
-	if seq := plan.Seq; len(seq) > 0 {
-		last := &seq[len(seq)-1]
-		end = int(last.FirstPos) + len(last.Cells)
-	}
-	return planes{
+	pl := planes{
 		plan:  plan,
 		curV:  make([]uint64, nw),
 		curK:  make([]uint64, nw),
@@ -271,8 +273,20 @@ func newPlanes(plan *netlist.PackedPlan) planes {
 		oldV:  make([]uint64, nw),
 		oldK:  make([]uint64, nw),
 		act:   make([]uint64, nw),
-		srcHi: (end + 63) >> 6,
 	}
+	lo, hi := plan.InputBits, plan.InputBits
+	if seq := plan.Seq; len(seq) > 0 {
+		last := &seq[len(seq)-1]
+		hi = int(last.FirstPos) + len(last.Cells)
+	}
+	pl.ffLo, pl.srcHi = lo>>6, (hi+63)>>6
+	if hi > lo {
+		for w := pl.ffLo; w < pl.srcHi; w++ {
+			a, b := max(lo, 64*w), min(hi, 64*w+64)
+			pl.ffMask = append(pl.ffMask, laneMask(b-a)<<uint(a-64*w))
+		}
+	}
+	return pl
 }
 
 // latch rotates the planes for a new cycle: the current planes become
@@ -357,7 +371,7 @@ func (s *Simulator) SetNet(id netlist.NetID, v logic.Trit) {
 		s.setTrit(id, v)
 		return
 	}
-	s.staged = append(s.staged, stagedInput{id, v})
+	s.staged = append(s.staged, StagedInput{id, v})
 }
 
 // SetPort drives a named input port with a word (bit i of w drives net i
@@ -486,7 +500,7 @@ func (p *WordPort) Drive(s *Simulator, v, k uint64) {
 		if s.inStep {
 			s.setTrit(id, t)
 		} else {
-			s.staged = append(s.staged, stagedInput{id, t})
+			s.staged = append(s.staged, StagedInput{id, t})
 		}
 	}
 }
@@ -500,7 +514,7 @@ func (s *Simulator) Step() {
 
 	// 0. Staged input assignments become the new cycle's input values.
 	for _, si := range s.staged {
-		s.setTrit(si.id, si.v)
+		s.setTrit(si.ID, si.V)
 	}
 	s.staged = s.staged[:0]
 
@@ -532,7 +546,7 @@ type Snapshot struct {
 	// previous cycle's value/known planes.
 	PlaneV, PlaneK         []uint64
 	PrevPlaneV, PrevPlaneK []uint64
-	Staged                 []stagedInput
+	Staged                 []StagedInput
 	Cycle                  uint64
 }
 
@@ -568,46 +582,28 @@ func (sn *Snapshot) CloneInto(dst *Snapshot) {
 	dst.Cycle = sn.Cycle
 }
 
-// StagedInputRec is the exported form of one staged input assignment.
-// Snapshot.Staged's entry type has unexported fields, so serializers (the
-// exploration checkpoint journal) round-trip staged inputs through these
-// records instead.
-type StagedInputRec struct {
-	ID netlist.NetID
-	V  logic.Trit
-}
-
-// StagedRecs appends the snapshot's staged input assignments to dst as
-// exported records, in application order, and returns the extended slice.
-func (sn *Snapshot) StagedRecs(dst []StagedInputRec) []StagedInputRec {
-	for _, st := range sn.Staged {
-		dst = append(dst, StagedInputRec{ID: st.id, V: st.v})
-	}
-	return dst
-}
-
-// SetStagedRecs replaces the snapshot's staged input assignments.
-func (sn *Snapshot) SetStagedRecs(recs []StagedInputRec) {
-	sn.Staged = sn.Staged[:0]
-	for _, r := range recs {
-		sn.Staged = append(sn.Staged, stagedInput{id: r.ID, v: r.V})
-	}
-}
-
 // Restore rewinds the simulator to a snapshot taken on either engine.
 func (s *Simulator) Restore(sn *Snapshot) {
 	copy(s.curV, sn.PlaneV)
 	copy(s.curK, sn.PlaneK)
 	copy(s.prevV, sn.PrevPlaneV)
 	copy(s.prevK, sn.PrevPlaneK)
+	s.resume(sn.Staged, sn.Cycle)
+	s.marked = false
+}
+
+// resume ends Restore and Rewind once the planes are back: it clears
+// the activity flags and what was derived from the planes left behind
+// (the cached bound, the memo chain), and puts back the staged inputs
+// and the cycle count.
+func (s *Simulator) resume(staged []StagedInput, cycle uint64) {
 	clear(s.act)
 	if s.pk != nil {
 		s.pk.boundValid = false
 		s.pk.chain = nil
 	}
-	s.staged = append(s.staged[:0], sn.Staged...)
-	s.cycle = sn.Cycle
-	s.marked = false
+	s.staged = append(s.staged[:0], staged...)
+	s.cycle = cycle
 }
 
 // Mark records the current state as the one Rewind returns to: the
@@ -635,13 +631,7 @@ func (s *Simulator) Rewind() error {
 	s.curV, s.prevV, s.oldV = s.prevV, s.oldV, s.curV
 	s.curK, s.prevK, s.oldK = s.prevK, s.oldK, s.curK
 	s.syncPlanes()
-	clear(s.act)
-	if s.pk != nil {
-		s.pk.boundValid = false
-		s.pk.chain = nil
-	}
-	s.staged = append(s.staged[:0], s.markStaged...)
-	s.cycle = s.markCycle
+	s.resume(s.markStaged, s.markCycle)
 	return nil
 }
 
@@ -663,11 +653,11 @@ func (s *Simulator) CheckSnapshot(sn *Snapshot) error {
 		}
 	}
 	for _, st := range sn.Staged {
-		if st.id < 0 || int(st.id) >= s.n.NumNets() || !s.n.IsInput(st.id) {
-			return fmt.Errorf("gsim: snapshot stages net %d, not a primary input", st.id)
+		if st.ID < 0 || int(st.ID) >= s.n.NumNets() || !s.n.IsInput(st.ID) {
+			return fmt.Errorf("gsim: snapshot stages net %d, not a primary input", st.ID)
 		}
-		if st.v > logic.X {
-			return fmt.Errorf("gsim: snapshot stages value %d on net %s", st.v, s.n.NetName(st.id))
+		if st.V > logic.X {
+			return fmt.Errorf("gsim: snapshot stages value %d on net %s", st.V, s.n.NetName(st.ID))
 		}
 	}
 	return nil
@@ -781,9 +771,10 @@ func (s *Simulator) AccumulateNewActive(acc *ActiveAccumulator, f func(netlist.C
 // values contribute their actual transition energy, active X-involved
 // gates the worst transition consistent with their known endpoint, and
 // temporally constant X gates nothing; every flip-flop's clock pin
-// dissipates unconditionally. This is the engine-accelerated form of
-// power.CycleBoundFJ's sum (without the per-module split) — on the
-// packed engine, known transitions are popcounts per same-kind batch.
+// dissipates unconditionally. This is the per-cell rule of power's
+// cellBoundFJ summed over every cell, engine-accelerated — on the
+// packed engine, known transitions are popcounts per same-kind batch;
+// package power's tests hold it to the cell-by-cell sum.
 //
 // Both engines produce bit-identical sums: the scalar path walks the
 // same packed plan, counts each 64-lane chunk's transitions as
@@ -860,33 +851,39 @@ func (s *Simulator) scalarBatchBoundFJ(b *netlist.PackedBatch) float64 {
 	return e
 }
 
-// StateHash returns a hash of all flip-flop values — the processor-state
-// component of Algorithm 1's "seen this state at this branch before"
-// check. Memory contents are hashed by the system layer. Both engines
-// produce identical hashes for identical symbolic states.
-func (s *Simulator) StateHash() uint64 {
-	h := uint64(1469598103934665603) // FNV-64 offset basis
-	for _, ci := range s.seq {
-		h ^= uint64(s.Val(s.n.Cell(ci).Out))
-		h *= 1099511628211
+// StateHash returns two independently mixed 64-bit hashes of the
+// flip-flop values — the processor-state component of Algorithm 1's
+// "seen this state at this branch before" check, the low and high words
+// of the exploration's 128-bit merge key. Memory contents are hashed by
+// the system layer. One pass reads each word of the flip-flop region,
+// value then known plane, masked to the region's bits, and feeds both
+// accumulators. The planes are canonical, so equal flip-flop values give
+// equal words and equal hashes, on either engine.
+//
+// Each accumulator runs MurmurHash64A's word step with its own
+// multiplier: the word is mixed (multiply, xorshift, multiply) before it
+// is folded in, so that differences in a word's high bits cannot cancel
+// across words as they would under a plain xor-multiply. Two states must
+// collide in both words (plus the memory and bus components) to be
+// merged wrongly — see DESIGN.md "Merge keys".
+func (s *Simulator) StateHash() (lo, hi uint64) {
+	lo, hi = 1469598103934665603, 0x9E3779B97F4A7C15
+	v, k := s.curV[s.ffLo:], s.curK[s.ffLo:]
+	for i, m := range s.ffMask {
+		lo, hi = hashWord(lo, hi, v[i]&m)
+		lo, hi = hashWord(lo, hi, k[i]&m)
 	}
-	return h
+	return lo, hi
 }
 
-// StateHash2 is an independent second hash over the same flip-flop
-// walk, with a different basis and multiplier, forming the high word of
-// the exploration's 128-bit merge key. Two states must collide in both
-// hashes (plus the memory and bus components) to be merged wrongly —
-// see DESIGN.md "Merge keys". A second multiplier (not merely a second
-// basis) matters: FNV with the same prime collides identically for
-// equal-length inputs whenever the first hash does.
-func (s *Simulator) StateHash2() uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, ci := range s.seq {
-		h ^= uint64(s.Val(s.n.Cell(ci).Out))
-		h *= 0x106689D45497DE35
-	}
-	return h
+// hashWord folds w into both StateHash accumulators.
+func hashWord(lo, hi, w uint64) (uint64, uint64) {
+	const m1, m2 = 0xC6A4A7935BD1E995, 0x106689D45497DE35
+	a := w * m1
+	a = (a ^ a>>47) * m1
+	b := w * m2
+	b = (b ^ b>>47) * m2
+	return (lo ^ a) * m1, (hi ^ b) * m2
 }
 
 // EnableMemo turns on whole-step result memoization (stepmemo.go) with

@@ -41,12 +41,6 @@ type packedSim struct {
 	stepMemo *stepTable
 	chain    *stepEntry
 
-	// The flip-flop region [InputBits, end of plan.Seq) covers plane
-	// words [edgeLo, edgeLo+len(edgeMask)); edgeMask selects its bits
-	// in each, the words a cached clock edge stores.
-	edgeLo   int
-	edgeMask []uint64
-
 	// boundFJ caches the cycle's Algorithm 2 energy bound, computed
 	// for free during settle (which already holds every batch's
 	// extracted planes and fresh activity word). boundValid is cleared
@@ -60,24 +54,11 @@ func newPackedSim(pl planes) *packedSim {
 	for li := range pl.plan.Levels {
 		widest = max(widest, pl.plan.Levels[li].Gather.Slots)
 	}
-	p := &packedSim{
+	return &packedSim{
 		planes:   pl,
 		slots:    make([][3]uint64, widest),
 		seqSlots: make([][3]uint64, pl.plan.SeqGather.Slots),
 	}
-	lo, hi := pl.plan.InputBits, pl.plan.InputBits
-	if seq := pl.plan.Seq; len(seq) > 0 {
-		last := &seq[len(seq)-1]
-		hi = int(last.FirstPos) + len(last.Cells)
-	}
-	if hi > lo {
-		p.edgeLo = lo >> 6
-		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			a, b := max(lo, 64*w), min(hi, 64*w+64)
-			p.edgeMask = append(p.edgeMask, laneMask(b-a)<<uint(a-64*w))
-		}
-	}
-	return p
 }
 
 // laneMask returns the low-n-bits mask (n in 0..64).
@@ -233,9 +214,9 @@ func (s *Simulator) stepPacked() {
 }
 
 // saveEdge caches in e, the chained entry the step started from, the
-// flip-flop words the clock edge just wrote.
+// words of the flip-flop region the clock edge just wrote.
 func (p *packedSim) saveEdge(e *stepEntry) {
-	lo, n := p.edgeLo, len(p.edgeMask)
+	lo, n := p.ffLo, len(p.ffMask)
 	copy(e.edge[:n], p.curV[lo:lo+n])
 	copy(e.edge[n:], p.curK[lo:lo+n])
 	e.edgeOK = true
@@ -245,9 +226,9 @@ func (p *packedSim) saveEdge(e *stepEntry) {
 // edge word, leaving the staged inputs and combinational outputs that
 // share the region's first and last words as they are.
 func (p *packedSim) replayEdge(edge []uint64) {
-	lo, n := p.edgeLo, len(p.edgeMask)
+	lo, n := p.ffLo, len(p.ffMask)
 	v, k := p.curV[lo:lo+n], p.curK[lo:lo+n]
-	for i, m := range p.edgeMask {
+	for i, m := range p.ffMask {
 		v[i] = v[i]&^m | edge[i]&m
 		k[i] = k[i]&^m | edge[n+i]&m
 	}
@@ -384,12 +365,12 @@ func chunkBoundFJ(pv, pk, cv, ck, actW, m uint64, rise, fall, maxE float64) floa
 }
 
 // boundEnergyFJ is the packed fast path of the streaming Algorithm 2
-// bound (power.CycleBoundFJ's rule): known-to-known transitions are
-// counted with popcounts per same-kind batch region and multiplied by
-// the library's rise/fall energies; only active X-involved gates need
-// word-classified popcounts. Clock-pin energy is the precomputed
-// constant. The rule is cross-tested against the reference sum in
-// package power. Settle computes the same sum for free each
+// bound (the per-cell rule of power's cellBoundFJ): known-to-known
+// transitions are counted with popcounts per same-kind batch region and
+// multiplied by the library's rise/fall energies; only active
+// X-involved gates need word-classified popcounts. Clock-pin energy is
+// the precomputed constant. Package power's tests hold the rule to a
+// cell-by-cell reference sum. Settle computes the same sum for free each
 // Step (it already holds every word), so this usually
 // returns the cached value; the standalone walk below serves a
 // simulator whose activity flags were cleared by Restore or Rewind.

@@ -294,7 +294,7 @@ func (st *stepTable) record(p *packedSim) {
 	}
 	st.pending = false
 	n := len(p.curV)
-	words := len(st.src) + 3*n + 2*len(p.edgeMask)
+	words := len(st.src) + 3*n + 2*len(p.ffMask)
 	if st.bytes+8*words > st.maxBytes {
 		return
 	}

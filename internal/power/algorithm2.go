@@ -154,7 +154,7 @@ func AlgorithmTwo(w *Window, m Model) (peak []float64, even, odd *Assignment) {
 }
 
 // StreamingTrace computes the per-cycle bound the streaming analysis
-// (CycleBoundFJ's rule) produces for a captured window — used to verify
+// (cellBoundFJ's rule) produces for a captured window — used to verify
 // that the literal Algorithm 2 and the streaming form agree exactly.
 func StreamingTrace(w *Window, m Model) []float64 {
 	clkFJ := 0.0

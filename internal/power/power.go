@@ -20,8 +20,8 @@
 // engine), the potentially-toggled union from AccumulateNewActive
 // (per-cell work only on first activation), and peak records — with
 // their per-module split — materialize only for cycles that actually
-// enter Best or the top-k list. CycleBoundFJ remains the all-cells
-// reference sum, cross-tested against the fast path.
+// enter Best or the top-k list. The package's tests hold the fast path
+// to an all-cells reference sum of cellBoundFJ.
 //
 // The literal Algorithm 2 — materialize an even-maximizing and an
 // odd-maximizing VCD, run power analysis on each, interleave — is
@@ -95,30 +95,6 @@ func cellBoundFJ(lib *cell.Library, k cell.Kind, prev, cur logic.Trit, act bool)
 		}
 		return lib.Params(k).EnergyFall
 	}
-}
-
-// CycleBoundFJ computes the cycle's maximum dynamic energy in
-// femtojoules. If byModule is non-nil it must have length
-// len(nl.Modules()) and receives the per-module split.
-func CycleBoundFJ(sim *gsim.Simulator, byModule []float64) float64 {
-	nl := sim.Netlist()
-	lib := sim.Library()
-	if byModule != nil {
-		for i := range byModule {
-			byModule[i] = 0
-		}
-	}
-	total := 0.0
-	for ci := 0; ci < nl.NumCells(); ci++ {
-		c := nl.Cell(netlist.CellID(ci))
-		e := cellBoundFJ(lib, c.Kind, sim.PrevVal(c.Out), sim.Val(c.Out), sim.Active(c.Out))
-		e += lib.Params(c.Kind).EnergyClk
-		total += e
-		if byModule != nil {
-			byModule[nl.ModuleIndex(netlist.CellID(ci))] += e
-		}
-	}
-	return total
 }
 
 // Peak records one cycle of interest: a local power maximum with its

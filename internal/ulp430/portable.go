@@ -27,13 +27,14 @@ import (
 // in the same planes.
 
 // portableMagic identifies (and versions) the encoding. Bump on any
-// layout change: stale checkpoint files must fail decode, not
-// misinterpret.
-var portableMagic = [4]byte{'u', 'p', 's', '4'}
+// layout change, and on any change to the merge key function
+// (System.StateKey): checkpoint journals and fleet records store fork
+// keys beside portable states, so stale files must fail decode rather
+// than be misinterpreted or resumed with keys of two functions.
+var portableMagic = [4]byte{'u', 'p', 's', '5'}
 
 // EncodePortable serializes st into one buffer sized up front.
 func EncodePortable(st *PortableState) []byte {
-	staged := st.sim.StagedRecs(nil)
 	var errText string
 	if st.err != nil {
 		errText = st.err.Error()
@@ -41,7 +42,7 @@ func EncodePortable(st *PortableState) []byte {
 	sn := st.sim
 	size := len(portableMagic) +
 		4*4 + 8*(len(sn.PlaneV)+len(sn.PlaneK)+len(sn.PrevPlaneV)+len(sn.PrevPlaneK)) +
-		4 + 5*len(staged) + 8 +
+		4 + 5*len(sn.Staged) + 8 +
 		4 + 6*len(st.patches) +
 		4 + 1 + binary.Size(st.bus) + 4 + len(errText)
 	b := make([]byte, 0, size)
@@ -50,8 +51,8 @@ func EncodePortable(st *PortableState) []byte {
 	b = putU64s(b, sn.PlaneK)
 	b = putU64s(b, sn.PrevPlaneV)
 	b = putU64s(b, sn.PrevPlaneK)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(staged)))
-	for _, r := range staged {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sn.Staged)))
+	for _, r := range sn.Staged {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.ID))
 		b = append(b, byte(r.V))
 	}
@@ -88,13 +89,12 @@ func DecodePortable(data []byte) (*PortableState, error) {
 	if r.err == nil && n > r.remaining()/5 {
 		return nil, errors.New("ulp430: portable state: truncated staged inputs")
 	}
-	staged := make([]gsim.StagedInputRec, 0, n)
+	st.sim.Staged = make([]gsim.StagedInput, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		id := getU32(r)
 		v := getByte(r)
-		staged = append(staged, gsim.StagedInputRec{ID: netlist.NetID(id), V: logic.Trit(v)})
+		st.sim.Staged = append(st.sim.Staged, gsim.StagedInput{ID: netlist.NetID(id), V: logic.Trit(v)})
 	}
-	st.sim.SetStagedRecs(staged)
 	st.sim.Cycle = getU64(r)
 	m := int(getU32(r))
 	if r.err == nil && m > r.remaining()/6 {

@@ -204,7 +204,7 @@ func TestPortableCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodePortable(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decoding with trailing garbage succeeded")
 	}
-	for _, magic := range []string{"ups1", "ups2", "ups3"} {
+	for _, magic := range []string{"ups1", "ups2", "ups3", "ups4"} {
 		stale := append([]byte(nil), enc...)
 		copy(stale, magic)
 		if _, err := DecodePortable(stale); err == nil || !strings.Contains(err.Error(), "bad magic") {
@@ -364,7 +364,7 @@ func TestRestorePortableRejectsMisfit(t *testing.T) {
 		{"short PlaneV", func(st *PortableState) { st.sim.PlaneV = st.sim.PlaneV[:1] }, "PlaneV has 1 words"},
 		{"long PrevPlaneK", func(st *PortableState) { st.sim.PrevPlaneK = append(st.sim.PrevPlaneK, 0) }, "PrevPlaneK has"},
 		{"staged driven net", func(st *PortableState) {
-			st.sim.SetStagedRecs([]gsim.StagedInputRec{{ID: driven}})
+			st.sim.Staged = []gsim.StagedInput{{ID: driven}}
 		}, "not a primary input"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

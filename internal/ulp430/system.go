@@ -99,18 +99,54 @@ type System struct {
 	// dec classifies bus addresses, keeping the last area hit.
 	dec soc.Decoder
 
-	// mark is the system half of the state Mark recorded for Rewind.
-	mark sysMark
+	// mark is the system half of the state Mark recorded for Rewind;
+	// its sim is nil, since the simulator keeps its own mark.
+	mark SysSnapshot
 }
 
-// sysMark is what Mark records beside the simulator's own mark: the
-// memory journal position and the bus-side registers a Step can change.
-type sysMark struct {
-	journal  int
+// sysRegs are the registers outside the planes and memory that a Step
+// can change. Every saved state — a SysSnapshot, the mark, a
+// PortableState — embeds them; saveRegs captures them and setRegs puts
+// them back.
+type sysRegs struct {
 	lastDin  memWord
 	lastLine logic.Trit
 	bus      periph.BusState
 	err      error
+}
+
+// saveRegs captures the live sysRegs into r. It writes r in place:
+// Mark calls it before every cycle.
+func (s *System) saveRegs(r *sysRegs) {
+	r.lastDin, r.lastLine, r.err = s.lastDin, s.lastLine, s.errState
+	r.bus = periph.BusState{}
+	if s.bus != nil {
+		r.bus = s.bus.State()
+	}
+}
+
+// setRegs puts saved sysRegs back and drops any pending IRQ force,
+// which no saved state carries.
+func (s *System) setRegs(r *sysRegs) {
+	s.lastDin = r.lastDin
+	s.lastLine = r.lastLine
+	s.irqForce = forceNone
+	if s.bus != nil {
+		s.bus.SetState(r.bus)
+	}
+	s.errState = r.err
+}
+
+// undo undoes onto mem the memory writes journaled since journal
+// position j, newest first. mem is live memory or a copy of it.
+func (s *System) undo(mem []memWord, j int) {
+	if j > len(s.journal) {
+		panic(fmt.Sprintf("ulp430: journal position %d is newer than the journal (%d entries)", j, len(s.journal)))
+	}
+	for i := len(s.journal) - 1; i >= j; i-- {
+		e := s.journal[i]
+		mem[e.idx] = e.old
+	}
 }
 
 // irqForce values: no override / force "not arrived" / force "arrived".
@@ -472,12 +508,9 @@ func (s *System) Tick(sim *gsim.Simulator) {
 // memory journal position (memory restoration is O(writes since
 // snapshot), not O(memory size)).
 type SysSnapshot struct {
-	sim      *gsim.Snapshot
-	journal  int
-	lastDin  memWord
-	lastLine logic.Trit
-	bus      periph.BusState
-	err      error
+	sim     *gsim.Snapshot
+	journal int
+	sysRegs
 
 	// pooled marks residence in a fork-snapshot free pool; any use of a
 	// pooled snapshot is a use-after-free and panics.
@@ -508,28 +541,7 @@ func (s *System) SnapshotInto(sn *SysSnapshot) {
 	}
 	s.Sim.SnapshotInto(sn.sim)
 	sn.journal = len(s.journal)
-	sn.lastDin = s.lastDin
-	sn.lastLine = s.lastLine
-	if s.bus != nil {
-		sn.bus = s.bus.State()
-	}
-	sn.err = s.errState
-}
-
-// CloneInto deep-copies sn into dst, reusing dst's buffers — the
-// allocation-free form backing the symbolic engine's fork-snapshot
-// pool.
-func (sn *SysSnapshot) CloneInto(dst *SysSnapshot) {
-	dst.pooled = false
-	if dst.sim == nil {
-		dst.sim = &gsim.Snapshot{}
-	}
-	sn.sim.CloneInto(dst.sim)
-	dst.journal = sn.journal
-	dst.lastDin = sn.lastDin
-	dst.lastLine = sn.lastLine
-	dst.bus = sn.bus
-	dst.err = sn.err
+	s.saveRegs(&sn.sysRegs)
 }
 
 // Restore rewinds to a snapshot taken earlier on this path.
@@ -537,22 +549,16 @@ func (s *System) Restore(sn *SysSnapshot) {
 	if sn.pooled {
 		panic("ulp430: restore from a pooled fork snapshot (use after free)")
 	}
-	if sn.journal > len(s.journal) {
-		panic("ulp430: restoring a snapshot newer than current state")
-	}
-	for i := len(s.journal) - 1; i >= sn.journal; i-- {
-		e := s.journal[i]
-		s.mem[e.idx] = e.old
-	}
-	s.journal = s.journal[:sn.journal]
+	s.restoreSys(sn)
 	s.Sim.Restore(sn.sim)
-	s.lastDin = sn.lastDin
-	s.lastLine = sn.lastLine
-	s.irqForce = forceNone
-	if s.bus != nil {
-		s.bus.SetState(sn.bus)
-	}
-	s.errState = sn.err
+}
+
+// restoreSys is the system half of Restore and Rewind: memory back to
+// sn's journal position, then sn's registers.
+func (s *System) restoreSys(sn *SysSnapshot) {
+	s.undo(s.mem, sn.journal)
+	s.journal = s.journal[:sn.journal]
+	s.setRegs(&sn.sysRegs)
 }
 
 // Mark records the current state as the one Rewind returns to. It
@@ -560,10 +566,8 @@ func (s *System) Restore(sn *SysSnapshot) {
 // next Step starts from, and the memory journal keeps what it overwrites.
 func (s *System) Mark() {
 	s.Sim.Mark()
-	s.mark = sysMark{journal: len(s.journal), lastDin: s.lastDin, lastLine: s.lastLine, err: s.errState}
-	if s.bus != nil {
-		s.mark.bus = s.bus.State()
-	}
+	s.mark.journal = len(s.journal)
+	s.saveRegs(&s.mark.sysRegs)
 }
 
 // Rewind returns the system to the state Mark recorded, exactly as
@@ -574,21 +578,7 @@ func (s *System) Rewind() error {
 	if err := s.Sim.Rewind(); err != nil {
 		return err
 	}
-	if s.mark.journal > len(s.journal) {
-		panic("ulp430: rewinding to a mark newer than the memory journal")
-	}
-	for i := len(s.journal) - 1; i >= s.mark.journal; i-- {
-		e := s.journal[i]
-		s.mem[e.idx] = e.old
-	}
-	s.journal = s.journal[:s.mark.journal]
-	s.lastDin = s.mark.lastDin
-	s.lastLine = s.mark.lastLine
-	s.irqForce = forceNone
-	if s.bus != nil {
-		s.bus.SetState(s.mark.bus)
-	}
-	s.errState = s.mark.err
+	s.restoreSys(&s.mark)
 	return nil
 }
 
@@ -604,12 +594,9 @@ func (s *System) Rewind() error {
 // that differ from it, in ascending index order. Both sides hold the
 // loaded image, so a state carries only what its path changed.
 type PortableState struct {
-	sim      *gsim.Snapshot
-	patches  []memPatch
-	lastDin  memWord
-	lastLine logic.Trit
-	bus      periph.BusState
-	err      error
+	sim     *gsim.Snapshot
+	patches []memPatch
+	sysRegs
 }
 
 // memPatch is one memory word that differs from memory as loaded.
@@ -629,9 +616,6 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 	if sn.pooled {
 		panic("ulp430: portable capture from a pooled fork snapshot (use after free)")
 	}
-	if sn.journal > len(s.journal) {
-		panic("ulp430: capturing a snapshot newer than current state")
-	}
 	if dst.sim == nil {
 		dst.sim = &gsim.Snapshot{}
 	}
@@ -639,17 +623,10 @@ func (s *System) CapturePortableAt(sn *SysSnapshot, dst *PortableState) {
 	if s.capMem == nil {
 		s.capMem = make([]memWord, len(s.mem))
 	}
-	mem := s.capMem
-	copy(mem, s.mem)
-	for i := len(s.journal) - 1; i >= sn.journal; i-- {
-		e := s.journal[i]
-		mem[e.idx] = e.old
-	}
-	s.diffMem(dst, mem)
-	dst.lastDin = sn.lastDin
-	dst.lastLine = sn.lastLine
-	dst.bus = sn.bus
-	dst.err = sn.err
+	copy(s.capMem, s.mem)
+	s.undo(s.capMem, sn.journal)
+	s.diffMem(dst, s.capMem)
+	dst.sysRegs = sn.sysRegs
 }
 
 // CapturePortable materializes the live system state into dst, as
@@ -660,13 +637,7 @@ func (s *System) CapturePortable(dst *PortableState) {
 	}
 	s.Sim.SnapshotInto(dst.sim)
 	s.diffMem(dst, s.mem)
-	dst.lastDin = s.lastDin
-	dst.lastLine = s.lastLine
-	dst.bus = periph.BusState{}
-	if s.bus != nil {
-		dst.bus = s.bus.State()
-	}
-	dst.err = s.errState
+	s.saveRegs(&dst.sysRegs)
 }
 
 // diffMem sets dst's patches to the words of mem that differ from
@@ -700,13 +671,7 @@ func (s *System) RestorePortable(st *PortableState) error {
 	}
 	s.journal = s.journal[:0]
 	s.Sim.Restore(st.sim)
-	s.lastDin = st.lastDin
-	s.lastLine = st.lastLine
-	s.irqForce = forceNone
-	if s.bus != nil {
-		s.bus.SetState(st.bus)
-	}
-	s.errState = st.err
+	s.setRegs(&st.sysRegs)
 	return nil
 }
 
@@ -714,12 +679,12 @@ func (s *System) RestorePortable(st *PortableState) error {
 // state, RAM contents and bus state — Algorithm 1's "the processor
 // state is the same as it was when the branch was previously
 // encountered". lo and hi are independently mixed hashes over the same
-// state walk (different basis and multiplier per component, a
-// splitmix-finalized bus term). Merging two genuinely different states requires both words
-// to collide — see DESIGN.md "Merge keys".
+// state: gsim.Simulator.StateHash's one pass over the flip-flop words,
+// then the RAM words, then a splitmix-finalized bus term, each with a
+// different multiplier per word. Merging two genuinely different states
+// requires both words to collide — see DESIGN.md "Merge keys".
 func (s *System) StateKey() (lo, hi uint64) {
-	lo = s.Sim.StateHash()
-	hi = s.Sim.StateHash2()
+	lo, hi = s.Sim.StateHash()
 	m1, m2 := s.memHashes()
 	lo ^= m1
 	lo *= 1099511628211
