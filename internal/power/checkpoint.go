@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 
 	"repro/internal/netlist"
@@ -122,11 +123,25 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 	for _, c := range s.topkCands[s.taskTopk0:] {
 		w.TopK = append(w.TopK, candWire{Stream: c.Stream, peakWire: toWire(c.Peak)})
 	}
-	// The task's cells are its accumulator's bits; one buffer serves
-	// every task.
+	// The task's cells are its accumulator's bits, visited in plane
+	// order: set them in the cell-ID bitset, then read it back in
+	// ascending cell ID, clearing it for the next task. One buffer
+	// serves every task; a run without a journal never makes them.
+	if s.cellBits == nil {
+		s.cellBits = make([]uint64, (s.nl.NumCells()+63)/64)
+		s.cellVisit = func(ci netlist.CellID) { s.cellBits[ci/64] |= 1 << (ci % 64) }
+	}
+	s.sim.ForEachAccumulated(&s.actAccum, s.cellVisit)
 	s.cellBuf = s.cellBuf[:0]
-	s.sim.ForEachAccumulated(&s.actAccum, func(ci netlist.CellID) { s.cellBuf = append(s.cellBuf, int32(ci)) })
-	slices.Sort(s.cellBuf)
+	for wi, word := range s.cellBits {
+		if word == 0 {
+			continue
+		}
+		s.cellBits[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			s.cellBuf = append(s.cellBuf, int32(wi*64+bits.TrailingZeros64(word)))
+		}
+	}
 	w.Active = s.cellBuf
 	return json.Marshal(w)
 }

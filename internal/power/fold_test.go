@@ -1,7 +1,11 @@
 package power
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netlist"
@@ -14,8 +18,8 @@ import (
 // order — the same Best (the first cycle attaining the maximum, with its
 // cell list) and the same TopK entries in the same order. Powers and fetch
 // addresses come from small alphabets so ties occur. Tasks are folded in
-// canonical or reverse order, and the shared floor starts at zero or at
-// one of the stream's powers, so the floor a scope sees may come from
+// canonical or reverse order, and the shared floors start empty or from
+// the stream's own observations, so the floor a scope sees may come from
 // canonically later work, as it does across workers.
 //
 // A scope ends at every task boundary and at a flushed segment boundary.
@@ -25,22 +29,35 @@ import (
 // while stream indices keep rising; each flushed candidate must name its
 // own observation by (task, stream).
 //
-// head: bits 0-1 pick k in 1..4, bit 2 seeds the floor, bits 3-6 pick
-// the observation whose power seeds it, bit 7 reverses the task order.
-// shape: bit 0 makes each task one scope (no segment boundary flushes).
-// Each byte of obs is one observation: bits 0-2 the power, bits 3-4 the
-// fetch address and, at a new segment, the rewind depth less one, bits
-// 5-7 a cut before it (4: new segment in the same scope, 5: new segment
-// and scope, 6-7: new task).
+// After the first cut fold a second sink folds the tasks again, in
+// reverse order, on the same Shared: a worker whose floors were raised by
+// the whole run. Its replay must equal the whole fold too. The floors may
+// only save work: the first cut fold must never materialize more peaks
+// than the same fold with no Shared at all.
+//
+// head: bits 0-1 pick k in 1..4, bit 2 seeds the Best floor, bits 3-6
+// pick the observation whose power seeds it, bit 7 reverses the task
+// order, bit 8 seeds the TopK floor with k observations at distinct
+// addresses, the first at or after the picked one. shape: bit 0 makes
+// each task one scope (no segment boundary flushes). Each byte of obs is
+// one observation: bits 0-2 the power, bits 3-4 the fetch address and, at
+// a new segment, the rewind depth less one, bits 5-7 a cut before it (4:
+// new segment in the same scope, 5: new segment and scope, 6-7: new task).
 func FuzzScopeFold(f *testing.F) {
-	f.Add(byte(0x03), byte(0), []byte{0x01, 0x0a, 0xa4, 0x12, 0xc4, 0x04, 0x1b, 0xe3, 0x02, 0xa9})
-	f.Add(byte(0x8f), byte(0), []byte{0x04, 0x0c, 0xd4, 0x14, 0xb4, 0xe4, 0x1c, 0x04, 0xa0, 0xc8, 0x1b})
-	f.Add(byte(0x55), byte(0), []byte{0x02, 0x02, 0xc2, 0xa2, 0x1a, 0xda, 0x0b, 0x13})
+	f.Add(uint16(0x03), byte(0), []byte{0x01, 0x0a, 0xa4, 0x12, 0xc4, 0x04, 0x1b, 0xe3, 0x02, 0xa9})
+	f.Add(uint16(0x8f), byte(0), []byte{0x04, 0x0c, 0xd4, 0x14, 0xb4, 0xe4, 0x1c, 0x04, 0xa0, 0xc8, 0x1b})
+	f.Add(uint16(0x55), byte(0), []byte{0x02, 0x02, 0xc2, 0xa2, 0x1a, 0xda, 0x0b, 0x13})
 	// One scope across rewinds: depth-first segments of one task.
-	f.Add(byte(0x02), byte(0), []byte{0x01, 0x04, 0x13, 0x0a, 0x99, 0x02, 0x84, 0x1c, 0x91, 0x04, 0xa2, 0x83})
+	f.Add(uint16(0x02), byte(0), []byte{0x01, 0x04, 0x13, 0x0a, 0x99, 0x02, 0x84, 0x1c, 0x91, 0x04, 0xa2, 0x83})
 	// Each task one scope, tasks folded in reverse order.
-	f.Add(byte(0x81), byte(1), []byte{0x03, 0x0b, 0xa4, 0x12, 0xc4, 0x9c, 0x04, 0xb3, 0xe2, 0x94, 0x0c})
-	f.Fuzz(func(t *testing.T, head, shape byte, obs []byte) {
+	f.Add(uint16(0x81), byte(1), []byte{0x03, 0x0b, 0xa4, 0x12, 0xc4, 0x9c, 0x04, 0xb3, 0xe2, 0x94, 0x0c})
+	// A TopK floor seeded from the stream, tasks folded in canonical order:
+	// ties with the floor at other addresses, canonically earlier.
+	f.Add(uint16(0x101), byte(0), []byte{0x04, 0x0c, 0xc4, 0x14, 0xdc, 0x1b, 0xe4, 0x0a, 0xa3, 0xcc, 0x14, 0x1c})
+	// The same seeding, tasks folded in reverse order with a Best floor:
+	// the floor comes from canonically later tasks.
+	f.Add(uint16(0x18e), byte(1), []byte{0x03, 0x0c, 0xd4, 0x1c, 0xe4, 0x0b, 0x14, 0xc3, 0x1c, 0x04, 0xe4, 0x0c, 0x13})
+	f.Fuzz(func(t *testing.T, head uint16, shape byte, obs []byte) {
 		if len(obs) > 512 {
 			obs = obs[:512]
 		}
@@ -80,8 +97,10 @@ func FuzzScopeFold(f *testing.F) {
 			segs = append(segs, segment{start: i, end: i + 1, flush: b>>5 == 5 && shape&1 == 0})
 			pos[i], cur = cur, cur+1
 		}
+		made := 0 // materializations
 		mk := func(i int) func(cells bool) Peak {
 			return func(cells bool) Peak {
+				made++
 				pk := Peak{PowerMW: ps[i], PathPos: pos[i], FetchAddr: fetch[i]}
 				if cells {
 					pk.ActiveCells = []netlist.CellID{netlist.CellID(i)}
@@ -96,51 +115,44 @@ func FuzzScopeFold(f *testing.F) {
 			whole.observe(ps[i], fetch[i], mk(i))
 		}
 
-		shared := NewShared()
-		if head&4 != 0 && n > 0 {
-			shared.raise(ps[int(head>>3&15)%n])
-		}
-		cut := &Sink{k: k, topkStream: map[uint16]int{}}
-		cut.EnableTasks(shared)
-		scopes := 0
-		for j := range tasks {
-			task := j
-			if head&0x80 != 0 {
-				task = len(tasks) - 1 - j
-			}
-			first := segs[tasks[task][0]].start
-			cut.BeginTask(task, pos[first], nil)
-			scopes++
-			for si, sg := range tasks[task] {
-				if si > 0 {
-					cut.Rewind(pos[segs[sg].start])
-					if segs[sg].flush {
-						cut.NewSegment()
-						scopes++
+		// foldCut folds every task, in canonical or reverse order, into a
+		// new sink on sh (nil: no shared floors). It returns the sink,
+		// its scope count and its materializations.
+		foldCut := func(sh *Shared, reverse bool) (*Sink, int, int) {
+			made = 0
+			cut := &Sink{k: k, topkStream: map[uint16]int{}}
+			cut.EnableTasks(sh)
+			scopes := 0
+			for j := range tasks {
+				task := j
+				if reverse {
+					task = len(tasks) - 1 - j
+				}
+				first := segs[tasks[task][0]].start
+				cut.BeginTask(task, pos[first], nil)
+				scopes++
+				for si, sg := range tasks[task] {
+					if si > 0 {
+						cut.Rewind(pos[segs[sg].start])
+						if segs[sg].flush {
+							cut.NewSegment()
+							scopes++
+						}
+					}
+					for i := segs[sg].start; i < segs[sg].end; i++ {
+						if cut.Pos() != pos[i] {
+							t.Fatalf("observation %d at position %d, want %d", i, cut.Pos(), pos[i])
+						}
+						cut.stream++
+						cut.observe(ps[i], fetch[i], mk(i))
+						cut.Trace = append(cut.Trace, ps[i])
+						cut.fetches = append(cut.fetches, fetchCtx{})
+						cut.isrDepth = append(cut.isrDepth, 0)
 					}
 				}
-				for i := segs[sg].start; i < segs[sg].end; i++ {
-					if cut.Pos() != pos[i] {
-						t.Fatalf("observation %d at position %d, want %d", i, cut.Pos(), pos[i])
-					}
-					cut.stream++
-					cut.observe(ps[i], fetch[i], mk(i))
-					cut.Trace = append(cut.Trace, ps[i])
-					cut.fetches = append(cut.fetches, fetchCtx{})
-					cut.isrDepth = append(cut.isrDepth, 0)
-				}
+				cut.EndTask()
 			}
-			cut.EndTask()
-		}
-		// A task's stream index is its observation index less the task's
-		// first.
-		for _, cs := range [][]PeakCand{cut.bestCands, cut.topkCands} {
-			for _, c := range cs {
-				i := segs[tasks[c.Task][0]].start + c.Stream
-				if i < 0 || i >= n || c.Peak.PathPos != pos[i] || c.Peak.PowerMW != ps[i] || c.Peak.FetchAddr != fetch[i] {
-					t.Fatalf("candidate %+v names task %d stream %d, not its observation", c.Peak, c.Task, c.Stream)
-				}
-			}
+			return cut, scopes, made
 		}
 		nodeID := func(task, stream int) int {
 			id := -1
@@ -151,16 +163,147 @@ func FuzzScopeFold(f *testing.F) {
 			}
 			return id
 		}
-		best, topK := replay(cut.bestCands, cut.topkCands, k, nodeID)
+		// check replays a cut fold's candidates against the whole fold.
+		check := func(name string, cut *Sink, scopes int) {
+			// A task's stream index is its observation index less the
+			// task's first.
+			for _, cs := range [][]PeakCand{cut.bestCands, cut.topkCands} {
+				for _, c := range cs {
+					i := segs[tasks[c.Task][0]].start + c.Stream
+					if i < 0 || i >= n || c.Peak.PathPos != pos[i] || c.Peak.PowerMW != ps[i] || c.Peak.FetchAddr != fetch[i] {
+						t.Fatalf("%s: candidate %+v names task %d stream %d, not its observation", name, c.Peak, c.Task, c.Stream)
+					}
+				}
+			}
+			best, topK := replay(cut.bestCands, cut.topkCands, k, nodeID)
+			if !reflect.DeepEqual(best, whole.Best) {
+				t.Fatalf("%s Best: segmented %+v, whole %+v", name, best, whole.Best)
+			}
+			if !reflect.DeepEqual(topK, whole.TopK) {
+				t.Fatalf("%s TopK: segmented %+v, whole %+v", name, topK, whole.TopK)
+			}
+			if len(cut.bestCands) > scopes || len(cut.topkCands) > k*scopes {
+				t.Fatalf("%s: %d scopes flushed %d Best and %d TopK candidates", name, scopes, len(cut.bestCands), len(cut.topkCands))
+			}
+		}
 
-		if !reflect.DeepEqual(best, whole.Best) {
-			t.Fatalf("Best: segmented %+v, whole %+v", best, whole.Best)
+		shared := NewShared()
+		if head&4 != 0 && n > 0 {
+			shared.raise(ps[int(head>>3&15)%n])
 		}
-		if !reflect.DeepEqual(topK, whole.TopK) {
-			t.Fatalf("TopK: segmented %+v, whole %+v", topK, whole.TopK)
+		if head&0x100 != 0 && n > 0 {
+			seen := map[uint16]bool{}
+			for j := 0; j < n && len(seen) < k; j++ {
+				if i := (int(head>>3&15) + j) % n; !seen[fetch[i]] {
+					seen[fetch[i]] = true
+					shared.noteTopK(k, fetch[i], ps[i])
+				}
+			}
 		}
-		if len(cut.bestCands) > scopes || len(cut.topkCands) > k*scopes {
-			t.Fatalf("%d scopes flushed %d Best and %d TopK candidates", scopes, len(cut.bestCands), len(cut.topkCands))
+		reverse := head&0x80 != 0
+		cut, scopes, floored := foldCut(shared, reverse)
+		check("cut", cut, scopes)
+		if _, _, unfloored := foldCut(nil, reverse); floored > unfloored {
+			t.Fatalf("the floored fold materialized %d peaks, the same fold without floors %d", floored, unfloored)
 		}
+		late, lateScopes, _ := foldCut(shared, true)
+		check("late", late, lateScopes)
 	})
+}
+
+// TestParallelTopKFloor folds one stream the way a multi-worker run does:
+// the stream is cut into tasks of random length, each cut into scopes,
+// and several sinks on goroutines take tasks in whatever order they get
+// them, sharing one Shared. The canonical replay of all their candidates
+// must equal the whole-stream fold, whichever worker raised the floors
+// first. The floor itself ends deterministic: every entry of the final
+// list was materialized by some scope, and no materialized record is
+// above its address's maximum, so the k-th highest noted power is the
+// final list's k-th. Under -race this also checks that the floors are
+// safe to share.
+func TestParallelTopKFloor(t *testing.T) {
+	const workers = 4
+	for round := range 12 {
+		t.Run(fmt.Sprint(round), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(round)))
+			k := 1 + round%4
+			n := 400
+			ps := make([]float64, n)
+			fetch := make([]uint16, n)
+			// Address a's powers reach 6 + a/2 at most, so pairs of
+			// addresses tie for the final list's last places.
+			for i := range ps {
+				fetch[i] = uint16(r.Intn(16))
+				ps[i] = float64(1 + r.Intn(6+int(fetch[i])/2))
+			}
+			mk := func(i int) func(cells bool) Peak {
+				return func(cells bool) Peak {
+					pk := Peak{PowerMW: ps[i], PathPos: i, FetchAddr: fetch[i]}
+					if cells {
+						pk.ActiveCells = []netlist.CellID{netlist.CellID(i)}
+					}
+					return pk
+				}
+			}
+			whole := &Sink{k: k, topkStream: map[uint16]int{}}
+			for i := range ps {
+				whole.stream++
+				whole.observe(ps[i], fetch[i], mk(i))
+			}
+
+			// Tasks are consecutive runs of the stream; a scope ends
+			// after an observation with probability 1/8.
+			var starts []int
+			for i := 0; i < n; i += 1 + r.Intn(60) {
+				starts = append(starts, i)
+			}
+			starts = append(starts, n)
+			flush := make([]bool, n)
+			for i := range flush {
+				flush[i] = r.Intn(8) == 0
+			}
+
+			shared := NewShared()
+			sinks := make([]*Sink, workers)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := range sinks {
+				s := &Sink{k: k, topkStream: map[uint16]int{}}
+				s.EnableTasks(shared)
+				sinks[w] = s
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for task := int(next.Add(1) - 1); task < len(starts)-1; task = int(next.Add(1) - 1) {
+						s.BeginTask(task, starts[task], nil)
+						for i := starts[task]; i < starts[task+1]; i++ {
+							s.stream++
+							s.observe(ps[i], fetch[i], mk(i))
+							if flush[i] {
+								s.NewSegment()
+							}
+						}
+						s.EndTask()
+					}
+				}()
+			}
+			wg.Wait()
+
+			var bestC, topC []PeakCand
+			for _, s := range sinks {
+				bestC = append(bestC, s.bestCands...)
+				topC = append(topC, s.topkCands...)
+			}
+			best, topK := replay(bestC, topC, k, func(task, stream int) int { return starts[task] + stream })
+			if !reflect.DeepEqual(best, whole.Best) {
+				t.Fatalf("Best: parallel %+v, whole %+v", best, whole.Best)
+			}
+			if !reflect.DeepEqual(topK, whole.TopK) {
+				t.Fatalf("TopK: parallel %+v, whole %+v", topK, whole.TopK)
+			}
+			if got, want := shared.topkFloor(), whole.TopK[k-1].PowerMW; got != want {
+				t.Fatalf("TopK floor %v, want the final list's k-th power %v", got, want)
+			}
+		})
+	}
 }

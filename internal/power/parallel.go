@@ -48,11 +48,33 @@
 //     is a no-op or gets evicted there too. Every entry of the global
 //     list thus reaches the replay as its scope's candidate, and the
 //     replay over a superset of those winners ranks them identically.
+//     A shared TopK floor additionally skips the insertion for an
+//     observation strictly below it. Every record a scope materializes
+//     notes its (fetch address, power) on the Shared, which keeps the k
+//     distinct addresses with the highest noted power each and, once it
+//     has k, publishes the lowest of those powers as the floor. So k
+//     distinct addresses reach the floor with real observations of the
+//     run, and every address of the final list has its maximum at or
+//     above the floor. A skipped observation is therefore never the
+//     entry of an address in the final list: that entry is the
+//     address's earliest maximum, which is at or above the last floor
+//     and so at or above every floor. Skipping changes nothing else a
+//     scope does: the floor only rises, so a skipped observation is
+//     below every later unskipped one, and a floored scope keeps the
+//     same entries at or above the floor as a floorless one and
+//     materializes no record the floorless one would not. Ties with the
+//     floor are kept, so the canonically-first cycle of a tied address
+//     survives. Any lower floor is sound too, which is why one that
+//     starts empty (a resumed run, whose replayed candidates do not
+//     raise it) or stays process-local (a fleet worker) is lossless.
 package power
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -70,11 +92,25 @@ type TaskSeed struct {
 
 // Shared is the cross-worker state of one parallel exploration: a
 // monotone lower bound on the final peak below which a scope maximum is
-// not materialized.
+// not materialized, and the TopK floor below which an observation does
+// not enter a scope's TopK list.
 // One Shared instance is created per exploration and handed to every
 // worker's sink via EnableTasks.
 type Shared struct {
 	bestBits atomic.Uint64 // float64 bits; only ever raised
+
+	// topk holds at most k distinct fetch addresses, each with the
+	// highest power of a TopK record any worker materialized there,
+	// sorted descending. Once it holds k, topkBits is the last power:
+	// the TopK floor.
+	mu       sync.Mutex
+	topk     []addrPower
+	topkBits atomic.Uint64 // float64 bits; 0 until k addresses are known
+}
+
+type addrPower struct {
+	fetch uint16
+	p     float64
 }
 
 // NewShared creates the shared reduction state for one exploration.
@@ -91,6 +127,31 @@ func (sh *Shared) raise(p float64) {
 		if sh.bestBits.CompareAndSwap(old, math.Float64bits(p)) {
 			return
 		}
+	}
+}
+
+func (sh *Shared) topkFloor() float64 { return math.Float64frombits(sh.topkBits.Load()) }
+
+// noteTopK notes a materialized TopK record of power p at fetch, for
+// lists of capacity k. A record at or below the published floor cannot
+// change the k highest per-address powers, so it skips the lock.
+func (sh *Shared) noteTopK(k int, fetch uint16, p float64) {
+	if p <= sh.topkFloor() {
+		return
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	switch i := slices.IndexFunc(sh.topk, func(a addrPower) bool { return a.fetch == fetch }); {
+	case i >= 0:
+		sh.topk[i].p = max(sh.topk[i].p, p)
+	case len(sh.topk) < k:
+		sh.topk = append(sh.topk, addrPower{fetch, p})
+	case p > sh.topk[k-1].p:
+		sh.topk[k-1] = addrPower{fetch, p}
+	}
+	slices.SortFunc(sh.topk, func(a, b addrPower) int { return cmp.Compare(b.p, a.p) })
+	if len(sh.topk) == k {
+		sh.topkBits.Store(math.Float64bits(sh.topk[k-1].p))
 	}
 }
 

@@ -141,7 +141,7 @@ type Sink struct {
 	Best Peak
 	// TopK holds the highest-power cycles with distinct fetch addresses
 	// (COI candidates), sorted descending. It folds the same scope as
-	// Best.
+	// Best, less the cycles below the shared TopK floor.
 	TopK []Peak
 	// ISRPeakMW is the peak power bound restricted to cycles spent in
 	// interrupt context (0 when no interrupt was ever entered). Like
@@ -213,6 +213,10 @@ type Sink struct {
 	taskBest0 int
 	taskTopk0 int
 	taskISR   float64
+	// cellBits is MarshalTask's cell-ID bitset, empty between calls;
+	// cellVisit sets a cell in it. The first call makes both.
+	cellBits  []uint64
+	cellVisit func(netlist.CellID)
 	cellBuf   []int32
 }
 
@@ -328,7 +332,10 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 // when cells is set) and runs only when the cycle enters a record; the
 // record's stream index is kept with it. Against a shared floor a new
 // scope maximum below the floor is tracked but not materialized: the
-// floor never exceeds the run's peak, so the cycle cannot be it.
+// floor never exceeds the run's peak, so the cycle cannot be it. A cycle
+// strictly below the shared TopK floor skips TopK: k distinct addresses
+// already reach the floor, so it cannot be its address's entry in the
+// final list (see parallel.go).
 func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
 	at := s.stream - 1
 	if p > s.Best.PowerMW {
@@ -342,12 +349,24 @@ func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
 			// module-split pass twice for the same state.
 			pre := s.Best
 			pre.ActiveCells = nil
-			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.topkStream[fetch] = at; return pre })
+			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.keepTopK(fetch, p, at); return pre })
 			return
 		}
 		s.Best, s.bestKept = Peak{PowerMW: p}, false
 	}
-	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.topkStream[fetch] = at; return mk(false) })
+	if s.shared != nil && p < s.shared.topkFloor() {
+		return
+	}
+	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.keepTopK(fetch, p, at); return mk(false) })
+}
+
+// keepTopK notes a cycle entering the scope's TopK list: its stream
+// index, and its power on the shared TopK floor.
+func (s *Sink) keepTopK(fetch uint16, p float64, at int) {
+	s.topkStream[fetch] = at
+	if s.shared != nil {
+		s.shared.noteTopK(s.k, fetch, p)
+	}
 }
 
 // makePeak materializes a cycle of interest, including the per-module

@@ -556,3 +556,57 @@ loop:
 		t.Fatal("UnionActive differs between memo on and off")
 	}
 }
+
+// TestMarshalTaskActiveAscending checks the task record's cell list: the
+// accumulator visits cells in plane order, and MarshalTask must write
+// them in strictly ascending cell ID, equal to the sorted visit. A
+// symbolic ULP430 run is cut into tasks of several lengths; the bitset
+// must be empty again after every record, or a cell of one task would
+// leak into the next.
+func TestMarshalTaskActiveAscending(t *testing.T) {
+	img, err := isa.Assemble("p", branchy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := ulp430.NewSystem(sharedCPU(t), cell.ULP65(), img, ulp430.SymbolicInputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewSink(sys, model(), img, 4)
+	sys.Reset()
+	pos, unsorted := 0, false
+	for task, n := range []int{30, 1, 12, 25} {
+		sink.BeginTask(task, pos, nil)
+		for range n {
+			sys.Step()
+			sink.OnCycle(sys)
+			pos++
+		}
+		var want []int32
+		sys.Sim.ForEachAccumulated(&sink.actAccum, func(ci netlist.CellID) { want = append(want, int32(ci)) })
+		unsorted = unsorted || !slices.IsSorted(want)
+		slices.Sort(want)
+		blob, err := sink.MarshalTask()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w taskWire
+		if err := json.Unmarshal(blob, &w); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(w.Active); i++ {
+			if w.Active[i] <= w.Active[i-1] {
+				t.Fatalf("task %d: Active[%d] = %d after %d", task, i, w.Active[i], w.Active[i-1])
+			}
+		}
+		if !slices.Equal(w.Active, want) {
+			t.Fatalf("task %d: Active has %d cells, the accumulator %d", task, len(w.Active), len(want))
+		}
+		if i := slices.IndexFunc(sink.cellBits, func(b uint64) bool { return b != 0 }); i >= 0 {
+			t.Fatalf("task %d: cell bitset word %d not cleared", task, i)
+		}
+	}
+	if !unsorted {
+		t.Fatal("every task's cells came in ascending ID order; the test shows nothing")
+	}
+}

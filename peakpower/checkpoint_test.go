@@ -164,3 +164,57 @@ func TestCheckpointForeignJournalRefused(t *testing.T) {
 		t.Fatalf("want foreign-journal refusal, got %v", err)
 	}
 }
+
+// TestCheckpointDeterminismAcrossWorkers: the interrupt-forking apps,
+// checkpointed, seal the sequential uncheckpointed Report at every worker
+// count. Their trees spread over the workers, so the power sinks' shared
+// floors are raised in a different order at every count, and every won
+// fork ends a fold scope. A run cancelled a third of the way in and
+// resumed from its journal at two workers must seal the same bytes too:
+// the resumed process starts with empty floors, and the replayed tasks'
+// candidates never raise them.
+func TestCheckpointDeterminismAcrossWorkers(t *testing.T) {
+	a := analyzer(t)
+	for _, name := range []string{"adcSample", "sensorDuty"} {
+		t.Run(name, func(t *testing.T) {
+			base, err := a.AnalyzeBench(context.Background(), name, WithExploreWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reportBytes(t, &base.Report)
+			for _, w := range []int{1, 2, 4, 8} {
+				res, err := a.AnalyzeBench(context.Background(), name,
+					WithCheckpoint(filepath.Join(t.TempDir(), "job.ckpt")), WithExploreWorkers(w))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if got := reportBytes(t, &res.Report); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: checkpointed report differs from the sequential one", w)
+				}
+			}
+
+			path := filepath.Join(t.TempDir(), "job.ckpt")
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err = a.AnalyzeBench(ctx, name, WithCheckpoint(path), WithExploreWorkers(2),
+				WithProgress(func(p Progress) {
+					if p.Cycles >= base.SimCycles/3 {
+						cancel()
+					}
+				}, 1))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("no journal after the cancelled run: %v", err)
+			}
+			res, err := a.AnalyzeBench(context.Background(), name, WithCheckpoint(path), WithExploreWorkers(2))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if got := reportBytes(t, &res.Report); !bytes.Equal(got, want) {
+				t.Fatal("resumed report differs from the sequential one")
+			}
+		})
+	}
+}
