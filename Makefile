@@ -94,9 +94,9 @@ engine-guard:
 # Short native-fuzz session over the differential target: Explore and
 # ExploreParallel against the test suite's reference explorer on
 # generated programs and interrupt windows, trees and power reductions
-# required to agree exactly. Then the Best/TopK fold on its own: whole
-# streams against the same streams cut into segments and replayed
-# canonically. Then the four readers of bytes from disk
+# required to agree exactly. Then the peak fold (the COI list, whose
+# head is the peak) on its own: whole streams against the same streams
+# cut into segments and replayed canonically. Then the four readers of bytes from disk
 # or the network (the checkpoint journal loader, fleet task and result
 # records, checkpoint portable states, sealed Reports) on arbitrary
 # input: an error, never a panic or a hang. Their real seeds are large

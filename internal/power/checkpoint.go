@@ -4,7 +4,7 @@
 //
 // The serialized record is everything a crashed run's finished task
 // contributed to the final Report that cannot be re-derived without
-// re-execution: its Best/TopK candidates (replayed by MergeParallelReplay
+// re-execution: its TopK candidates (replayed by MergeParallelReplay
 // in canonical order exactly like live candidates), its ISR peak, and the
 // FULL set of cells active during its cycles. Activity is deliberately the
 // task's complete set rather than "new since the worker's last task": a
@@ -19,8 +19,10 @@
 package power
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"math/bits"
 	"slices"
@@ -45,8 +47,8 @@ type peakWire struct {
 	Cells []int32   `json:"cells,omitempty"`
 }
 
-// candWire is one Best/TopK candidate: a peak plus its stream coordinate
-// (the task coordinate is the record's).
+// candWire is one TopK candidate: a peak plus its stream coordinate (the
+// task coordinate is the record's).
 type candWire struct {
 	Stream int `json:"s"`
 	peakWire
@@ -54,30 +56,40 @@ type candWire struct {
 
 // taskWire is one task's serialized observations.
 type taskWire struct {
-	Best   []candWire `json:"best,omitempty"`
 	TopK   []candWire `json:"topk,omitempty"`
 	ISR    float64    `json:"isrmw,omitempty"`
 	Active []int32    `json:"active,omitempty"`
 }
 
-// validate rejects a record (from the journal or a fleet worker) whose
-// indices would overrun the merge or a later Report step: a cell ID
-// outside [0, ncells), or a module split not nmod wide.
-func (w *taskWire) validate(ncells, nmod int) error {
+// decode reads a record from the journal or a fleet worker (empty: a
+// task that observed nothing). A field the format does not have, such as
+// an older format's, or data after the record is an error: dropping it
+// would fold the task short. So is an index that would overrun the merge
+// or a later Report step: a cell ID outside [0, ncells), or a module
+// split not nmod wide.
+func (w *taskWire) decode(blob []byte, ncells, nmod int) error {
+	if len(blob) > 0 {
+		dec := json.NewDecoder(bytes.NewReader(blob))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(w); err != nil {
+			return err
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return fmt.Errorf("data after the record")
+		}
+	}
 	for _, ci := range w.Active {
 		if ci < 0 || int(ci) >= ncells {
 			return fmt.Errorf("active cell %d outside [0, %d)", ci, ncells)
 		}
 	}
-	for _, cands := range [2][]candWire{w.Best, w.TopK} {
-		for _, c := range cands {
-			if len(c.Mod) != nmod {
-				return fmt.Errorf("candidate at stream %d has %d module powers, want %d", c.Stream, len(c.Mod), nmod)
-			}
-			for _, ci := range c.Cells {
-				if ci < 0 || int(ci) >= ncells {
-					return fmt.Errorf("candidate at stream %d: cell %d outside [0, %d)", c.Stream, ci, ncells)
-				}
+	for _, c := range w.TopK {
+		if len(c.Mod) != nmod {
+			return fmt.Errorf("candidate at stream %d has %d module powers, want %d", c.Stream, len(c.Mod), nmod)
+		}
+		for _, ci := range c.Cells {
+			if ci < 0 || int(ci) >= ncells {
+				return fmt.Errorf("candidate at stream %d: cell %d outside [0, %d)", c.Stream, ci, ncells)
 			}
 		}
 	}
@@ -117,9 +129,6 @@ func fromWire(w peakWire) Peak {
 func (s *Sink) MarshalTask() ([]byte, error) {
 	s.NewSegment()
 	w := taskWire{ISR: s.taskISR}
-	for _, c := range s.bestCands[s.taskBest0:] {
-		w.Best = append(w.Best, candWire{Stream: c.Stream, peakWire: toWire(c.Peak)})
-	}
 	for _, c := range s.topkCands[s.taskTopk0:] {
 		w.TopK = append(w.TopK, candWire{Stream: c.Stream, peakWire: toWire(c.Peak)})
 	}
@@ -147,12 +156,13 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 }
 
 // MergeParallelReplay folds the workers' sinks into the single-worker
-// result: Best and TopK by canonical-order replay of the recorded
-// candidates through the sequential fold/insertion code, ISRPeakMW by
-// maximum, and the activity union by set union. nodeID resolves a
-// candidate's (task, stream) coordinates to its final tree-node ID
-// (symx.ParallelResult provides it); k is the TopK capacity and must
-// match the sinks'.
+// result: TopK by canonical-order replay of the recorded candidates
+// through the sequential insertion code, ISRPeakMW by maximum, and the
+// activity union by set union. best is the head of the replayed list,
+// the run's peak with its active cells; topK is the list cut to k
+// entries. nodeID resolves a candidate's (task, stream) coordinates to
+// its final tree-node ID (symx.ParallelResult provides it); k is the
+// TopK capacity and must match the sinks'.
 //
 // replayed holds observations journaled by MarshalTask in a previous
 // (crashed) run, keyed by task ID; nil when nothing was replayed.
@@ -161,17 +171,16 @@ func (s *Sink) MarshalTask() ([]byte, error) {
 // exactly where the uninterrupted run would have produced them, and the
 // order-insensitive folds (activity union, ISR peak) absorb the replayed
 // per-task sets directly. Records are decoded in ascending task ID, so a
-// malformed one is reported deterministically. The union is folded into
-// the first sink's UnionActive.
+// malformed one (see taskWire.decode) is reported deterministically. The
+// union is folded into the first sink's UnionActive.
 func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int, replayed map[int][]byte) (best Peak, topK []Peak, isrPeakMW float64, union []bool, err error) {
-	var bestC, topC []PeakCand
+	var cands []PeakCand
 	nmod := 0
 	if len(sinks) > 0 {
 		nmod = len(sinks[0].Modules())
 	}
 	for i, s := range sinks {
-		bestC = append(bestC, s.bestCands...)
-		topC = append(topC, s.topkCands...)
+		cands = append(cands, s.topkCands...)
 		if s.ISRPeakMW > isrPeakMW {
 			isrPeakMW = s.ISRPeakMW
 		}
@@ -186,21 +195,12 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 		}
 	}
 	for _, task := range slices.Sorted(maps.Keys(replayed)) {
-		blob := replayed[task]
 		var w taskWire
-		if len(blob) > 0 {
-			if uerr := json.Unmarshal(blob, &w); uerr != nil {
-				return best, topK, isrPeakMW, union, fmt.Errorf("power: replay of task %d: %w", task, uerr)
-			}
-		}
-		if verr := w.validate(len(union), nmod); verr != nil {
-			return best, topK, isrPeakMW, union, fmt.Errorf("power: replay of task %d: %w", task, verr)
-		}
-		for _, c := range w.Best {
-			bestC = append(bestC, PeakCand{Peak: fromWire(c.peakWire), Task: task, Stream: c.Stream})
+		if derr := w.decode(replayed[task], len(union), nmod); derr != nil {
+			return best, topK, isrPeakMW, union, fmt.Errorf("power: replay of task %d: %w", task, derr)
 		}
 		for _, c := range w.TopK {
-			topC = append(topC, PeakCand{Peak: fromWire(c.peakWire), Task: task, Stream: c.Stream})
+			cands = append(cands, PeakCand{Peak: fromWire(c.peakWire), Task: task, Stream: c.Stream})
 		}
 		if w.ISR > isrPeakMW {
 			isrPeakMW = w.ISR
@@ -209,25 +209,28 @@ func MergeParallelReplay(sinks []*Sink, k int, nodeID func(task, stream int) int
 			union[ci] = true
 		}
 	}
-	best, topK = replay(bestC, topC, k, nodeID)
-	return best, topK, isrPeakMW, union, nil
+	topK = replay(cands, k, nodeID)
+	if len(topK) > 0 {
+		best = topK[0]
+	}
+	return best, topK[:min(k, len(topK))], isrPeakMW, union, nil
 }
 
 // replay folds candidates in canonical order through the sequential
-// Best/TopK fold.
-func replay(bestC, topC []PeakCand, k int, nodeID func(task, stream int) int) (best Peak, topK []Peak) {
-	sortCanonical(bestC, nodeID)
-	sortCanonical(topC, nodeID)
-	for _, c := range bestC {
-		if c.Peak.PowerMW > best.PowerMW {
-			best = c.Peak
-		}
-	}
-	for _, c := range topC {
+// insertion, keeping the cell list of the head alone.
+func replay(cands []PeakCand, k int, nodeID func(task, stream int) int) []Peak {
+	sortCanonical(cands, nodeID)
+	var topK []Peak
+	for _, c := range cands {
 		pk := c.Peak
-		topK = insertTopK(topK, k, pk.PowerMW, pk.FetchAddr, func() Peak { return pk })
+		topK = insertTopK(topK, k, pk.PowerMW, pk.FetchAddr, func(head bool) Peak {
+			if !head {
+				pk.ActiveCells = nil
+			}
+			return pk
+		})
 	}
-	return best, topK
+	return topK
 }
 
 // Codec implements symx.CheckpointCodec for power sinks: seeds are

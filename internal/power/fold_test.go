@@ -11,12 +11,14 @@ import (
 	"repro/internal/netlist"
 )
 
-// FuzzScopeFold checks the Best/TopK fold on its own, with no simulator:
-// a stream of (power, fetch) observations folded once as a whole must
-// equal the same stream cut into tree segments grouped into tasks, folded
-// one scope at a time, flushed as candidates and replayed in canonical
-// order — the same Best (the first cycle attaining the maximum, with its
-// cell list) and the same TopK entries in the same order. Powers and fetch
+// FuzzScopeFold checks the peak fold on its own, with no simulator: a
+// stream of (power, fetch) observations folded once as a whole must equal
+// the same stream cut into tree segments grouped into tasks, folded one
+// scope at a time, flushed as candidates and replayed in canonical order
+// — the same TopK entries in the same order, headed by the same peak
+// (the first cycle attaining the maximum, with its cell list). No entry
+// past the head carries cells, and the whole fold's Best is its head.
+// Powers and fetch
 // addresses come from small alphabets so ties occur. Tasks are folded in
 // canonical or reverse order, and the shared floors start empty or from
 // the stream's own observations, so the floor a scope sees may come from
@@ -35,10 +37,11 @@ import (
 // only save work: the first cut fold must never materialize more peaks
 // than the same fold with no Shared at all.
 //
-// head: bits 0-1 pick k in 1..4, bit 2 seeds the Best floor, bits 3-6
-// pick the observation whose power seeds it, bit 7 reverses the task
-// order, bit 8 seeds the TopK floor with k observations at distinct
-// addresses, the first at or after the picked one. shape: bit 0 makes
+// head: bits 0-1 pick k in 1..4, bit 9 sets k to 0 (a list of one, the
+// peak alone), bit 2 seeds the head floor with the picked observation,
+// bits 3-6 pick it, bit 7 reverses the task order, bit 8 seeds the TopK
+// floor with k observations at distinct addresses, the first at or after
+// the picked one. shape: bit 0 makes
 // each task one scope (no segment boundary flushes). Each byte of obs is
 // one observation: bits 0-2 the power, bits 3-4 the fetch address and, at
 // a new segment, the rewind depth less one, bits 5-7 a cut before it (4:
@@ -54,14 +57,20 @@ func FuzzScopeFold(f *testing.F) {
 	// A TopK floor seeded from the stream, tasks folded in canonical order:
 	// ties with the floor at other addresses, canonically earlier.
 	f.Add(uint16(0x101), byte(0), []byte{0x04, 0x0c, 0xc4, 0x14, 0xdc, 0x1b, 0xe4, 0x0a, 0xa3, 0xcc, 0x14, 0x1c})
-	// The same seeding, tasks folded in reverse order with a Best floor:
+	// The same seeding, tasks folded in reverse order with a head floor:
 	// the floor comes from canonically later tasks.
 	f.Add(uint16(0x18e), byte(1), []byte{0x03, 0x0c, 0xd4, 0x1c, 0xe4, 0x0b, 0x14, 0xc3, 0x1c, 0x04, 0xe4, 0x0c, 0x13})
+	// k = 0, a head floor seeded from a tied maximum, tasks in reverse
+	// order: the peak alone, with ties across addresses and tasks.
+	f.Add(uint16(0x2a4), byte(0), []byte{0x04, 0x0c, 0xd4, 0x1c, 0xe4, 0x0c, 0x14, 0xc4, 0x1b, 0x04, 0xa4, 0x0c})
 	f.Fuzz(func(t *testing.T, head uint16, shape byte, obs []byte) {
 		if len(obs) > 512 {
 			obs = obs[:512]
 		}
 		k := 1 + int(head&3)
+		if head&0x200 != 0 {
+			k = 0
+		}
 		n := len(obs)
 		ps := make([]float64, n)
 		fetch := make([]uint16, n)
@@ -163,33 +172,37 @@ func FuzzScopeFold(f *testing.F) {
 			}
 			return id
 		}
+		if n > 0 && (len(whole.TopK) == 0 || !reflect.DeepEqual(whole.Best, whole.TopK[0])) {
+			t.Fatalf("whole Best %+v is not the head of %+v", whole.Best, whole.TopK)
+		}
 		// check replays a cut fold's candidates against the whole fold.
 		check := func(name string, cut *Sink, scopes int) {
 			// A task's stream index is its observation index less the
 			// task's first.
-			for _, cs := range [][]PeakCand{cut.bestCands, cut.topkCands} {
-				for _, c := range cs {
-					i := segs[tasks[c.Task][0]].start + c.Stream
-					if i < 0 || i >= n || c.Peak.PathPos != pos[i] || c.Peak.PowerMW != ps[i] || c.Peak.FetchAddr != fetch[i] {
-						t.Fatalf("%s: candidate %+v names task %d stream %d, not its observation", name, c.Peak, c.Task, c.Stream)
-					}
+			for _, c := range cut.topkCands {
+				i := segs[tasks[c.Task][0]].start + c.Stream
+				if i < 0 || i >= n || c.Peak.PathPos != pos[i] || c.Peak.PowerMW != ps[i] || c.Peak.FetchAddr != fetch[i] {
+					t.Fatalf("%s: candidate %+v names task %d stream %d, not its observation", name, c.Peak, c.Task, c.Stream)
 				}
 			}
-			best, topK := replay(cut.bestCands, cut.topkCands, k, nodeID)
-			if !reflect.DeepEqual(best, whole.Best) {
-				t.Fatalf("%s Best: segmented %+v, whole %+v", name, best, whole.Best)
-			}
+			topK := replay(cut.topkCands, k, nodeID)
 			if !reflect.DeepEqual(topK, whole.TopK) {
 				t.Fatalf("%s TopK: segmented %+v, whole %+v", name, topK, whole.TopK)
 			}
-			if len(cut.bestCands) > scopes || len(cut.topkCands) > k*scopes {
-				t.Fatalf("%s: %d scopes flushed %d Best and %d TopK candidates", name, scopes, len(cut.bestCands), len(cut.topkCands))
+			for i := 1; i < len(topK); i++ {
+				if topK[i].ActiveCells != nil {
+					t.Fatalf("%s: entry %d past the head carries cells: %+v", name, i, topK[i])
+				}
+			}
+			if len(cut.topkCands) > max(k, 1)*scopes {
+				t.Fatalf("%s: %d scopes flushed %d candidates", name, scopes, len(cut.topkCands))
 			}
 		}
 
 		shared := NewShared()
 		if head&4 != 0 && n > 0 {
-			shared.raise(ps[int(head>>3&15)%n])
+			i := int(head>>3&15) % n
+			shared.noteTopK(k, fetch[i], ps[i])
 		}
 		if head&0x100 != 0 && n > 0 {
 			seen := map[uint16]bool{}
@@ -216,11 +229,11 @@ func FuzzScopeFold(f *testing.F) {
 // and several sinks on goroutines take tasks in whatever order they get
 // them, sharing one Shared. The canonical replay of all their candidates
 // must equal the whole-stream fold, whichever worker raised the floors
-// first. The floor itself ends deterministic: every entry of the final
-// list was materialized by some scope, and no materialized record is
-// above its address's maximum, so the k-th highest noted power is the
-// final list's k-th. Under -race this also checks that the floors are
-// safe to share.
+// first. The floors themselves end deterministic: every entry of the
+// final list was materialized by some scope, and no materialized record
+// is above its address's maximum, so the highest noted power is the
+// final peak and the k-th highest the final list's k-th. Under -race
+// this also checks that the floors are safe to share.
 func TestParallelTopKFloor(t *testing.T) {
 	const workers = 4
 	for round := range 12 {
@@ -289,20 +302,19 @@ func TestParallelTopKFloor(t *testing.T) {
 			}
 			wg.Wait()
 
-			var bestC, topC []PeakCand
+			var cands []PeakCand
 			for _, s := range sinks {
-				bestC = append(bestC, s.bestCands...)
-				topC = append(topC, s.topkCands...)
+				cands = append(cands, s.topkCands...)
 			}
-			best, topK := replay(bestC, topC, k, func(task, stream int) int { return starts[task] + stream })
-			if !reflect.DeepEqual(best, whole.Best) {
-				t.Fatalf("Best: parallel %+v, whole %+v", best, whole.Best)
-			}
+			topK := replay(cands, k, func(task, stream int) int { return starts[task] + stream })
 			if !reflect.DeepEqual(topK, whole.TopK) {
 				t.Fatalf("TopK: parallel %+v, whole %+v", topK, whole.TopK)
 			}
 			if got, want := shared.topkFloor(), whole.TopK[k-1].PowerMW; got != want {
 				t.Fatalf("TopK floor %v, want the final list's k-th power %v", got, want)
+			}
+			if got, want := shared.headFloor(), whole.TopK[0].PowerMW; got != want {
+				t.Fatalf("head floor %v, want the final peak %v", got, want)
 			}
 		})
 	}

@@ -20,8 +20,8 @@
 // engine), the potentially-toggled union from AccumulateNewActive
 // (per-cell work only on first activation), and peak records — with
 // their per-module split — materialize only for cycles that actually
-// enter Best or the top-k list. The package's tests hold the fast path
-// to an all-cells reference sum of cellBoundFJ.
+// enter the top-k list, whose head is the peak. The package's tests hold
+// the fast path to an all-cells reference sum of cellBoundFJ.
 //
 // The literal Algorithm 2 — materialize an even-maximizing and an
 // odd-maximizing VCD, run power analysis on each, interleave — is
@@ -116,7 +116,7 @@ type Peak struct {
 	// Netlist.Modules()).
 	ByModuleMW []float64
 	// ActiveCells is the set of cells active in the peak cycle (recorded
-	// for the global best peak only).
+	// for the head of the COI list, the global peak, only).
 	ActiveCells []netlist.CellID
 }
 
@@ -136,16 +136,19 @@ type Sink struct {
 	// UnionActive marks cells active in at least one explored cycle —
 	// the "potentially toggled" set of Figures 1.5 and 3.4.
 	UnionActive []bool
-	// Best is the peak across the cycles of the current fold scope: the
-	// whole run unless the explorer ends scopes (see NewSegment).
-	Best Peak
 	// TopK holds the highest-power cycles with distinct fetch addresses
-	// (COI candidates), sorted descending. It folds the same scope as
-	// Best, less the cycles below the shared TopK floor.
+	// (COI candidates), sorted descending, over the cycles of the current
+	// fold scope: the whole run unless the explorer ends scopes (see
+	// NewSegment), less the cycles below the shared TopK floor. It holds
+	// up to max(k, 1) entries, so a sink asked for no COIs still keeps
+	// the peak. Only the head carries ActiveCells.
 	TopK []Peak
+	// Best is the head of TopK: the first cycle of the scope attaining
+	// its maximum power.
+	Best Peak
 	// ISRPeakMW is the peak power bound restricted to cycles spent in
-	// interrupt context (0 when no interrupt was ever entered). Like
-	// Best, it accumulates over every explored path.
+	// interrupt context (0 when no interrupt was ever entered). It
+	// accumulates over every explored path.
 	ISRPeakMW float64
 
 	model   Model
@@ -189,28 +192,21 @@ type Sink struct {
 	// observations. A fold scope ends where the explorer says
 	// (NewSegment); its records are flushed as candidates tagged with
 	// their (task, stream) coordinates and folded canonically by
-	// MergeParallelReplay (see parallel.go). bestStream and topkStream
-	// (by fetch address: TopK holds one entry per address) record the
-	// stream index of each materialized record.
+	// MergeParallelReplay (see parallel.go). topkStream (by fetch
+	// address: TopK holds one entry per address) records the stream
+	// index of each materialized record.
 	shared     *Shared
 	base       int
 	task       int
 	stream     int
 	seed       TaskSeed
-	bestStream int
 	topkStream map[uint16]int
-	// bestKept is false while Best is a scope maximum that was below the
-	// shared floor when observed: it cannot be the run's peak, so it is
-	// tracked but neither materialized nor flushed.
-	bestKept  bool
-	bestCands []PeakCand
-	topkCands []PeakCand
+	topkCands  []PeakCand
 
-	// Per-task records for MarshalTask: candidate slices are sliced at
+	// Per-task records for MarshalTask: the candidate slice is sliced at
 	// task boundaries, and the ISR peak and activity (actAccum) restart
 	// per task, so a resumed run can replay exactly one task's
 	// contribution without its worker's history.
-	taskBest0 int
 	taskTopk0 int
 	taskISR   float64
 	// cellBits is MarshalTask's cell-ID bitset, empty between calls;
@@ -229,7 +225,7 @@ type fetchCtx struct {
 const DefaultWarmup = 12
 
 // NewSink creates a power sink for the given system/model; k bounds the
-// COI list length.
+// COI list length (0: the peak alone).
 func NewSink(sys *ulp430.System, model Model, img *isa.Image, k int) *Sink {
 	nl := sys.Sim.Netlist()
 	s := &Sink{
@@ -326,47 +322,32 @@ func (s *Sink) OnCycle(sys *ulp430.System) {
 	s.observe(p, fc.fetch, func(cells bool) Peak { return s.makePeak(p, pos, fc, cells, sim) })
 }
 
-// observe is the Best/TopK fold, the only one: strict > for Best, so a
-// tie keeps the first cycle with its attribution, and insertTopK for
-// TopK. mk materializes the observed cycle (with its active-cell list
-// when cells is set) and runs only when the cycle enters a record; the
-// record's stream index is kept with it. Against a shared floor a new
-// scope maximum below the floor is tracked but not materialized: the
-// floor never exceeds the run's peak, so the cycle cannot be it. A cycle
-// strictly below the shared TopK floor skips TopK: k distinct addresses
-// already reach the floor, so it cannot be its address's entry in the
-// final list (see parallel.go).
+// observe is the peak fold, the only one: insertTopK over the scope's
+// list, whose head is the scope's peak. mk materializes the observed
+// cycle (with its active-cell list when cells is set) and runs only when
+// the cycle enters the list; the record's stream index is kept with it,
+// and its power is noted on the shared floors. A cycle entering at the
+// head gets its cells only at or above the shared head floor: the floor
+// never exceeds the run's peak, so a cycle below it cannot be the peak.
+// A cycle strictly below the shared TopK floor skips the list: k
+// distinct addresses already reach the floor, so it cannot be its
+// address's entry in the final list (see parallel.go).
 func (s *Sink) observe(p float64, fetch uint16, mk func(cells bool) Peak) {
-	at := s.stream - 1
-	if p > s.Best.PowerMW {
-		if s.shared == nil || p >= s.shared.floor() {
-			s.Best, s.bestKept, s.bestStream = mk(true), true, at
-			if s.shared != nil {
-				s.shared.raise(p)
-			}
-			// A record-setting cycle always enters TopK too; reuse the
-			// just-built peak (sans the cell list) instead of running the
-			// module-split pass twice for the same state.
-			pre := s.Best
-			pre.ActiveCells = nil
-			s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.keepTopK(fetch, p, at); return pre })
-			return
-		}
-		s.Best, s.bestKept = Peak{PowerMW: p}, false
-	}
 	if s.shared != nil && p < s.shared.topkFloor() {
 		return
 	}
-	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func() Peak { s.keepTopK(fetch, p, at); return mk(false) })
-}
-
-// keepTopK notes a cycle entering the scope's TopK list: its stream
-// index, and its power on the shared TopK floor.
-func (s *Sink) keepTopK(fetch uint16, p float64, at int) {
-	s.topkStream[fetch] = at
-	if s.shared != nil {
-		s.shared.noteTopK(s.k, fetch, p)
-	}
+	at := s.stream - 1
+	s.TopK = insertTopK(s.TopK, s.k, p, fetch, func(head bool) Peak {
+		pk := mk(head && (s.shared == nil || p >= s.shared.headFloor()))
+		if head {
+			s.Best = pk
+		}
+		s.topkStream[fetch] = at
+		if s.shared != nil {
+			s.shared.noteTopK(s.k, fetch, p)
+		}
+		return pk
+	})
 }
 
 // makePeak materializes a cycle of interest, including the per-module
@@ -417,30 +398,34 @@ func (s *Sink) refreshState(sim *gsim.Simulator) {
 
 // insertTopK is the top-k insertion step, shared verbatim by the scope
 // fold and MergeParallelReplay's canonical replay — one algorithm, so the
-// two paths cannot drift apart. It keeps at most one entry per
-// fetch address, sorted descending, materializing (mk) only when the
-// cycle actually enters the list.
-func insertTopK(list []Peak, k int, p float64, fetch uint16, mk func() Peak) []Peak {
-	if k <= 0 {
-		return list
+// two paths cannot drift apart. It keeps at most one entry per fetch
+// address and at most max(k, 1) entries, sorted descending,
+// materializing (mk) only when the cycle actually enters the list; head
+// tells mk that the cycle enters at the head. An entry moves up only on
+// strictly greater power, so the head is the first cycle attaining the
+// maximum. Only the head keeps its cell list: a displaced head drops it.
+func insertTopK(list []Peak, k int, p float64, fetch uint16, mk func(head bool) Peak) []Peak {
+	i := 0
+	for i < len(list) && list[i].FetchAddr != fetch {
+		i++
 	}
-	for i := range list {
-		if list[i].FetchAddr == fetch {
-			if p > list[i].PowerMW {
-				list[i] = mk()
-				bubbleTopK(list, i)
-			}
+	switch {
+	case i < len(list):
+		if p <= list[i].PowerMW {
 			return list
 		}
-	}
-	if len(list) < k {
-		list = append(list, mk())
-		bubbleTopK(list, len(list)-1)
+	case len(list) < max(k, 1):
+		list = append(list, Peak{})
+	case p > list[i-1].PowerMW:
+		i--
+	default:
 		return list
 	}
-	if p > list[len(list)-1].PowerMW {
-		list[len(list)-1] = mk()
-		bubbleTopK(list, len(list)-1)
+	head := i == 0 || p > list[0].PowerMW
+	list[i] = mk(head)
+	bubbleTopK(list, i)
+	if head && len(list) > 1 {
+		list[1].ActiveCells = nil
 	}
 	return list
 }

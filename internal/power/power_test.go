@@ -427,8 +427,9 @@ main:
 
 // TestMergeParallelReplayRejectsMalformedRecords: a replayed task record
 // comes from the on-disk journal or a fleet worker, so an index that
-// would overrun the union or a later module lookup must be an error
-// naming the task, never a panic.
+// would overrun the union or a later module lookup, or a field of another
+// record format, must be an error naming the task, never a panic or a
+// silently dropped field.
 func TestMergeParallelReplayRejectsMalformedRecords(t *testing.T) {
 	img, err := isa.Assemble("p", branchy)
 	if err != nil {
@@ -446,9 +447,15 @@ func TestMergeParallelReplayRejectsMalformedRecords(t *testing.T) {
 	}{
 		{"negative active cell", `{"active":[-1]}`, "active cell -1"},
 		{"candidate cell out of range",
-			`{"best":[{"s":0,"p":1,"pos":0,"f":0,"mod":[` + fullMod + `],"cells":[2147483647]}]}`,
+			`{"topk":[{"s":0,"p":1,"pos":0,"f":0,"mod":[` + fullMod + `],"cells":[2147483647]}]}`,
 			"cell 2147483647"},
 		{"short module split", `{"topk":[{"s":0,"p":1,"pos":0,"f":0,"mod":[1]}]}`, "1 module powers"},
+		// A record of the older format kept the peak in a separate best
+		// list; dropping it would seal a zero peak when k is 0.
+		{"old-format best list",
+			`{"best":[{"s":0,"p":1,"pos":0,"f":0,"mod":[` + fullMod + `]}]}`,
+			`unknown field "best"`},
+		{"data after the record", `{"active":[1]} {}`, "data after the record"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, _, _, err := MergeParallelReplay(sinks, 4, nodeID, map[int][]byte{7: []byte(tc.rec)})

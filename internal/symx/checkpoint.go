@@ -110,24 +110,6 @@ func (ck *Checkpointer) Err() error {
 	return ck.werr
 }
 
-// RemoteForces is the record form of the accumulated fork forces a
-// task's first cycle is re-stepped under: nested in a RemoteTask on the
-// fleet wire, flattened into a journal pub record.
-type RemoteForces struct {
-	BrEn   bool `json:"bre,omitempty"`
-	BrVal  bool `json:"brv,omitempty"`
-	IrqEn  bool `json:"ire,omitempty"`
-	IrqVal bool `json:"irv,omitempty"`
-}
-
-func (f RemoteForces) forces() forkForces {
-	return forkForces{brEn: f.BrEn, brVal: f.BrVal, irqEn: f.IrqEn, irqVal: f.IrqVal}
-}
-
-func wireForces(f forkForces) RemoteForces {
-	return RemoteForces{BrEn: f.brEn, BrVal: f.brVal, IrqEn: f.irqEn, IrqVal: f.irqVal}
-}
-
 // RemoteTask is one published unit of exploration work, as a fleet
 // worker leases it and a journal pub record stores it. State is the
 // ulp430.EncodePortable start state, whose memory is a sparse diff
@@ -135,11 +117,11 @@ func wireForces(f forkForces) RemoteForces {
 // instead); Seed is the sink seed marshaled through the run's
 // CheckpointCodec.
 type RemoteTask struct {
-	ID      int          `json:"id"`
-	BasePos int          `json:"base,omitempty"`
-	Forces  RemoteForces `json:"forces"`
-	Seed    []byte       `json:"seed,omitempty"`
-	State   []byte       `json:"state,omitempty"`
+	ID      int        `json:"id"`
+	BasePos int        `json:"base,omitempty"`
+	Forces  ForkForces `json:"forces"`
+	Seed    []byte     `json:"seed,omitempty"`
+	State   []byte     `json:"state,omitempty"`
 }
 
 // RemoteNode is one segment of a completed task's chain, payload
@@ -181,7 +163,7 @@ type ckptRec struct {
 	Parent  int `json:"parent,omitempty"` // publisher task; -1 for the root
 	Seq     int `json:"seq,omitempty"`    // branch index inside the publisher's chain
 	BasePos int `json:"base,omitempty"`
-	RemoteForces
+	ForkForces
 	Seed  []byte `json:"seed,omitempty"`
 	State []byte `json:"state,omitempty"` // ulp430.EncodePortable (sparse memory diff); empty for the root
 
@@ -286,7 +268,7 @@ func (ck *Checkpointer) append(rec *ckptRec) {
 func (ck *Checkpointer) writePub(t RemoteTask, parent, seq int) {
 	ck.append(&ckptRec{
 		T: "pub", ID: t.ID, Parent: parent, Seq: seq, BasePos: t.BasePos,
-		RemoteForces: t.Forces, Seed: t.Seed, State: t.State,
+		ForkForces: t.Forces, Seed: t.Seed, State: t.State,
 	})
 }
 
@@ -305,7 +287,7 @@ func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
 	if err != nil {
 		return RemoteTask{}, fmt.Errorf("symx: checkpoint seed marshal: %w", err)
 	}
-	rt := RemoteTask{ID: t.id, BasePos: t.basePos, Forces: wireForces(t.forces), Seed: seed}
+	rt := RemoteTask{ID: t.id, BasePos: t.basePos, Forces: t.forces, Seed: seed}
 	if t.state != nil {
 		rt.State = ulp430.EncodePortable(t.state)
 	}
@@ -314,7 +296,7 @@ func encodeTask(t *ptask, codec CheckpointCodec) (RemoteTask, error) {
 
 // decodeTask turns a task record back into a runnable task.
 func decodeTask(rt RemoteTask, codec CheckpointCodec) (*ptask, error) {
-	t := &ptask{id: rt.ID, basePos: rt.BasePos, forces: rt.Forces.forces()}
+	t := &ptask{id: rt.ID, basePos: rt.BasePos, forces: rt.Forces}
 	if len(rt.State) > 0 {
 		var err error
 		if t.state, err = ulp430.DecodePortable(rt.State); err != nil {
@@ -493,7 +475,7 @@ parse:
 	for _, id := range pendingIDs {
 		rec := pubs[id].rec
 		t, err := decodeTask(RemoteTask{
-			ID: id, BasePos: rec.BasePos, Forces: rec.RemoteForces, Seed: rec.Seed, State: rec.State,
+			ID: id, BasePos: rec.BasePos, Forces: rec.ForkForces, Seed: rec.Seed, State: rec.State,
 		}, ck.cfg.Codec)
 		if err != nil {
 			return nil, fmt.Errorf("symx: checkpoint journal %s: %w", ck.cfg.Path, err)

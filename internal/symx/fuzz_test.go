@@ -366,7 +366,7 @@ func FuzzFleetRecords(f *testing.F) {
 		var wire interface{}
 		switch rec.T {
 		case "pub":
-			rt := RemoteTask{ID: rec.ID, BasePos: rec.BasePos, Forces: rec.RemoteForces, Seed: rec.Seed, State: rec.State}
+			rt := RemoteTask{ID: rec.ID, BasePos: rec.BasePos, Forces: rec.ForkForces, Seed: rec.Seed, State: rec.State}
 			if _, err := decodeTask(rt, power.Codec{}); err != nil {
 				f.Fatalf("seed task %d does not decode: %v", rec.ID, err)
 			}

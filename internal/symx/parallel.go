@@ -245,7 +245,7 @@ func (t *claimTable) owner(key ForkKey) *Node {
 type ptask struct {
 	id      int
 	state   *ulp430.PortableState // nil for the root task (Reset instead)
-	forces  forkForces
+	forces  ForkForces
 	branch  *Node // fork node whose Taken child this task creates
 	basePos int
 	seed    interface{}
@@ -258,7 +258,7 @@ type pendingFork struct {
 	snap    *ulp430.SysSnapshot // state before the forked cycle
 	sinkPos int
 	branch  *Node
-	forces  forkForces // full force set for the direction still to explore
+	forces  ForkForces // full force set for the direction still to explore
 }
 
 // tally is what one exploration charges its budgets to. In-process every
@@ -489,11 +489,11 @@ func (w *worker) runTask(t *ptask) error {
 	// They must all be re-applied each time — Restore resets the force
 	// nets and the one-shot IRQ override alike.
 	applyForces := func() {
-		if pending.brEn {
-			sys.ForceBranch(pending.brVal)
+		if pending.BrEn {
+			sys.ForceBranch(pending.BrVal)
 		}
-		if pending.irqEn {
-			sys.ForceIRQ(pending.irqVal)
+		if pending.IrqEn {
+			sys.ForceIRQ(pending.IrqVal)
 		}
 	}
 	// pop resumes the newest local fork's taken direction, or returns
@@ -631,7 +631,7 @@ outer:
 
 		sink.OnCycle(sys)
 		w.stream++
-		pending = forkForces{}
+		pending = ForkForces{}
 
 		// A fully unknown PC that is not a forkable jump condition means
 		// an input-dependent computed branch target — out of scope for

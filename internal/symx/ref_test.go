@@ -27,7 +27,7 @@ func refExplore(sys *ulp430.System, sink Sink, opts Options) (*Tree, error) {
 	r := &refExplorer{sys: sys, sink: sink, opts: opts, tree: &Tree{}, seen: map[ForkKey]*Node{}}
 	sys.Reset()
 	r.tree.Root = r.node()
-	if err := r.path(r.tree.Root, sink.Pos(), forkForces{}, true); err != nil {
+	if err := r.path(r.tree.Root, sink.Pos(), ForkForces{}, true); err != nil {
 		return nil, err
 	}
 	return r.tree, nil
@@ -63,7 +63,7 @@ func (r *refExplorer) end(n *Node, start int, kind NodeKind) {
 // the cycle that just forked, and Algorithm 1 checks halting and budgets
 // only between resolved cycles, so the oracle must not check them there
 // either to fail on the same budget.
-func (r *refExplorer) path(n *Node, start int, f forkForces, fresh bool) error {
+func (r *refExplorer) path(n *Node, start int, f ForkForces, fresh bool) error {
 	sys := r.sys
 	for {
 		if fresh {
@@ -85,11 +85,11 @@ func (r *refExplorer) path(n *Node, start int, f forkForces, fresh bool) error {
 
 		before := sys.Snapshot()
 		pos := r.sink.Pos()
-		if f.brEn {
-			sys.ForceBranch(f.brVal)
+		if f.BrEn {
+			sys.ForceBranch(f.BrVal)
 		}
-		if f.irqEn {
-			sys.ForceIRQ(f.irqVal)
+		if f.IrqEn {
+			sys.ForceIRQ(f.IrqVal)
 		}
 		sys.Step()
 		sys.ClearForce()
@@ -105,7 +105,7 @@ func (r *refExplorer) path(n *Node, start int, f forkForces, fresh bool) error {
 			irq = true
 		default:
 			r.sink.OnCycle(sys)
-			f = forkForces{}
+			f = ForkForces{}
 			if _, known := sys.Sim.PortUint("pc"); !known {
 				return fmt.Errorf("symx: PC became X at cycle %d — input-dependent branch target (computed jump/call on input data) is not supported", sys.Sim.Cycle())
 			}

@@ -202,19 +202,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// forkForces is the set of control-condition overrides a forked cycle is
-// re-stepped under. A double-forked cycle accumulates both.
-type forkForces struct {
-	brEn, brVal   bool // force the jump condition
-	irqEn, irqVal bool // force the interrupt arrival
+// ForkForces is the set of control-condition overrides a forked cycle is
+// re-stepped under. A double-forked cycle accumulates both. A published
+// task carries the forces its first cycle is re-stepped under: nested in
+// a RemoteTask on the fleet wire, flattened into a journal pub record.
+type ForkForces struct {
+	BrEn   bool `json:"bre,omitempty"` // force the jump condition
+	BrVal  bool `json:"brv,omitempty"`
+	IrqEn  bool `json:"ire,omitempty"` // force the interrupt arrival
+	IrqVal bool `json:"irv,omitempty"`
 }
 
 // with returns f extended by one more forced condition.
-func (f forkForces) with(irq, dir bool) forkForces {
+func (f ForkForces) with(irq, dir bool) ForkForces {
 	if irq {
-		f.irqEn, f.irqVal = true, dir
+		f.IrqEn, f.IrqVal = true, dir
 	} else {
-		f.brEn, f.brVal = true, dir
+		f.BrEn, f.BrVal = true, dir
 	}
 	return f
 }
@@ -234,18 +238,18 @@ type ForkKey struct {
 
 // key folds the force set into the merge key: the same pre-cycle state
 // under different already-decided directions has different futures.
-func (f forkForces) key() ForkKey {
+func (f ForkForces) key() ForkKey {
 	var k uint64
-	if f.brEn {
+	if f.BrEn {
 		k |= 1
 	}
-	if f.brVal {
+	if f.BrVal {
 		k |= 2
 	}
-	if f.irqEn {
+	if f.IrqEn {
 		k |= 4
 	}
-	if f.irqVal {
+	if f.IrqVal {
 		k |= 8
 	}
 	return ForkKey{Lo: k * 0x9E3779B97F4A7C15, Hi: k * 0xA24BAED4963EE407}
@@ -253,7 +257,7 @@ func (f forkForces) key() ForkKey {
 
 // stateKey is the merge key of the system's current state under the
 // accumulated forces.
-func stateKey(sys *ulp430.System, pending forkForces) ForkKey {
+func stateKey(sys *ulp430.System, pending ForkForces) ForkKey {
 	lo, hi := sys.StateKey()
 	fk := pending.key()
 	return ForkKey{Lo: lo ^ fk.Lo, Hi: hi ^ fk.Hi}

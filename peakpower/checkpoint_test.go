@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -215,6 +217,67 @@ func TestCheckpointDeterminismAcrossWorkers(t *testing.T) {
 			if got := reportBytes(t, &res.Report); !bytes.Equal(got, want) {
 				t.Fatal("resumed report differs from the sequential one")
 			}
+		})
+	}
+}
+
+// TestPeakWithoutCOIsDeterminism: the run's peak is the head of the COI
+// list, and a sink asked for no COIs still keeps a list of one. So
+// WithCOI(0) must find the same peak power and energy, and the same
+// Best with its active cells, as WithCOI(8), with no COIs — at one and
+// two workers, and resumed from a journal cut a third of the way in.
+func TestPeakWithoutCOIsDeterminism(t *testing.T) {
+	a := analyzer(t)
+	for _, name := range []string{"sensorDuty", "binSearch"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := a.AnalyzeBench(context.Background(), name, WithCOI(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Best.ActiveCells) == 0 {
+				t.Fatal("the COI-8 peak has no active cells")
+			}
+			check := func(label string, got *Result) {
+				t.Helper()
+				if got.PeakPowerMW != want.PeakPowerMW || got.PeakEnergyJ != want.PeakEnergyJ {
+					t.Fatalf("%s: peak %v mW / %v J, want %v mW / %v J",
+						label, got.PeakPowerMW, got.PeakEnergyJ, want.PeakPowerMW, want.PeakEnergyJ)
+				}
+				if !reflect.DeepEqual(got.Best, want.Best) {
+					t.Fatalf("%s: Best differs:\ngot  %+v\nwant %+v", label, got.Best, want.Best)
+				}
+				if len(got.COIs) != 0 || len(got.Peaks) != 0 {
+					t.Fatalf("%s: %d COIs and %d peaks, want none", label, len(got.COIs), len(got.Peaks))
+				}
+			}
+			for _, w := range []int{1, 2} {
+				got, err := a.AnalyzeBench(context.Background(), name, WithCOI(0), WithExploreWorkers(w))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				check(fmt.Sprintf("workers=%d", w), got)
+			}
+
+			path := filepath.Join(t.TempDir(), "job.ckpt")
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err = a.AnalyzeBench(ctx, name, WithCOI(0), WithCheckpoint(path), WithExploreWorkers(2),
+				WithProgress(func(p Progress) {
+					if p.Cycles >= want.SimCycles/3 {
+						cancel()
+					}
+				}, 1))
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("no journal after the cancelled run: %v", err)
+			}
+			got, err := a.AnalyzeBench(context.Background(), name, WithCOI(0), WithCheckpoint(path), WithExploreWorkers(2))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			check("resumed", got)
 		})
 	}
 }

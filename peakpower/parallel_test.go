@@ -124,10 +124,11 @@ func TestCacheSharedAcrossWorkerCounts(t *testing.T) {
 // TestOneWorkerFoldsOneScope pins that the single reduction path costs a
 // one-worker analysis without a journal nothing: its fork host is
 // canonical, so the runner never ends the sink's fold scope inside the
-// run, and the sink flushes at most one Best and k TopK candidates —
-// exactly the peaks a whole-run fold materializes. In that run the root
-// task is the whole exploration, so MarshalTask lists every candidate.
-// Every app forks, sensorDuty on interrupt arrival.
+// run, and the sink flushes one TopK list of at most k candidates whose
+// head, the peak, alone carries its cells — exactly the peaks a whole-run
+// fold materializes. In that run the root task is the whole exploration,
+// so MarshalTask lists every candidate. Every app forks, sensorDuty on
+// interrupt arrival.
 func TestOneWorkerFoldsOneScope(t *testing.T) {
 	a := analyzer(t)
 	for _, name := range []string{"binSearch", "rle", "tHold", "PI", "sensorDuty"} {
@@ -157,15 +158,20 @@ func TestOneWorkerFoldsOneScope(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rec struct {
-				Best []json.RawMessage `json:"best"`
-				TopK []json.RawMessage `json:"topk"`
+				TopK []struct {
+					Cells []int32 `json:"cells"`
+				} `json:"topk"`
 			}
 			if err := json.Unmarshal(blob, &rec); err != nil {
 				t.Fatal(err)
 			}
-			if len(rec.Best) != 1 || len(rec.TopK) == 0 || len(rec.TopK) > p.cfg.coiK {
-				t.Fatalf("one-worker run flushed %d Best and %d TopK candidates, want 1 and at most %d",
-					len(rec.Best), len(rec.TopK), p.cfg.coiK)
+			if len(rec.TopK) == 0 || len(rec.TopK) > p.cfg.coiK {
+				t.Fatalf("one-worker run flushed %d TopK candidates, want 1 to %d", len(rec.TopK), p.cfg.coiK)
+			}
+			for i, c := range rec.TopK {
+				if (i == 0) != (len(c.Cells) > 0) {
+					t.Fatalf("candidate %d has %d cells; want cells on the head alone", i, len(c.Cells))
+				}
 			}
 		})
 	}

@@ -81,7 +81,7 @@ func (p *ExplorePlan) Codec() symx.CheckpointCodec { return power.Codec{} }
 // remote tasks. Each call returns an independent pair; a fleet worker
 // creates one per job and reuses it across that job's tasks. A fleet
 // task's fork host is never canonical, so the runner ends the sink's fold
-// scope at every fork it wins. The sink's shared Best and TopK floors are
+// scope at every fork it wins. The sink's shared head and TopK floors are
 // process-local — lower bounds on the in-process floors — so the scopes
 // materialize a superset of what a single-process run does, which the
 // canonical replay then reduces identically (the fold is lossless at any
